@@ -25,8 +25,8 @@ from .errors import WalkError
 from .graphs import from_document, line_tessellations, to_document, \
     union_covers_edges, validate_tessellation
 from .operators import compose, reflection_from_tessellation
-from .simulation import WalkState, distribution, evolve, moments, ring_labels, \
-    superposition_state, wrap_check
+from .simulation import WalkState, distribution, distribution_to_tsv, evolve_final, \
+    moments, ring_labels, superposition_state, wrap_check
 
 _ANGLE_RE = re.compile(
     r"^\s*([+-]?)\s*(\d+(?:\.\d*)?|\.\d+)?\s*\*?\s*pi\s*(?:/\s*(\d+(?:\.\d*)?))?\s*$",
@@ -146,21 +146,9 @@ def _require_thetas(cfg: RunConfig) -> None:
         raise ValueError("set --theta, or both --theta0 and --theta1")
 
 
-def _distribution_tsv(dist, extra_columns=None) -> str:
-    order = np.argsort(dist.position_labels, kind="stable")
-    header = ["position", "probability"]
-    if extra_columns:
-        header.extend(name for name, _ in extra_columns)
-    lines = ["\t".join(header)]
-    for i in order:
-        p = float(dist.probabilities[i])
-        extras = [float(col[i]) for _, col in extra_columns] if extra_columns else []
-        if p == 0.0 and all(x == 0.0 for x in extras):
-            continue
-        row = [f"{int(dist.position_labels[i])}", f"{p:.17g}"]
-        row.extend(f"{x:.17g}" for x in extras)
-        lines.append("\t".join(row))
-    return "\n".join(lines) + "\n"
+def _wrap_guard(step: int, psi) -> None:
+    """Observer for `evolve_final`: fail a line run once its front reaches the antipode."""
+    wrap_check((psi,), guard_band=0, first_step=step)
 
 
 def cmd_simulate(cfg: RunConfig) -> int:
@@ -169,8 +157,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
         n = cfg.ring_size if cfg.ring_size is not None else 4 * (cfg.steps + 1) + 8
         op = _line_operator(cfg, n)
         psi0, _ = _parse_init(cfg.init, n, lambda pos: pos % n)
-        trajectory = evolve(op, psi0, cfg.steps)
-        wrap_check(trajectory, guard_band=0)
+        final = evolve_final(op, psi0, cfg.steps, [_wrap_guard])
         labels = ring_labels(n)
     elif cfg.model == "graph":
         if not cfg.graph:
@@ -184,12 +171,12 @@ def cmd_simulate(cfg: RunConfig) -> int:
                       for i, t in enumerate(tessellations)])
         n = g.vertex_count
         psi0, _ = _parse_init(cfg.init, n, lambda pos: pos)
-        trajectory = evolve(op, psi0, cfg.steps)
+        final = evolve_final(op, psi0, cfg.steps)
         labels = np.arange(n)
     else:
         raise ValueError(f"unknown model {cfg.model!r} for simulate")
-    dist = distribution(trajectory[-1], labels)
-    _write(cfg.out, _distribution_tsv(dist))
+    dist = distribution(final, labels)
+    _write(cfg.out, distribution_to_tsv(dist, drop_zeros=True))
     summary = moments(dist, step=cfg.steps)
     print(f"total_probability\t{float(dist.probabilities.sum()):.17g}")
     print(f"sigma\t{summary.sigma:.17g}")
@@ -210,14 +197,13 @@ def cmd_analytic(cfg: RunConfig) -> int:
     analytic = line_analytic.wavefunction(params, cfg.steps, positions=labels,
                                           initial=entries, start_nodes=start_nodes)
     op = _line_operator(cfg, n)
-    trajectory = evolve(op, psi0, cfg.steps)
-    wrap_check(trajectory, guard_band=0)
-    simulated = trajectory[-1].amplitudes
+    simulated = evolve_final(op, psi0, cfg.steps, [_wrap_guard]).amplitudes
     deviation = np.abs(analytic - simulated)
     dist = distribution(WalkState(analytic), labels)
     sim_prob = np.abs(simulated) ** 2
-    text = _distribution_tsv(dist, extra_columns=[("probability_sim", sim_prob),
-                                                  ("deviation", deviation)])
+    text = distribution_to_tsv(dist, drop_zeros=True,
+                               extra_columns=[("probability_sim", sim_prob),
+                                              ("deviation", deviation)])
     _write(cfg.out, text)
     print(f"max_deviation\t{float(deviation.max()):.17g}")
     print(f"total_probability\t{float(dist.probabilities.sum()):.17g}")

@@ -23,6 +23,7 @@ from .graphs import (
     Tessellation,
     clique_expansion,
     uniform_polygon,
+    uniform_tessellation,
 )
 from .operators import EvolutionOperator, OrthogonalReflection, compose, \
     reflection_from_tessellation
@@ -31,11 +32,9 @@ from .state import WalkState
 
 def shift_tessellation(expansion: ExpansionMap) -> Tessellation:
     """One uniform polygon {(v,a), (v',a)} per original edge, on the expansion."""
-    polys = []
-    for j, (u, w) in enumerate(expansion.original.edges):
-        polys.append(uniform_polygon((expansion.arc_index(u, j),
-                                      expansion.arc_index(w, j))))
-    return Tessellation(tuple(polys), expansion.expanded)
+    return uniform_tessellation(expansion.expanded,
+                                ((expansion.arc_index(u, j), expansion.arc_index(w, j))
+                                 for j, (u, w) in enumerate(expansion.original.edges)))
 
 
 def coin_tessellation(expansion: ExpansionMap) -> Tessellation:
@@ -44,12 +43,10 @@ def coin_tessellation(expansion: ExpansionMap) -> Tessellation:
     The induced reflection restricted to a degree-d vertex is the d-dimensional
     Grover matrix (2/d) J - I.
     """
-    polys = []
-    for v in range(expansion.original.vertex_count):
-        arcs = [expansion.arc_index(v, j)
-                for j in expansion.original.incident_edges(v)]
-        polys.append(uniform_polygon(arcs))
-    return Tessellation(tuple(polys), expansion.expanded)
+    arcs = expansion.arc_index
+    return uniform_tessellation(expansion.expanded,
+                                ([arcs(v, j) for j in expansion.original.incident_edges(v)]
+                                 for v in range(expansion.original.vertex_count)))
 
 
 def flipflop_shift(g: Graph, expansion: ExpansionMap | None = None) -> OrthogonalReflection:

@@ -9,6 +9,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain
+
+import numpy as np
 
 from .errors import (
     DegenerateAngle,
@@ -23,65 +27,102 @@ from .errors import (
     UncoveredVertex,
     ZeroAmplitude,
 )
+from .tolerances import NORM_TOL
 
-NORM_TOL = 1e-12
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
     """Simple undirected graph on vertices 0 .. vertex_count-1.
 
-    Edges are stored canonically as sorted (min, max) pairs with no
-    duplicates and no self-loops.  Construct through :func:`build_graph`.
+    Edges are stored canonically as an (E, 2) integer array of (min, max)
+    rows in lexicographic order, with no duplicates and no self-loops; the
+    edge label of an edge is its row.  Construct through :func:`build_graph`.
     """
 
     vertex_count: int
-    edges: tuple[tuple[int, int], ...]
+    edge_array: np.ndarray
     labels: tuple[str, ...] | None = None
-    _edge_set: frozenset[tuple[int, int]] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "_edge_set", frozenset(self.edges))
+    def __eq__(self, other):
+        if not isinstance(other, Graph):
+            return NotImplemented
+        return (self.vertex_count == other.vertex_count and self.labels == other.labels
+                and np.array_equal(self.edge_array, other.edge_array))
+
+    def __hash__(self):
+        return hash((self.vertex_count, self.edges, self.labels))
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        return tuple(map(tuple, self.edge_array.tolist()))
+
+    @cached_property
+    def edge_keys(self) -> np.ndarray:
+        """u * vertex_count + v for each edge (u, v), ascending."""
+        return self.edge_array[:, 0] * self.vertex_count + self.edge_array[:, 1]
+
+    @cached_property
+    def _incidence(self) -> tuple[np.ndarray, np.ndarray]:
+        """CSR incidence: the labels of the edges at v are labels[offsets[v]:offsets[v + 1]]."""
+        order = np.argsort(self.edge_array.ravel(), kind="stable")
+        counts = np.bincount(self.edge_array.ravel(), minlength=self.vertex_count)
+        return np.concatenate(([0], np.cumsum(counts))), order // 2
+
+    def has_edges(self, u, v) -> np.ndarray:
+        """Elementwise has_edge over arrays of endpoints."""
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
+        keys = lo * self.vertex_count + hi
+        pos = np.minimum(np.searchsorted(self.edge_keys, keys), len(self.edge_keys) - 1)
+        found = self.edge_keys[pos] == keys if len(self.edge_keys) else np.zeros(keys.shape, bool)
+        return found & (lo >= 0) & (hi < self.vertex_count)
 
     def has_edge(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in self._edge_set
+        return bool(self.has_edges(np.array([u]), np.array([v]))[0])
 
     def degree(self, v: int) -> int:
-        return sum(1 for e in self.edges if v in e)
+        return len(self.incident_edges(v))
 
     def degrees(self) -> list[int]:
-        deg = [0] * self.vertex_count
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
+        return np.diff(self._incidence[0]).tolist()
 
     def incident_edges(self, v: int) -> list[int]:
-        """Indices (labels) of the edges touching v, in canonical edge order."""
-        return [j for j, e in enumerate(self.edges) if v in e]
+        """Indices (labels) of the edges touching v, in canonical edge order.
+
+        A vertex outside the graph touches no edge.
+        """
+        if not 0 <= v < self.vertex_count:
+            return []
+        offsets, labels = self._incidence
+        return labels[offsets[v]:offsets[v + 1]].tolist()
 
 
 def build_graph(vertex_count: int, edges, labels=None) -> Graph:
-    """Normalize an edge list into a :class:`Graph`.
+    """Normalize an edge list (or an (E, 2) array) into a :class:`Graph`.
 
     Endpoints must be in range and distinct; duplicate edges collapse to one.
     """
     if vertex_count < 0:
         raise ValueError(f"vertex_count must be non-negative, got {vertex_count}")
-    canonical = set()
-    for u, v in edges:
-        u, v = int(u), int(v)
-        if u == v:
-            raise SelfLoop(u)
-        for w in (u, v):
-            if not 0 <= w < vertex_count:
-                raise OutOfRangeVertex(w, vertex_count)
-        canonical.add((min(u, v), max(u, v)))
+    n = vertex_count
+    pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64)
+    if pairs.size == 0:
+        pairs = pairs.reshape(0, 2)
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise ValueError("edges must be (u, v) vertex pairs")
+    u, v = pairs[:, 0], pairs[:, 1]
+    bad = (u == v) | (np.minimum(u, v) < 0) | (np.maximum(u, v) >= n)
+    if bad.any():
+        a, b = pairs[np.argmax(bad)].tolist()
+        if a == b:
+            raise SelfLoop(a)
+        raise OutOfRangeVertex(b if 0 <= a < n else a, n)
+    keys = np.sort(np.minimum(u, v) * n + np.maximum(u, v))
+    keys = keys[np.append(True, keys[1:] != keys[:-1])] if len(keys) else keys
     if labels is not None:
         labels = tuple(str(s) for s in labels)
         if len(labels) != vertex_count:
             raise ValueError("labels must have one entry per vertex")
-    return Graph(vertex_count, tuple(sorted(canonical)), labels)
+    return Graph(vertex_count, np.stack(np.divmod(keys, max(n, 1)), axis=1), labels)
 
 
 @dataclass(frozen=True)
@@ -97,24 +138,16 @@ class Polygon:
     amplitudes: tuple[complex, ...]
 
     def __post_init__(self):
-        if len(self.vertices) == 0:
-            raise EmptyPolygon("polygon must contain at least one vertex")
-        if len(self.amplitudes) != len(self.vertices):
-            raise ValueError("one amplitude per vertex required")
-        if len(set(self.vertices)) != len(self.vertices):
-            raise ValueError(f"duplicate vertex in polygon {self.vertices}")
-        order = sorted(range(len(self.vertices)), key=lambda i: self.vertices[i])
-        object.__setattr__(self, "vertices", tuple(int(self.vertices[i]) for i in order))
-        object.__setattr__(self, "amplitudes", tuple(complex(self.amplitudes[i]) for i in order))
-        norm2 = 0.0
-        for v, a in zip(self.vertices, self.amplitudes):
-            if v < 0:
-                raise OutOfRangeVertex(v, "any non-negative index")
-            if a == 0:
-                raise ZeroAmplitude(v)
-            norm2 += abs(a) ** 2
-        if abs(norm2 - 1.0) > NORM_TOL:
-            raise NotNormalized(f"polygon amplitudes square-sum to {norm2!r}, not 1")
+        check_polygon_arrays(np.asarray(self.vertices, dtype=np.int64),
+                             np.asarray(self.amplitudes, dtype=np.complex128),
+                             np.zeros(1, dtype=np.int64))
+        self._sort(self.vertices, self.amplitudes)
+
+    def _sort(self, vertices, amplitudes) -> Polygon:
+        order = sorted(range(len(vertices)), key=vertices.__getitem__)
+        object.__setattr__(self, "vertices", tuple(int(vertices[i]) for i in order))
+        object.__setattr__(self, "amplitudes", tuple(complex(amplitudes[i]) for i in order))
+        return self
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -129,73 +162,207 @@ def uniform_polygon(vertices) -> Polygon:
     return Polygon(vertices, (complex(a),) * len(vertices))
 
 
-@dataclass(frozen=True)
+def _uniform_amplitudes(size: int) -> list[float]:
+    return [1.0 / math.sqrt(size)] * size if size else []
+
+
+def uniform_tessellation(parent: Graph, supports) -> Tessellation:
+    """Tessellation of the given vertex supports, each in the uniform superposition."""
+    pairs = [(s, _uniform_amplitudes(len(s))) for s in map(tuple, supports)]
+    return Tessellation.from_arrays(parent, *flatten_polygons(pairs))
+
+
+def size_blocks(starts: np.ndarray, total: int) -> list:
+    """Polygons of flat arrays grouped by size.
+
+    One (size d, polygon ids, (P, d) positions into the flat arrays) triple
+    per distinct size, in increasing size; rows follow the polygon order.
+    """
+    sizes = np.diff(np.append(starts, total))
+    blocks = []
+    for d in np.flatnonzero(np.bincount(sizes)).tolist():
+        ids = np.flatnonzero(sizes == d)
+        blocks.append((d, ids, starts[ids, None] + np.arange(d)))
+    return blocks
+
+
+def flatten_polygons(pairs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat (vertices, amplitudes, starts) arrays of (vertices, amplitudes) pairs."""
+    pairs = tuple(pairs)
+    if any(len(v) != len(a) for v, a in pairs):
+        raise ValueError("one amplitude per vertex required")
+    return (np.fromiter(chain.from_iterable(v for v, _ in pairs), np.int64),
+            np.fromiter(chain.from_iterable(a for _, a in pairs), np.complex128),
+            np.cumsum([0, *(len(v) for v, _ in pairs)])[:-1])
+
+
+def split_polygons(vertices: np.ndarray, amplitudes: np.ndarray, starts: np.ndarray) -> list:
+    """(vertices, amplitudes) tuple pairs of flat arrays, one per polygon, in stored order."""
+    v, a = vertices.tolist(), amplitudes.tolist()
+    bounds = zip(starts.tolist(), [*starts.tolist()[1:], len(v)])
+    return [(tuple(v[i:j]), tuple(a[i:j])) for i, j in bounds]
+
+
+def check_polygon_arrays(vertices: np.ndarray, amplitudes: np.ndarray, starts: np.ndarray,
+                         dimension: int | None = None) -> None:
+    """The polygon rules, applied to every polygon of flat arrays at once.
+
+    Each polygon needs at least one vertex, one amplitude per vertex, no
+    repeated vertex, no negative vertex, no zero amplitude and a square-sum
+    of 1 within NORM_TOL.  Given a dimension, also require every vertex below
+    it and no vertex in two polygons.  :class:`Polygon` checks through here.
+    """
+    sizes = np.diff(np.append(starts, len(vertices)))
+    if np.any(sizes <= 0) or (len(vertices) and (not len(starts) or starts[0] != 0)):
+        raise EmptyPolygon("polygon must contain at least one vertex")
+    if len(vertices) != len(amplitudes):
+        raise ValueError("one amplitude per vertex required")
+    for _, _, rows in size_blocks(starts, len(vertices)):
+        ordered = np.sort(vertices[rows], axis=1)
+        dup = np.any(ordered[:, 1:] == ordered[:, :-1], axis=1)
+        if dup.any():
+            raise ValueError(f"duplicate vertex in polygon {tuple(ordered[dup][0].tolist())}")
+    if np.any(vertices < 0):
+        raise OutOfRangeVertex(int(vertices[vertices < 0][0]), "any non-negative index")
+    if np.any(amplitudes == 0):
+        raise ZeroAmplitude(int(vertices[amplitudes == 0][0]))
+    if len(starts):
+        norm2 = np.add.reduceat(np.abs(amplitudes) ** 2, starts)
+        bad = np.abs(norm2 - 1.0) > NORM_TOL
+        if bad.any():
+            raise NotNormalized(f"polygon amplitudes square-sum to {norm2[bad][0]!r}, not 1")
+    if dimension is not None:
+        counts = np.bincount(vertices, minlength=dimension)
+        if len(counts) > dimension:
+            raise OutOfRangeVertex(int(vertices.max()), dimension)
+        if np.any(counts > 1):
+            raise OverlappingPolygons(int(np.argmax(counts > 1)))
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class Tessellation:
-    """A list of polygons partitioning the vertices of a parent graph."""
+    """A list of polygons partitioning the vertices of a parent graph.
 
-    polygons: tuple[Polygon, ...]
+    Stored flat: polygon k holds vertices[starts[k]:starts[k + 1]] (the last
+    one runs to the end) with the matching amplitudes.  The `polygons` tuple
+    of :class:`Polygon` objects, sorted by vertex tuple, is built on first use.
+    """
+
     parent: Graph
+    vertices: np.ndarray
+    amplitudes: np.ndarray
+    starts: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(
-            self,
-            "polygons",
-            tuple(sorted(self.polygons, key=lambda p: p.vertices)),
-        )
+    def __init__(self, polygons, parent: Graph):
+        polygons = tuple(sorted(polygons, key=lambda p: p.vertices))
+        self._set(parent, *flatten_polygons((p.vertices, p.amplitudes) for p in polygons))
+        self.__dict__["polygons"] = polygons
+
+    @classmethod
+    def from_arrays(cls, parent: Graph, vertices, amplitudes, starts) -> Tessellation:
+        """Tessellation from flat arrays, each polygon checked as :class:`Polygon` checks it."""
+        t = cls.__new__(cls)
+        t._set(parent, np.asarray(vertices, dtype=np.int64),
+               np.asarray(amplitudes, dtype=np.complex128), np.asarray(starts, dtype=np.int64))
+        check_polygon_arrays(t.vertices, t.amplitudes, t.starts)
+        return t
+
+    def _set(self, parent, vertices, amplitudes, starts):
+        self.__dict__.update(parent=parent, vertices=vertices, amplitudes=amplitudes,
+                             starts=starts)
+
+    def __eq__(self, other):
+        if not isinstance(other, Tessellation):
+            return NotImplemented
+        return self.parent == other.parent and self.polygons == other.polygons
+
+    def __hash__(self):
+        return hash((self.parent, self.polygons))
 
     def __len__(self) -> int:
-        return len(self.polygons)
+        return len(self.starts)
+
+    @cached_property
+    def polygons(self) -> tuple[Polygon, ...]:
+        pairs = split_polygons(self.vertices, self.amplitudes, self.starts)
+        # The arrays passed the polygon rules already; only sort each polygon.
+        polygons = (Polygon.__new__(Polygon)._sort(*pair) for pair in pairs)
+        return tuple(sorted(polygons, key=lambda p: p.vertices))
+
+    @cached_property
+    def _owner(self) -> np.ndarray | None:
+        """Vertex -> polygon index (-1 where none); None when polygons overlap."""
+        size = max(self.parent.vertex_count, int(self.vertices.max(initial=-1)) + 1)
+        if np.any(np.bincount(self.vertices, minlength=size) > 1):
+            return None
+        owner = np.full(size, -1)
+        sizes = np.diff(np.append(self.starts, len(self.vertices)))
+        owner[self.vertices] = np.repeat(np.arange(len(sizes)), sizes)
+        return owner
 
     def covers(self, u: int, v: int) -> bool:
-        """Whether some polygon contains both endpoints."""
-        return any(u in p.vertices and v in p.vertices for p in self.polygons)
+        """Whether some polygon contains both endpoints; O(1) via the vertex index."""
+        owner = self._owner
+        if owner is None:
+            return any(u in p.vertices and v in p.vertices for p in self.polygons)
+        inside = 0 <= u < len(owner) and 0 <= v < len(owner)
+        return inside and owner[u] >= 0 and owner[u] == owner[v]
 
 
 def validate_tessellation(g: Graph, t: Tessellation) -> None:
-    """Check the partition-into-cliques conditions; raise on the first violation.
+    """Check the partition-into-cliques conditions in one vectorised pass.
 
-    Raises NotAClique, OverlappingPolygons, or UncoveredVertex.  The verdict
-    does not depend on polygon order.
+    Checks, in this order, that every vertex is in range (else
+    OutOfRangeVertex), every polygon is a clique (NotAClique), no vertex is in
+    two polygons (OverlappingPolygons) and every vertex is in one
+    (UncoveredVertex).  A vertex error names the smallest offending vertex; a
+    clique error the first offending polygon in canonical order (sorted
+    vertex tuples).  So the verdict does not depend on polygon order.
     """
-    seen = {}
-    for idx, poly in enumerate(t.polygons):
-        verts = poly.vertices
-        for v in verts:
-            if v >= g.vertex_count:
-                raise OutOfRangeVertex(v, g.vertex_count)
-        for i, u in enumerate(verts):
-            for v in verts[i + 1:]:
-                if not g.has_edge(u, v):
-                    raise NotAClique(idx, (u, v))
-        for v in verts:
-            if v in seen:
-                raise OverlappingPolygons(v)
-            seen[v] = idx
-    for v in range(g.vertex_count):
-        if v not in seen:
-            raise UncoveredVertex(v)
+    n, verts = g.vertex_count, t.vertices
+    if np.any(verts >= n):
+        raise OutOfRangeVertex(int(verts[verts >= n].min()), n)
+    offending = []
+    for d, ids, rows in size_blocks(t.starts, len(verts)):
+        i, j = np.triu_indices(d, 1)
+        pv = verts[rows]
+        offending.extend(ids[~np.all(g.has_edges(pv[:, i], pv[:, j]), axis=1)].tolist())
+    if offending:
+        pairs = split_polygons(verts, t.amplitudes, t.starts)
+        poly = min(tuple(sorted(pairs[k][0])) for k in offending)
+        missing = next((u, v) for a, u in enumerate(poly) for v in poly[a + 1:]
+                       if not g.has_edge(u, v))
+        raise NotAClique([p.vertices for p in t.polygons].index(poly), missing)
+    counts = np.bincount(verts, minlength=n)
+    if np.any(counts > 1):
+        raise OverlappingPolygons(int(np.argmax(counts > 1)))
+    if np.any(counts == 0):
+        raise UncoveredVertex(int(np.argmin(counts)))
 
 
 def union_covers_edges(g: Graph, tessellations) -> set[tuple[int, int]]:
-    """Edges of g lying inside no polygon of any tessellation.
+    """Edges of g lying inside no polygon of any tessellation, in O(E) per tessellation.
 
     An empty result means the family is admissible (covers every edge).
     Each tessellation is validated first.
     """
+    tessellations = list(tessellations)
     for t in tessellations:
         validate_tessellation(g, t)
-    uncovered = set()
-    for u, v in g.edges:
-        if not any(t.covers(u, v) for t in tessellations):
-            uncovered.add((u, v))
-    return uncovered
+    u, v = g.edge_array.T
+    covered = np.zeros(len(u), dtype=bool)
+    for t in tessellations:
+        owner = t._owner
+        covered |= owner[u] == owner[v]
+    return set(map(tuple, g.edge_array[~covered].tolist()))
 
 
 def ring_graph(size: int) -> Graph:
     """Cycle of `size` vertices; the finite-ring stand-in for the line."""
     if size < 3:
         raise ValueError(f"ring needs at least 3 vertices, got {size}")
-    return build_graph(size, [(i, (i + 1) % size) for i in range(size)])
+    i = np.arange(size)
+    return build_graph(size, np.stack((i, (i + 1) % size), axis=1))
 
 
 def line_tessellations(ring_size: int, alpha: float, beta: float,
@@ -216,12 +383,14 @@ def line_tessellations(ring_size: int, alpha: float, beta: float,
     a_odd = complex(math.cos(phi0), math.sin(phi0)) * math.sin(alpha / 2)
     b_odd = complex(math.cos(beta / 2))
     b_even = complex(math.cos(phi1), math.sin(phi1)) * math.sin(beta / 2)
-    first = []
-    second = []
-    for x in range(ring_size // 2):
-        first.append(Polygon((2 * x, 2 * x + 1), (a_even, a_odd)))
-        second.append(Polygon((2 * x + 1, (2 * x + 2) % ring_size), (b_odd, b_even)))
-    return Tessellation(tuple(first), g), Tessellation(tuple(second), g)
+    pairs = ring_size // 2
+    starts = np.arange(0, ring_size, 2)
+    first = Tessellation.from_arrays(g, np.arange(ring_size), np.tile([a_even, a_odd], pairs),
+                                     starts)
+    # Pairs {1, 2}, {3, 4}, ..., {N-1, 0}, each listed odd site first.
+    second = Tessellation.from_arrays(g, (np.arange(ring_size) + 1) % ring_size,
+                                      np.tile([b_odd, b_even], pairs), starts)
+    return first, second
 
 
 @dataclass(frozen=True)
@@ -286,7 +455,7 @@ def to_document(g: Graph, tessellations=()) -> dict:
     """Serialize a graph plus tessellations to the JSON document schema."""
     doc = {
         "vertices": g.vertex_count,
-        "edges": [[u, v] for u, v in g.edges],
+        "edges": g.edge_array.tolist(),
     }
     if g.labels is not None:
         doc["labels"] = list(g.labels)
@@ -312,13 +481,13 @@ def from_document(doc: dict) -> tuple[Graph, list[Tessellation]]:
                     doc.get("labels"))
     tessellations = []
     for tdoc in doc.get("tessellations", []):
-        polygons = []
+        pairs = []
         for pdoc in tdoc["polygons"]:
-            verts = tuple(int(v) for v in pdoc["vertices"])
+            verts = [int(v) for v in pdoc["vertices"]]
             if "amplitudes" in pdoc:
-                amps = tuple(complex(re, im) for re, im in pdoc["amplitudes"])
-                polygons.append(Polygon(verts, amps))
+                amps = [complex(re, im) for re, im in pdoc["amplitudes"]]
             else:
-                polygons.append(uniform_polygon(verts))
-        tessellations.append(Tessellation(tuple(polygons), g))
+                amps = _uniform_amplitudes(len(verts))
+            pairs.append((verts, amps))
+        tessellations.append(Tessellation.from_arrays(g, *flatten_polygons(pairs)))
     return g, tessellations

@@ -22,6 +22,7 @@ from .errors import (
     SingularIntegrand,
 )
 from .simulation import ring_labels
+from .tolerances import NORM_TOL
 
 QUAD_START_NODES = 512
 QUAD_MAX_NODES = 1 << 18
@@ -144,7 +145,7 @@ def block_eigenvectors(block: ReducedBlock, eps: float = EPS_DEGENERATE):
 def _split_initial(initial):
     entries = [(int(s), complex(c)) for s, c in initial]
     norm2 = sum(abs(c) ** 2 for _, c in entries)
-    if abs(norm2 - 1.0) > 1e-12:
+    if abs(norm2 - 1.0) > NORM_TOL:
         raise NotNormalized(f"initial amplitudes square-sum to {norm2!r}")
     return entries
 

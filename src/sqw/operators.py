@@ -10,82 +10,92 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionCapExceeded, DimensionMismatch, EmptyFactorList, \
-    NotNormalized, OutOfRangeVertex, OverlappingPolygons, ZeroAmplitude
-from .graphs import Tessellation, validate_tessellation
+from .errors import DimensionCapExceeded, DimensionMismatch, EmptyFactorList
+from .graphs import Tessellation, check_polygon_arrays, flatten_polygons, size_blocks, \
+    split_polygons, validate_tessellation
 from .state import WalkState
 
-NORM_TOL = 1e-12
 DENSE_CAP = 4096
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class OrthogonalReflection:
     """The operator 2 sum_k |a_k><a_k| - I, stored by its sparse polygon vectors.
 
-    `polygon_vectors` holds one (support indices, amplitudes) pair per polygon;
-    supports are pairwise disjoint, amplitudes nonzero and unit-norm.  Basis
-    vectors outside every support are eigenvectors with eigenvalue -1.
+    Polygon vector k is supported on vertices[starts[k]:starts[k + 1]] with
+    the matching amplitudes; supports are pairwise disjoint, amplitudes
+    nonzero and unit-norm.  Basis vectors outside every support are
+    eigenvectors with eigenvalue -1.  The kernel gathers the polygons of each
+    size d as one dense block whose column k is polygon k of that size.
     """
 
     dimension: int
-    polygon_vectors: tuple[tuple[tuple[int, ...], tuple[complex, ...]], ...]
-    _idx: np.ndarray = field(init=False, repr=False, compare=False)
-    _amp: np.ndarray = field(init=False, repr=False, compare=False)
-    _starts: np.ndarray = field(init=False, repr=False, compare=False)
-    _scatter: np.ndarray = field(init=False, repr=False, compare=False)
+    vertices: np.ndarray
+    amplitudes: np.ndarray
+    starts: np.ndarray
 
-    def __post_init__(self):
-        seen = set()
-        idx, amp, starts, scatter = [], [], [], []
-        for p, (support, amplitudes) in enumerate(self.polygon_vectors):
-            if len(support) != len(amplitudes) or len(support) == 0:
-                raise ValueError("each polygon vector needs one amplitude per support vertex")
-            starts.append(len(idx))
-            norm2 = 0.0
-            for v, a in zip(support, amplitudes):
-                if not 0 <= v < self.dimension:
-                    raise OutOfRangeVertex(v, self.dimension)
-                if v in seen:
-                    raise OverlappingPolygons(v)
-                seen.add(v)
-                if a == 0:
-                    raise ZeroAmplitude(v)
-                idx.append(v)
-                amp.append(a)
-                scatter.append(p)
-                norm2 += abs(a) ** 2
-            if abs(norm2 - 1.0) > NORM_TOL:
-                raise NotNormalized(f"polygon vector {p} has squared norm {norm2!r}")
-        object.__setattr__(self, "_idx", np.asarray(idx, dtype=np.intp))
-        object.__setattr__(self, "_amp", np.asarray(amp, dtype=np.complex128))
-        object.__setattr__(self, "_starts", np.asarray(starts, dtype=np.intp))
-        object.__setattr__(self, "_scatter", np.asarray(scatter, dtype=np.intp))
+    def __init__(self, dimension: int, polygon_vectors):
+        """Checked constructor from (support indices, amplitudes) pairs."""
+        arrays = flatten_polygons(polygon_vectors)
+        check_polygon_arrays(*arrays, dimension)
+        self.__dict__.update(vars(OrthogonalReflection.from_arrays(dimension, *arrays)))
 
     @classmethod
     def from_polygons(cls, dimension: int, polygons) -> OrthogonalReflection:
-        vectors = tuple((p.vertices, p.amplitudes) for p in polygons)
-        return cls(dimension, vectors)
+        return cls(dimension, tuple((p.vertices, p.amplitudes) for p in polygons))
 
-    def overlaps(self, psi: np.ndarray) -> np.ndarray:
-        """<a_k|psi> for every polygon vector, in order."""
-        if len(self._starts) == 0:
-            return np.zeros(0, dtype=np.complex128)
-        return np.add.reduceat(np.conj(self._amp) * psi[self._idx], self._starts)
+    @classmethod
+    def from_arrays(cls, dimension: int, vertices, amplitudes, starts) -> OrthogonalReflection:
+        """Reflection from flat arrays that already passed the tessellation checks."""
+        blocks = []  # (gather index, (d, P) amplitudes, their conjugates) per size d
+        for _, _, rows in size_blocks(starts, len(vertices)):
+            amp = np.ascontiguousarray(amplitudes[rows].T)
+            blocks.append((vertices[rows].T.ravel().astype(np.intp), amp, amp.conj()))
+        h = cls.__new__(cls)
+        h.__dict__.update(dimension=dimension, vertices=vertices, amplitudes=amplitudes,
+                          starts=starts, _full=len(vertices) == dimension, _blocks=blocks)
+        return h
+
+    def __eq__(self, other):
+        return isinstance(other, OrthogonalReflection) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def _key(self) -> tuple:  # polygons sorted by vertex: equal keys, equal operators
+        pairs = (tuple(sorted(zip(v, a))) for v, a in self.polygon_vectors)
+        return self.dimension, tuple(sorted(pairs))
+
+    @cached_property
+    def polygon_vectors(self) -> tuple[tuple[tuple[int, ...], tuple[complex, ...]], ...]:
+        """One (support indices, amplitudes) pair per polygon, in stored order."""
+        return tuple(split_polygons(self.vertices, self.amplitudes, self.starts))
+
+    def mix(self, psi: np.ndarray, alpha: complex, beta: complex) -> np.ndarray:
+        """alpha psi + beta P psi, P = sum_k |a_k><a_k|, on a raw array (1-D or columns).
+
+        Every function of H = 2P - I has this form: exp(i t H) = e^{-it} I + 2i sin(t) P.
+        """
+        alpha, beta = complex(alpha), complex(beta)
+        out = np.empty(psi.shape, dtype=np.complex128) if self._full else psi * alpha
+        for sites, amp, conj in self._blocks:  # each column x becomes alpha x + beta <a|x> a
+            x = psi[sites].reshape(amp.shape + psi.shape[1:])
+            # einsum sums the products without a state-sized temporary (fewer page faults)
+            overlap = np.einsum("dp...,dp->p...", x, conj)
+            overlap *= beta
+            x *= alpha
+            x += overlap * amp.reshape(amp.shape + (1,) * (psi.ndim - 1))
+            out[sites] = x.reshape((-1,) + psi.shape[1:])
+        return out
 
     def apply(self, psi: np.ndarray) -> np.ndarray:
         """H psi = 2 sum_k <a_k|psi> |a_k> - psi on a raw array (1-D or columns)."""
-        out = -psi
-        if len(self._starts) == 0:
-            return out
-        amp = self._amp if psi.ndim == 1 else self._amp[:, None]
-        ov = np.add.reduceat(np.conj(amp) * psi[self._idx], self._starts, axis=0)
-        out[self._idx] += 2.0 * ov[self._scatter] * amp
-        return out
+        return self.mix(psi, -1, 2)
 
 
 @dataclass(frozen=True)
@@ -100,8 +110,7 @@ class LocalUnitary:
         return self.reflection.dimension
 
     def apply(self, psi: np.ndarray) -> np.ndarray:
-        c, s = math.cos(self.theta), math.sin(self.theta)
-        return c * psi + 1j * s * self.reflection.apply(psi)
+        return self.reflection.mix(psi, cmath.exp(-1j * self.theta), 2j * math.sin(self.theta))
 
 
 @dataclass(frozen=True)
@@ -139,7 +148,8 @@ def _check_dim(expected: int, state: WalkState) -> None:
 def reflection_from_tessellation(t: Tessellation) -> OrthogonalReflection:
     """Embed a valid tessellation's polygon vectors as an orthogonal reflection."""
     validate_tessellation(t.parent, t)
-    return OrthogonalReflection.from_polygons(t.parent.vertex_count, t.polygons)
+    return OrthogonalReflection.from_arrays(t.parent.vertex_count, t.vertices, t.amplitudes,
+                                            t.starts)
 
 
 def apply_reflection(h: OrthogonalReflection, state: WalkState) -> WalkState:
@@ -154,18 +164,9 @@ def apply_exp(u: LocalUnitary, state: WalkState) -> WalkState:
 
 
 def grover_phase_apply(theta: float, h: OrthogonalReflection, state: WalkState) -> WalkState:
-    """Apply I - (1 - e^{2 i theta}) sum_k |a_k><a_k|.
-
-    Equals e^{i theta} exp(i theta H) applied to the same state: the selective
-    phase form of the local unitary, differing only by a global phase.
-    """
+    """Apply I - (1 - e^{2 i theta}) sum_k |a_k><a_k|, which is e^{i theta} exp(i theta H)."""
     _check_dim(h.dimension, state)
-    psi = state.amplitudes
-    out = psi.copy()
-    if len(h._starts):
-        ov = h.overlaps(psi)
-        out[h._idx] -= (1.0 - cmath.exp(2j * theta)) * ov[h._scatter] * h._amp
-    return WalkState(out)
+    return WalkState(h.mix(state.amplitudes, 1, cmath.exp(2j * theta) - 1))
 
 
 def compose(factors) -> EvolutionOperator:
@@ -173,8 +174,7 @@ def compose(factors) -> EvolutionOperator:
 
     The first pair acts first on the state (rightmost in operator notation).
     """
-    factors = [LocalUnitary(float(theta), h) for theta, h in factors]
-    return EvolutionOperator(tuple(factors))
+    return EvolutionOperator(tuple(LocalUnitary(float(theta), h) for theta, h in factors))
 
 
 def dense_matrix(u: EvolutionOperator, cap: int = DENSE_CAP) -> np.ndarray:

@@ -8,7 +8,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, LabelMismatch, WavefrontWrapped
 from .operators import EvolutionOperator
-from .state import WalkState, basis_state, superposition_state
+from .state import WalkState, basis_state, check_norm, superposition_state
+from .tolerances import drift_bound
 
 __all__ = [
     "WalkState", "basis_state", "superposition_state",
@@ -65,30 +66,38 @@ def ring_labels(size: int) -> np.ndarray:
     return np.where(i < size // 2, i, i - size)
 
 
+def evolve_final(u: EvolutionOperator, psi0: WalkState, steps: int, observers=()) -> WalkState:
+    """U^steps psi0: the one evolution loop, on raw arrays, storing no trajectory.
+
+    Each observer is called as observer(step, psi) on psi0 (step 0) and after
+    every step; psi is the raw amplitude array, which it must not modify.
+    The input state was checked at construction; states made by the loop are
+    not re-checked on every step.  The final norm is checked once against
+    `tolerances.drift_bound(steps)` and raises NotNormalized beyond it.
+    """
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps}")
+    if psi0.dimension != u.dimension:
+        raise DimensionMismatch(u.dimension, psi0.dimension)
+    psi = psi0.amplitudes
+    for observe in observers:
+        observe(0, psi)
+    for step in range(1, steps + 1):
+        psi = u.step_array(psi)
+        for observe in observers:
+            observe(step, psi)
+    if not steps:
+        return psi0
+    check_norm(psi, drift_bound(steps))
+    return WalkState.unchecked(psi)
+
+
 def evolve(u: EvolutionOperator, psi0: WalkState, steps: int) -> list[WalkState]:
-    """Trajectory [psi0, U psi0, ..., U^steps psi0]."""
-    if steps < 0:
-        raise ValueError(f"steps must be >= 0, got {steps}")
-    if psi0.dimension != u.dimension:
-        raise DimensionMismatch(u.dimension, psi0.dimension)
-    trajectory = [psi0]
-    current = psi0.amplitudes
-    for _ in range(steps):
-        current = u.step_array(current)
-        trajectory.append(WalkState(current))
+    """Trajectory [psi0, U psi0, ..., U^steps psi0]; holds steps + 1 states."""
+    trajectory = []
+    evolve_final(u, psi0, steps, [lambda step, psi: trajectory.append(
+        WalkState.unchecked(psi) if step else psi0)])
     return trajectory
-
-
-def evolve_final(u: EvolutionOperator, psi0: WalkState, steps: int) -> WalkState:
-    """U^steps psi0 without storing the trajectory (streaming mode)."""
-    if steps < 0:
-        raise ValueError(f"steps must be >= 0, got {steps}")
-    if psi0.dimension != u.dimension:
-        raise DimensionMismatch(u.dimension, psi0.dimension)
-    current = psi0.amplitudes
-    for _ in range(steps):
-        current = u.step_array(current)
-    return WalkState(current) if steps else psi0
 
 
 def distribution(psi: WalkState, labeling) -> ProbabilityDistribution:
@@ -110,35 +119,44 @@ def moments(d: ProbabilityDistribution, max_order: int = 2, step: int = 0) -> Mo
     return MomentSummary(mean, x2, sigma, step, tuple(raw[2:]))
 
 
-def wrap_check(trajectory, guard_band: int, origin: int = 0, tol: float = WRAP_TOL) -> None:
+def wrap_check(trajectory, guard_band: int, origin: int = 0, tol: float = WRAP_TOL,
+               first_step: int = 0) -> None:
     """Certify that a ring trajectory never reached the antipode of `origin`.
 
     Checks that the probability within `guard_band` sites of the antipodal
     point stays below `tol` at every step; when it does, the finite ring
     reproduces the infinite line exactly.  Raises WavefrontWrapped otherwise.
+    `trajectory` is any iterable of states or raw amplitude arrays, read one
+    at a time; its first entry is step `first_step`.
     """
-    states = list(trajectory)
-    if not states:
-        return
-    n = states[0].dimension
-    antipode = (origin + n // 2) % n
-    window = [(antipode + off) % n for off in range(-guard_band, guard_band + 1)]
-    window = sorted(set(window))
-    for step, state in enumerate(states):
-        mass = float(np.sum(np.abs(state.amplitudes[window]) ** 2))
+    window = None
+    for step, state in enumerate(trajectory, first_step):
+        psi = getattr(state, "amplitudes", state)
+        if window is None:
+            n = psi.shape[0]
+            antipode = (origin + n // 2) % n
+            window = sorted({(antipode + off) % n for off in range(-guard_band, guard_band + 1)})
+        mass = float(np.sum(np.abs(psi[window]) ** 2))
         if mass > tol:
             raise WavefrontWrapped(step, mass)
 
 
-def distribution_to_tsv(d: ProbabilityDistribution, drop_zeros: bool = False) -> str:
-    """TSV with columns `position`, `probability`, sorted by position."""
+def distribution_to_tsv(d: ProbabilityDistribution, drop_zeros: bool = False,
+                        extra_columns=()) -> str:
+    """TSV with columns `position`, `probability`, then any extra (name, values)
+    columns, sorted by position.
+
+    With drop_zeros, rows whose probability and extra values are all zero
+    are left out; only the rows kept are formatted.
+    """
     order = np.argsort(d.position_labels, kind="stable")
-    lines = ["position\tprobability"]
-    for i in order:
-        p = float(d.probabilities[i])
-        if drop_zeros and p == 0.0:
-            continue
-        lines.append(f"{int(d.position_labels[i])}\t{p:.17g}")
+    columns = [d.probabilities, *(np.asarray(col, dtype=np.float64) for _, col in extra_columns)]
+    if drop_zeros:
+        order = order[np.any([col[order] != 0.0 for col in columns], axis=0)]
+    header = "\t".join(["position", "probability", *(name for name, _ in extra_columns)])
+    rows = zip(d.position_labels[order].tolist(), *(col[order].tolist() for col in columns))
+    lines = [header, *(f"{pos}\t" + "\t".join(f"{x:.17g}" for x in values)
+                       for pos, *values in rows)]
     return "\n".join(lines) + "\n"
 
 

@@ -7,8 +7,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotNormalized, OutOfRangeVertex
+from .tolerances import NORM_TOL
 
-NORM_TOL = 1e-12
+
+def check_norm(arr: np.ndarray, tol: float = NORM_TOL) -> None:
+    """Raise NotNormalized unless the l2 norm of arr is within tol of 1."""
+    norm = float(np.linalg.norm(arr))
+    if not abs(norm - 1.0) <= tol:
+        raise NotNormalized(f"state norm is {norm!r}, expected 1 within {tol}")
 
 
 @dataclass(frozen=True)
@@ -25,11 +31,18 @@ class WalkState:
         arr = np.array(self.amplitudes, dtype=np.complex128)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("state must be a non-empty 1-D amplitude vector")
-        norm = float(np.linalg.norm(arr))
-        if abs(norm - 1.0) > NORM_TOL:
-            raise NotNormalized(f"state norm is {norm!r}, expected 1 within {NORM_TOL}")
+        check_norm(arr)
         arr.setflags(write=False)
         object.__setattr__(self, "amplitudes", arr)
+
+    @classmethod
+    def unchecked(cls, amplitudes) -> WalkState:
+        """Wrap a vector whose norm the caller bounds itself (see `tolerances`)."""
+        state = object.__new__(cls)
+        arr = np.array(amplitudes, dtype=np.complex128)
+        arr.setflags(write=False)
+        object.__setattr__(state, "amplitudes", arr)
+        return state
 
     @property
     def dimension(self) -> int:

@@ -259,3 +259,45 @@ class TestValidate:
         assert main(["validate", "--graph", str(gpath)]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["uncovered_edges"] == [[0, 2]]
+
+
+class TestGoldenOutput:
+    """Byte-exact TSV and stdout of simulate and analytic.
+
+    Inputs are chosen so every number is exact in IEEE arithmetic on any
+    machine: theta = 0 makes the walk the identity, and the analytic
+    wavefunction is replaced by a fixed vector.
+    """
+
+    def test_simulate(self, tmp_path, capsys):
+        out = tmp_path / "dist.tsv"
+        assert main(["simulate", "--theta", "0", "--steps", "5",
+                     "--init", "superpos:-3,0,2", "--out", str(out)]) == 0
+        assert out.read_text() == ("position\tprobability\n"
+                                   "-3\t0.33333333333333343\n"
+                                   "0\t0.33333333333333343\n"
+                                   "2\t0.33333333333333343\n")
+        assert capsys.readouterr().out == ("total_probability\t1.0000000000000002\n"
+                                           "sigma\t2.0548046676563261\n")
+
+    def test_analytic(self, tmp_path, capsys, monkeypatch):
+        from sqw import line_analytic
+
+        def fixed(params, t, positions, **kwargs):
+            amps = np.zeros(len(positions), dtype=complex)
+            amps[list(positions).index(-3)] = 0.6
+            amps[list(positions).index(1)] = 0.8j
+            return amps
+
+        monkeypatch.setattr(line_analytic, "wavefunction", fixed)
+        out = tmp_path / "ana.tsv"
+        assert main(["analytic", "--theta", "0", "--steps", "3",
+                     "--init", "superpos:-3,0,2", "--out", str(out)]) == 0
+        assert out.read_text() == (
+            "position\tprobability\tprobability_sim\tdeviation\n"
+            "-3\t0.35999999999999999\t0.33333333333333343\t0.022649730810374136\n"
+            "0\t0\t0.33333333333333343\t0.57735026918962584\n"
+            "1\t0.64000000000000012\t0\t0.80000000000000004\n"
+            "2\t0\t0.33333333333333343\t0.57735026918962584\n")
+        assert capsys.readouterr().out == ("max_deviation\t0.80000000000000004\n"
+                                           "total_probability\t1\n")

@@ -189,6 +189,120 @@ class TestUnionCoversEdges:
         assert union_covers_edges(g, [alpha, gamma]) == set()
 
 
+def relabelled_grid(m, seed):
+    """m x m grid with shuffled vertex labels, plus its horizontal and
+    vertical domino tessellations (pairs along even columns / even rows,
+    singletons elsewhere), which together leave some edges uncovered."""
+    label = np.random.default_rng(seed).permutation(m * m)
+
+    def at(r, c):
+        return int(label[r * m + c])
+
+    edges = [(at(r, c), at(r, c + 1)) for r in range(m) for c in range(m - 1)]
+    edges += [(at(r, c), at(r + 1, c)) for r in range(m - 1) for c in range(m)]
+    g = build_graph(m * m, edges)
+    tessellations = []
+    for horizontal in (True, False):
+        polys, used = [], set()
+        for r in range(m):
+            for c in range(m):
+                a, b = ((r, c), (r, c + 1)) if horizontal else ((r, c), (r + 1, c))
+                lead = c if horizontal else r
+                if lead % 2 == 0 and max(b) < m and a not in used:
+                    polys.append(uniform_polygon({at(*a), at(*b)}))
+                    used.update((a, b))
+        polys += [uniform_polygon({at(r, c)}) for r in range(m) for c in range(m)
+                  if (r, c) not in used]
+        tessellations.append(Tessellation(tuple(polys), g))
+    return g, tessellations
+
+
+class TestCoverageIndex:
+    @pytest.mark.parametrize("m,seed", [(3, 0), (5, 1), (8, 2), (9, 3)])
+    def test_relabelled_grid_matches_brute_force(self, m, seed):
+        g, tessellations = relabelled_grid(m, seed)
+        got = union_covers_edges(g, tessellations)
+        assert got == _covered_by_enumeration(g, tessellations)
+        assert got  # dominoes along even columns and rows miss the odd links
+
+    def test_covers_matches_polygon_scan(self):
+        g, tessellations = relabelled_grid(6, 4)
+        for t in tessellations:
+            for u, v in g.edges:
+                scan = any(u in p.vertices and v in p.vertices for p in t.polygons)
+                assert t.covers(u, v) == scan
+                assert t.covers(v, u) == scan
+
+    def test_covers_with_overlapping_polygons(self):
+        g = path_graph(3)
+        t = Tessellation((uniform_polygon({0, 1}), uniform_polygon({1, 2})), g)
+        assert t.covers(0, 1) and t.covers(1, 2) and not t.covers(0, 2)
+
+
+class TestFlatTessellation:
+    def test_from_arrays_matches_polygons(self):
+        g = path_graph(4)
+        amp = 1 / math.sqrt(2)
+        t = Tessellation.from_arrays(g, [3, 2, 1, 0], [amp, amp, 0.6, 0.8j], [0, 2])
+        assert [p.vertices for p in t.polygons] == [(0, 1), (2, 3)]
+        assert t.polygons[0].amplitudes == (0.8j, 0.6 + 0j)
+        assert t == Tessellation((uniform_polygon({2, 3}), Polygon((0, 1), (0.8j, 0.6))), g)
+        assert len(t) == 2
+
+    @pytest.mark.parametrize("vertices,amplitudes,starts,error", [
+        ([0, 1], [1.0, 0.0], [0], ZeroAmplitude),
+        ([0, 1], [1.0, 1.0], [0], NotNormalized),
+        ([0, 1], [1.0, 1.0], [0, 2], EmptyPolygon),
+        ([0, 0], [0.6, 0.8], [0], ValueError),
+        ([-1], [1.0], [0], OutOfRangeVertex),
+    ])
+    def test_from_arrays_checks_like_polygon(self, vertices, amplitudes, starts, error):
+        with pytest.raises(error):
+            Tessellation.from_arrays(path_graph(3), vertices, amplitudes, starts)
+
+    def test_not_a_clique_names_canonical_polygon(self):
+        # stored order {3}, {1}, {2, 0}; canonical order puts {0, 2} first
+        amp = 1 / math.sqrt(2)
+        t = Tessellation.from_arrays(path_graph(4), [3, 1, 2, 0], [1, 1, amp, amp], [0, 1, 2])
+        with pytest.raises(NotAClique) as err:
+            validate_tessellation(t.parent, t)
+        assert err.value.polygon_index == 0 and err.value.missing_edge == (0, 2)
+
+    def test_out_of_range_vertex(self):
+        g = path_graph(2)
+        t = Tessellation((uniform_polygon({0, 1}), uniform_polygon({2})), g)
+        with pytest.raises(OutOfRangeVertex) as err:
+            validate_tessellation(g, t)
+        assert err.value.vertex == 2
+
+
+class TestGraphArrays:
+    def test_edge_array_and_lookups(self):
+        g = build_graph(4, [(3, 0), (1, 2), (0, 3), (2, 0)])
+        assert g.edge_array.tolist() == [[0, 2], [0, 3], [1, 2]]
+        assert g.edges == ((0, 2), (0, 3), (1, 2))
+        assert g.has_edge(3, 0) and not g.has_edge(1, 3) and not g.has_edge(0, 7)
+        assert g.degrees() == [2, 1, 2, 1]
+        assert g.incident_edges(0) == [0, 1] and g.incident_edges(2) == [0, 2]
+
+    def test_vertex_outside_graph_touches_nothing(self):
+        g = build_graph(4, [(3, 0), (1, 2), (0, 3), (2, 0)])
+        for v in (-1, 4, 10):
+            assert g.degree(v) == 0 and g.incident_edges(v) == []
+
+    def test_value_equality_and_hash(self):
+        g, h = build_graph(4, [(0, 1), (2, 3)]), build_graph(4, [(3, 2), (1, 0)])
+        assert g == h and hash(g) == hash(h) and g != build_graph(4, [(0, 1)])
+        t0, t1 = line_tessellations(6, 1.1, 1.9)
+        assert t0 == line_tessellations(6, 1.1, 1.9)[0] and t0 != t1
+        assert hash(t0) == hash(Tessellation(t0.polygons, t0.parent))
+
+    def test_ring_graph(self):
+        g = ring_graph(5)
+        assert g.edges == ((0, 1), (0, 4), (1, 2), (2, 3), (3, 4))
+        assert g.degrees() == [2] * 5
+
+
 class TestLineTessellations:
     def test_uniform_case(self):
         t0, t1 = line_tessellations(4, math.pi / 2, math.pi / 2)

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sqw import (
     OrthogonalReflection,
@@ -58,6 +60,19 @@ class TestReflectionConstruction:
         amp = (1 / math.sqrt(2),) * 2
         with pytest.raises(OverlappingPolygons):
             OrthogonalReflection(3, (((0, 1), amp), ((1, 2), amp)))
+
+    def test_value_equality(self):
+        vectors = (((0, 2), (0.6, 0.8j)), ((1,), (1.0,)))
+        h, again = OrthogonalReflection(3, vectors), OrthogonalReflection(3, vectors)
+        assert h == again and hash(h) == hash(again)
+        assert h != OrthogonalReflection(3, (((0, 2), (0.8, 0.6j)), ((1,), (1.0,))))
+        assert h != OrthogonalReflection(4, vectors)
+        assert h == OrthogonalReflection(3, (((1,), (1.0,)), ((2, 0), (0.8j, 0.6))))
+        t0, t1 = line_tessellations(6, 1.1, 1.9, 0.3, -0.4)
+        for t in (t0, t1):  # t1 stores its wrap polygon last, as (5, 0)
+            canonical = OrthogonalReflection.from_polygons(6, t.polygons)
+            assert reflection_from_tessellation(t) == canonical
+        assert compose([(0.3, h)]) == compose([(0.3, OrthogonalReflection(3, vectors))])
 
     def test_non_unit_vector_rejected(self):
         with pytest.raises(NotNormalized):
@@ -239,3 +254,62 @@ class TestNormPreservation:
             psi = random_state_array(rng, dim)
             out = u.step_array(psi)
             assert abs(np.linalg.norm(out) - 1.0) < 1e-12
+
+
+@st.composite
+def reflections(draw):
+    """Random partitions of a random subset of sites, polygon sizes 1-5.
+
+    Supports sit on shuffled or on consecutive sites, so the kernel meets both
+    gathered rows and rows read as views.  Amplitudes are drawn per polygon,
+    shared by all polygons of one size (the matmul branch), or shared in the
+    first entry only.
+    """
+    sizes = draw(st.lists(st.integers(1, 5), min_size=0, max_size=12))
+    spare = draw(st.integers(0, 4))  # sites outside every support
+    dim = max(1, sum(sizes) + spare)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    sites = np.arange(dim) if draw(st.booleans()) else rng.permutation(dim)
+    mode = draw(st.sampled_from(["random", "shared", "shared_first"]))
+    by_size = {}
+    vectors, pos = [], 0
+    for size in sizes:
+        if mode != "shared" or size not in by_size:
+            amps = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+            amps[np.abs(amps) < 1e-3] = 1.0
+            amps /= np.linalg.norm(amps)
+            if mode == "shared_first" and size > 1:
+                amps[1:] *= math.sqrt(0.75) / np.linalg.norm(amps[1:])
+                amps[0] = 0.5
+            by_size[size] = amps
+        vectors.append((tuple(int(v) for v in sites[pos:pos + size]),
+                        tuple(complex(a) for a in by_size[size])))
+        pos += size
+    return OrthogonalReflection(dim, tuple(vectors))
+
+
+class TestKernelProperties:
+    """The blocked kernel against the dense outer-product oracle."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(h=reflections(), theta=st.floats(-math.pi, math.pi), columns=st.booleans(),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_dense_oracle(self, h, theta, columns, seed):
+        rng = np.random.default_rng(seed)
+        n = h.dimension
+        shape = (n, 3) if columns else (n,)
+        psi = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        dense = dense_reflection(h)
+        projector = (dense + np.eye(n)) / 2
+        assert np.max(np.abs(h.apply(psi) - dense @ psi)) < 1e-12
+        exp_dense = math.cos(theta) * np.eye(n) + 1j * math.sin(theta) * dense
+        got = LocalUnitary(theta, h).apply(psi)
+        assert np.max(np.abs(got - exp_dense @ psi)) < 1e-12
+        phase = cmath.exp(2j * theta) - 1
+        assert np.max(np.abs(h.mix(psi, 1, phase) - (psi + phase * projector @ psi))) < 1e-12
+
+    @settings(max_examples=50, deadline=None)
+    @given(h=reflections())
+    def test_dense_matrix_is_unitary(self, h):
+        m = dense_matrix(compose([(0.4, h), (-1.1, h)]))
+        assert np.max(np.abs(m.conj().T @ m - np.eye(h.dimension))) < 1e-12

@@ -19,8 +19,9 @@ from sqw import (
     superposition_state,
     wrap_check,
 )
-from sqw.errors import DimensionMismatch, LabelMismatch, WavefrontWrapped
+from sqw.errors import DimensionMismatch, LabelMismatch, NotNormalized, WavefrontWrapped
 from sqw.simulation import ProbabilityDistribution, WalkState
+from sqw.tolerances import NORM_TOL, drift_bound
 
 from conftest import random_state_array
 
@@ -85,6 +86,82 @@ class TestEvolve:
         assert top[0] < -60 and top[-1] > 60  # peaks sit near the two fronts
         center_mass = p[np.abs(labels) <= t // 4].sum()
         assert center_mass < 0.25  # valley between the peaks
+
+
+class TestStreamingLoop:
+    """evolve_final is the one loop; the CLI runs it with the wrap guard as an observer."""
+
+    def test_observers_see_every_step(self):
+        u = line_operator(16, 0.8)
+        psi0 = basis_state(16, 1)
+        seen = []
+        final = evolve_final(u, psi0, 5, [lambda step, psi: seen.append((step, psi.copy()))])
+        assert [step for step, _ in seen] == list(range(6))
+        for (_, psi), state in zip(seen, evolve(u, psi0, 5)):
+            assert np.array_equal(psi, state.amplitudes)
+        assert np.array_equal(final.amplitudes, seen[-1][1])
+
+    def test_zero_steps_returns_input(self):
+        psi0 = basis_state(8, 0)
+        assert evolve_final(line_operator(8, 0.3), psi0, 0) is psi0
+
+    def test_negative_steps(self):
+        with pytest.raises(ValueError):
+            evolve_final(line_operator(8, 0.3), basis_state(8, 0), -1)
+
+    def test_wrap_guard_stops_at_same_step(self):
+        n, t = 24, 24
+        u = line_operator(n, math.pi / 4)
+        with pytest.raises(WavefrontWrapped) as full:
+            wrap_check(evolve(u, basis_state(n, 0), t), guard_band=1)
+
+        def guard(step, psi):
+            wrap_check((psi,), guard_band=1, first_step=step)
+
+        with pytest.raises(WavefrontWrapped) as streamed:
+            evolve_final(u, basis_state(n, 0), t, [guard])
+        assert streamed.value.step == full.value.step
+        assert streamed.value.mass == full.value.mass
+
+    def test_non_unitary_step_caught_at_the_end(self):
+        class Leaky:
+            dimension = 4
+
+            def step_array(self, psi):
+                return psi * (1 + 1e-9)
+
+        with pytest.raises(NotNormalized):
+            evolve_final(Leaky(), basis_state(4, 0), 1000)
+
+
+class TestNormDrift:
+    """Long unitary runs drift past 1e-12 by rounding alone; that is no error."""
+
+    STEPS = 20_000
+
+    def setup_method(self):
+        self.u = line_operator(1024, 0.7, 1.1, 1.9, 0.3, -0.4)
+        self.psi0 = WalkState(random_state_array(np.random.default_rng(11), 1024))
+
+    def _check(self, final):
+        drift = abs(np.linalg.norm(final.amplitudes) - 1.0)
+        assert drift <= drift_bound(self.STEPS)
+
+    def test_evolve_final(self):
+        self._check(evolve_final(self.u, self.psi0, self.STEPS))
+
+    def test_streaming_loop_with_observer(self):
+        # the loop the CLI runs, with an observer on every step
+        worst = []
+        final = evolve_final(self.u, self.psi0, self.STEPS,
+                     [lambda step, psi: worst.append(abs(np.linalg.norm(psi) - 1.0))
+                      if step % 1000 == 0 else None])
+        assert len(worst) == self.STEPS // 1000 + 1
+        self._check(final)
+
+    def test_bound_grows_with_steps(self):
+        assert drift_bound(0) == NORM_TOL
+        assert drift_bound(self.STEPS) > drift_bound(self.STEPS // 2) > NORM_TOL
 
 
 class TestDistribution:
@@ -186,6 +263,12 @@ class TestLabelsAndTsv:
         assert "1\t1" in text
         assert len(text.splitlines()) == 5
         assert len(distribution_to_tsv(d, drop_zeros=True).splitlines()) == 2
+
+    def test_distribution_tsv_extra_columns(self):
+        d = ProbabilityDistribution(np.array([0.5, 0.0, 0.5, 0.0]), np.array([2, -1, 0, 1]))
+        text = distribution_to_tsv(d, drop_zeros=True,
+                                   extra_columns=[("sim", np.array([0.25, 0.0, 0.75, 0.5]))])
+        assert text == "position\tprobability\tsim\n0\t0.5\t0.75\n1\t0\t0.5\n2\t0.5\t0.25\n"
 
     def test_moments_tsv(self):
         d = distribution(basis_state(2, 0), [0, 1])
