@@ -19,8 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import line_analytic
-from .coined import certify_equivalence, coin_tessellation, \
-    coined_walk_from_descriptor, shift_tessellation
+from .coined import certify_equivalence, coined_walk_from_descriptor
 from .errors import WalkError
 from .graphs import from_document, line_tessellations, to_document, \
     union_covers_edges, validate_tessellation
@@ -233,8 +232,7 @@ def cmd_embed(args) -> int:
         + 1j * rng.standard_normal(cw.expansion.arc_count)
     psi0 = WalkState(raw / np.linalg.norm(raw))
     report = certify_equivalence(cw, args.steps, psi0)
-    out = to_document(cw.expansion.expanded,
-                      [shift_tessellation(cw.expansion), coin_tessellation(cw.expansion)])
+    out = to_document(cw.expansion.expanded, cw.tessellations)
     out["report"] = {
         "max_state_deviation": report.max_state_deviation,
         "steps_checked": report.steps_checked,

@@ -15,16 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, UnsupportedCoin
-from .graphs import (
-    ExpansionMap,
-    Graph,
-    Polygon,
-    Tessellation,
-    clique_expansion,
-    uniform_polygon,
-    uniform_tessellation,
-)
+from .errors import DimensionMismatch, OutOfRangeVertex, UnsupportedCoin
+from .graphs import ExpansionMap, Graph, Tessellation, clique_expansion, parse_polygons
 from .operators import EvolutionOperator, OrthogonalReflection, compose, \
     reflection_from_tessellation
 from .state import WalkState
@@ -32,9 +24,10 @@ from .state import WalkState
 
 def shift_tessellation(expansion: ExpansionMap) -> Tessellation:
     """One uniform polygon {(v,a), (v',a)} per original edge, on the expansion."""
-    return uniform_tessellation(expansion.expanded,
-                                ((expansion.arc_index(u, j), expansion.arc_index(w, j))
-                                 for j, (u, w) in enumerate(expansion.original.edges)))
+    ends = expansion.ends.ravel()
+    return Tessellation.from_arrays(expansion.expanded, ends,
+                                    np.full(len(ends), 1.0 / math.sqrt(2)),
+                                    np.arange(0, len(ends), 2))
 
 
 def coin_tessellation(expansion: ExpansionMap) -> Tessellation:
@@ -43,10 +36,10 @@ def coin_tessellation(expansion: ExpansionMap) -> Tessellation:
     The induced reflection restricted to a degree-d vertex is the d-dimensional
     Grover matrix (2/d) J - I.
     """
-    arcs = expansion.arc_index
-    return uniform_tessellation(expansion.expanded,
-                                ([arcs(v, j) for j in expansion.original.incident_edges(v)]
-                                 for v in range(expansion.original.vertex_count)))
+    degrees = np.diff(expansion.offsets)
+    return Tessellation.from_arrays(expansion.expanded, np.arange(expansion.arc_count),
+                                    np.repeat(1.0 / np.sqrt(degrees), degrees),
+                                    expansion.offsets[:-1])
 
 
 def flipflop_shift(g: Graph, expansion: ExpansionMap | None = None) -> OrthogonalReflection:
@@ -72,12 +65,30 @@ class CoinedWalk:
     coin_reflection: OrthogonalReflection
     shift: OrthogonalReflection
     expansion: ExpansionMap
+    tessellations: tuple[Tessellation, Tessellation]  # (shift, coin): they induce the two above
 
     def __post_init__(self):
-        dim = 2 * len(self.graph.edges)
-        for name, refl in (("coin", self.coin_reflection), ("shift", self.shift)):
+        dim = 2 * len(self.graph.edge_array)
+        for refl in (self.coin_reflection, self.shift):
             if refl.dimension != dim:
                 raise DimensionMismatch(dim, refl.dimension)
+
+
+def _coined_walk(expansion: ExpansionMap, theta: float, coin: Tessellation) -> CoinedWalk:
+    """The walk with coin tessellation `coin`; each polygon must lie in one vertex's arcs."""
+    arcs, dim = coin.vertices, expansion.arc_count
+    if np.any(arcs >= dim):
+        raise OutOfRangeVertex(int(arcs[arcs >= dim].min()), dim)
+    owner = np.repeat(np.arange(expansion.original.vertex_count), np.diff(expansion.offsets))[arcs]
+    spans = np.minimum.reduceat(owner, coin.starts) != np.maximum.reduceat(owner, coin.starts)
+    if spans.any():
+        k = np.split(np.arange(len(arcs)), coin.starts[1:])[np.argmax(spans)]
+        raise UnsupportedCoin(
+            f"coin polygon {tuple(sorted(arcs[k].tolist()))} spans arcs of vertices "
+            f"{sorted(set(owner[k].tolist()))}; a coin must act within one vertex's arc set")
+    shift = shift_tessellation(expansion)
+    return CoinedWalk(expansion.original, float(theta), reflection_from_tessellation(coin),
+                      reflection_from_tessellation(shift), expansion, (shift, coin))
 
 
 def grover_coined_walk(g: Graph, theta: float = math.pi / 2) -> CoinedWalk:
@@ -88,10 +99,7 @@ def grover_coined_walk(g: Graph, theta: float = math.pi / 2) -> CoinedWalk:
     one-dimensional exp(i theta X) coin.
     """
     expansion = clique_expansion(g)
-    return CoinedWalk(g, float(theta),
-                      grover_coin_reflection(g, expansion),
-                      flipflop_shift(g, expansion),
-                      expansion)
+    return _coined_walk(expansion, theta, coin_tessellation(expansion))
 
 
 def reflection_coined_walk(g: Graph, theta: float, polygons) -> CoinedWalk:
@@ -99,22 +107,10 @@ def reflection_coined_walk(g: Graph, theta: float, polygons) -> CoinedWalk:
 
     Every polygon must sit inside a single vertex's arc set (a coin never
     moves the walker); anything else is not a coin and raises UnsupportedCoin.
+    An arc beyond the arc space raises OutOfRangeVertex.
     """
     expansion = clique_expansion(g)
-    owner = {}
-    for v, j in expansion.arcs:
-        owner[expansion.arc_index(v, j)] = v
-    for p in polygons:
-        owners = {owner[a] for a in p.vertices}
-        if len(owners) != 1:
-            raise UnsupportedCoin(
-                f"coin polygon {p.vertices} spans arcs of vertices {sorted(owners)}; "
-                "a coin must act within one vertex's arc set")
-    blue = Tessellation(tuple(polygons), expansion.expanded)
-    return CoinedWalk(g, float(theta),
-                      reflection_from_tessellation(blue),
-                      flipflop_shift(g, expansion),
-                      expansion)
+    return _coined_walk(expansion, theta, Tessellation(polygons, expansion.expanded))
 
 
 def coined_walk_from_descriptor(g: Graph, descriptor: dict) -> CoinedWalk:
@@ -130,15 +126,10 @@ def coined_walk_from_descriptor(g: Graph, descriptor: dict) -> CoinedWalk:
     if kind == "reflection":
         if "theta" not in descriptor or "polygons" not in descriptor:
             raise UnsupportedCoin("reflection coin needs 'theta' and 'polygons'")
-        polygons = []
-        for pdoc in descriptor["polygons"]:
-            verts = tuple(int(v) for v in pdoc["vertices"])
-            if "amplitudes" in pdoc:
-                amps = tuple(complex(re, im) for re, im in pdoc["amplitudes"])
-                polygons.append(Polygon(verts, amps))
-            else:
-                polygons.append(uniform_polygon(verts))
-        return reflection_coined_walk(g, float(descriptor["theta"]), polygons)
+        expansion = clique_expansion(g)
+        coin = parse_polygons(descriptor["polygons"])
+        return _coined_walk(expansion, float(descriptor["theta"]),
+                            Tessellation.from_arrays(expansion.expanded, *coin))
     raise UnsupportedCoin(
         f"coin type {kind!r} is not of the form exp(i theta H) with H an "
         "orthogonal reflection")
@@ -163,27 +154,6 @@ class EquivalenceReport:
             raise ValueError("deviation cannot be negative")
 
 
-def _dense_shift_matrix(cw: CoinedWalk) -> np.ndarray:
-    """S as a permutation matrix straight from the edge list (no polygons)."""
-    dim = cw.expansion.arc_count
-    s = np.zeros((dim, dim), dtype=np.complex128)
-    for j, (u, w) in enumerate(cw.graph.edges):
-        a, b = cw.expansion.arc_index(u, j), cw.expansion.arc_index(w, j)
-        s[a, b] = 1.0
-        s[b, a] = 1.0
-    return s
-
-def _dense_coin_matrix(cw: CoinedWalk) -> np.ndarray:
-    """exp(i theta H_coin) from dense outer products of the polygon vectors."""
-    dim = cw.expansion.arc_count
-    h = -np.eye(dim, dtype=np.complex128)
-    for support, amplitudes in cw.coin_reflection.polygon_vectors:
-        v = np.zeros(dim, dtype=np.complex128)
-        v[list(support)] = amplitudes
-        h += 2.0 * np.outer(v, np.conj(v))
-    return math.cos(cw.coin_angle) * np.eye(dim) + 1j * math.sin(cw.coin_angle) * h
-
-
 def phase_invariant_distance(a: np.ndarray, b: np.ndarray) -> float:
     """min over phases of ||a - e^{i phi} b||.
 
@@ -196,26 +166,48 @@ def phase_invariant_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(a - phase * b))
 
 
+def coined_step(cw: CoinedWalk):
+    """The coined step psi -> i S exp(i theta H_coin) psi on 1-D arrays, in O(arcs).
+
+    S is the arc swap read from the expansion's edge ends; the coin acts by
+    segment sums over its polygon vectors.  No tessellation and no reflection
+    kernel takes part: this is route (a) of :func:`certify_equivalence`.
+    """
+    ends = cw.expansion.ends
+    swap = np.empty(cw.expansion.arc_count, dtype=np.intp)
+    swap[ends] = ends[:, ::-1]
+    h = cw.coin_reflection
+    ids = np.repeat(np.arange(len(h.starts)), np.diff(np.append(h.starts, len(h.vertices))))
+    cos, sin = math.cos(cw.coin_angle), math.sin(cw.coin_angle)
+
+    def step(psi: np.ndarray) -> np.ndarray:
+        overlaps = np.zeros(len(h.starts), dtype=np.complex128)
+        np.add.at(overlaps, ids, h.amplitudes.conj() * psi[h.vertices])
+        reflected = -psi  # H psi = 2 sum_k <a_k|psi> a_k - psi; supports are disjoint
+        reflected[h.vertices] += 2.0 * h.amplitudes * overlaps[ids]
+        return 1j * (cos * psi + 1j * sin * reflected)[swap]
+
+    return step
+
+
 def certify_equivalence(cw: CoinedWalk, steps: int, psi0: WalkState) -> EquivalenceReport:
     """Numerically certify coined step == staggered step on the expansion.
 
-    Route (a) builds exp(i pi/2 S) exp(i theta H) densely from the raw edge
-    permutation and outer-product coin blocks; route (b) is the staggered
-    evolution operator assembled from the two tessellations.  Reports the
-    maximum phase-invariant deviation between the two trajectories.
+    Route (a) is :func:`coined_step`, built from the raw edge ends and the
+    coin's polygon vectors; route (b) is the staggered evolution operator
+    assembled from the two tessellations; both cost O(arcs) per step.  Reports
+    the maximum phase-invariant deviation between the two trajectories.
     """
     dim = cw.expansion.arc_count
     if psi0.dimension != dim:
         raise DimensionMismatch(dim, psi0.dimension)
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
-    u_dense = 1j * (_dense_shift_matrix(cw) @ _dense_coin_matrix(cw))
-    sqw_step = embed_coined_as_sqw(cw)
-    a = psi0.amplitudes.copy()
-    b = psi0.amplitudes
+    coined, sqw_step = coined_step(cw), embed_coined_as_sqw(cw)
+    a = b = psi0.amplitudes
     worst = 0.0
     for _ in range(steps):
-        a = u_dense @ a
+        a = coined(a)
         b = sqw_step.step_array(b)
         worst = max(worst, phase_invariant_distance(a, b))
     return EquivalenceReport(worst, steps, cw.expansion)

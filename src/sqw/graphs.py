@@ -63,10 +63,11 @@ class Graph:
 
     @cached_property
     def _incidence(self) -> tuple[np.ndarray, np.ndarray]:
-        """CSR incidence: the labels of the edges at v are labels[offsets[v]:offsets[v + 1]]."""
-        order = np.argsort(self.edge_array.ravel(), kind="stable")
+        """CSR incidence over arcs: the arcs of v are offsets[v]:offsets[v + 1], by edge
+        label; arc a is entry arc_ends[a] of edge_array.ravel(), on edge arc_ends[a] // 2."""
+        arc_ends = np.argsort(self.edge_array.ravel(), kind="stable")
         counts = np.bincount(self.edge_array.ravel(), minlength=self.vertex_count)
-        return np.concatenate(([0], np.cumsum(counts))), order // 2
+        return np.concatenate(([0], np.cumsum(counts))), arc_ends
 
     def has_edges(self, u, v) -> np.ndarray:
         """Elementwise has_edge over arrays of endpoints."""
@@ -92,8 +93,8 @@ class Graph:
         """
         if not 0 <= v < self.vertex_count:
             return []
-        offsets, labels = self._incidence
-        return labels[offsets[v]:offsets[v + 1]].tolist()
+        offsets, arc_ends = self._incidence
+        return (arc_ends[offsets[v]:offsets[v + 1]] // 2).tolist()
 
 
 def build_graph(vertex_count: int, edges, labels=None) -> Graph:
@@ -160,16 +161,6 @@ def uniform_polygon(vertices) -> Polygon:
         raise EmptyPolygon("cannot build a uniform polygon on an empty vertex set")
     a = 1.0 / math.sqrt(len(vertices))
     return Polygon(vertices, (complex(a),) * len(vertices))
-
-
-def _uniform_amplitudes(size: int) -> list[float]:
-    return [1.0 / math.sqrt(size)] * size if size else []
-
-
-def uniform_tessellation(parent: Graph, supports) -> Tessellation:
-    """Tessellation of the given vertex supports, each in the uniform superposition."""
-    pairs = [(s, _uniform_amplitudes(len(s))) for s in map(tuple, supports)]
-    return Tessellation.from_arrays(parent, *flatten_polygons(pairs))
 
 
 def size_blocks(starts: np.ndarray, total: int) -> list:
@@ -397,24 +388,29 @@ def line_tessellations(ring_size: int, alpha: float, beta: float,
 class ExpansionMap:
     """Bijection between arcs (vertex, incident edge) and expanded-graph vertices.
 
-    `arcs[i]` is the (original vertex, edge label) pair sitting at expanded
-    vertex i; arcs are ordered by vertex, then by edge label.
+    Arcs follow the CSR incidence of the original graph: by vertex, then by
+    edge label.  `arcs[i]` is the (original vertex, edge label) pair at
+    expanded vertex i; the arcs of vertex v are offsets[v]:offsets[v + 1];
+    ends[j] holds the arcs at the two ends (u, w) of edge j = (u, w).
     """
 
     original: Graph
     expanded: Graph
-    arcs: tuple[tuple[int, int], ...]
-    _index: dict = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_index", {a: i for i, a in enumerate(self.arcs)})
+    arcs: tuple[tuple[int, int], ...] = field(compare=False, repr=False)
+    ends: np.ndarray = field(compare=False, repr=False)
+    offsets: np.ndarray = field(compare=False, repr=False)
 
     def arc_index(self, vertex: int, edge_label: int) -> int:
-        return self._index[(vertex, edge_label)]
+        """Expanded vertex of arc (vertex, edge_label); KeyError if vertex is not on that edge."""
+        if 0 <= edge_label < len(self.ends):
+            u, w = self.original.edge_array[edge_label].tolist()
+            if vertex in (u, w):
+                return int(self.ends[edge_label, int(vertex == w)])
+        raise KeyError((vertex, edge_label))
 
     @property
     def arc_count(self) -> int:
-        return len(self.arcs)
+        return 2 * len(self.ends)
 
 
 def clique_expansion(g: Graph) -> ExpansionMap:
@@ -424,28 +420,21 @@ def clique_expansion(g: Graph) -> ExpansionMap:
     same original vertex are pairwise adjacent; for each original edge the
     two opposite arcs are adjacent.  Vertices are labeled "v,j".
     """
-    degrees = g.degrees()
-    for v, d in enumerate(degrees):
-        if d == 0:
-            raise IsolatedVertex(v)
-    arcs = []
-    for v in range(g.vertex_count):
-        for j in g.incident_edges(v):
-            arcs.append((v, j))
-    index = {a: i for i, a in enumerate(arcs)}
-    new_edges = []
-    pos = 0
-    for v in range(g.vertex_count):
-        d = degrees[v]
-        for i in range(pos, pos + d):
-            for k in range(i + 1, pos + d):
-                new_edges.append((i, k))
-        pos += d
-    for j, (u, w) in enumerate(g.edges):
-        new_edges.append((index[(u, j)], index[(w, j)]))
-    labels = tuple(f"{v},{j}" for v, j in arcs)
-    expanded = build_graph(len(arcs), new_edges, labels)
-    return ExpansionMap(g, expanded, tuple(arcs))
+    offsets, arc_ends = g._incidence
+    degrees = np.diff(offsets)
+    if np.any(degrees == 0):
+        raise IsolatedVertex(int(np.argmin(degrees)))
+    arc_count = len(arc_ends)
+    ends = np.empty(arc_count, dtype=np.int64)
+    ends[arc_ends] = np.arange(arc_count)
+    ends = ends.reshape(-1, 2)
+    pairs = [ends]
+    for d, _, rows in size_blocks(offsets[:-1], arc_count):  # the arcs of a vertex are a clique
+        i, j = np.triu_indices(d, 1)
+        pairs.append(np.stack((rows[:, i].ravel(), rows[:, j].ravel()), axis=1))
+    arcs = tuple(zip(g.edge_array.ravel()[arc_ends].tolist(), (arc_ends // 2).tolist()))
+    expanded = build_graph(arc_count, np.concatenate(pairs), [f"{v},{j}" for v, j in arcs])
+    return ExpansionMap(g, expanded, arcs, ends, offsets)
 
 
 # --- JSON document format -----------------------------------------------------
@@ -479,15 +468,22 @@ def from_document(doc: dict) -> tuple[Graph, list[Tessellation]]:
     """Parse the JSON document schema; absent amplitudes default to uniform."""
     g = build_graph(int(doc["vertices"]), doc.get("edges", []),
                     doc.get("labels"))
-    tessellations = []
-    for tdoc in doc.get("tessellations", []):
-        pairs = []
-        for pdoc in tdoc["polygons"]:
-            verts = [int(v) for v in pdoc["vertices"]]
-            if "amplitudes" in pdoc:
-                amps = [complex(re, im) for re, im in pdoc["amplitudes"]]
-            else:
-                amps = _uniform_amplitudes(len(verts))
-            pairs.append((verts, amps))
-        tessellations.append(Tessellation.from_arrays(g, *flatten_polygons(pairs)))
-    return g, tessellations
+    return g, [Tessellation.from_arrays(g, *parse_polygons(tdoc["polygons"]))
+               for tdoc in doc.get("tessellations", [])]
+
+
+def parse_polygons(docs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat (vertices, amplitudes, starts) arrays of polygon documents.
+
+    Each document is {"vertices": [...], "amplitudes": [[re, im], ...]}; absent
+    amplitudes default to the uniform superposition.
+    """
+    pairs = []
+    for pdoc in docs:
+        verts = [int(v) for v in pdoc["vertices"]]
+        if "amplitudes" in pdoc:
+            amps = [complex(re, im) for re, im in pdoc["amplitudes"]]
+        else:
+            amps = [1.0 / math.sqrt(len(verts))] * len(verts) if verts else []
+        pairs.append((verts, amps))
+    return flatten_polygons(pairs)

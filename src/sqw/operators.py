@@ -76,13 +76,17 @@ class OrthogonalReflection:
         """One (support indices, amplitudes) pair per polygon, in stored order."""
         return tuple(split_polygons(self.vertices, self.amplitudes, self.starts))
 
-    def mix(self, psi: np.ndarray, alpha: complex, beta: complex) -> np.ndarray:
+    def mix(self, psi: np.ndarray, alpha: complex, beta: complex,
+            out: np.ndarray | None = None) -> np.ndarray:
         """alpha psi + beta P psi, P = sum_k |a_k><a_k|, on a raw array (1-D or columns).
 
         Every function of H = 2P - I has this form: exp(i t H) = e^{-it} I + 2i sin(t) P.
+        The result goes to `out` (complex, shaped like psi, not psi) if given, else to a new array.
         """
         alpha, beta = complex(alpha), complex(beta)
-        out = np.empty(psi.shape, dtype=np.complex128) if self._full else psi * alpha
+        out = np.empty(psi.shape, dtype=np.complex128) if out is None else out
+        if not self._full:
+            np.multiply(psi, alpha, out=out)
         for sites, amp, conj in self._blocks:  # each column x becomes alpha x + beta <a|x> a
             x = psi[sites].reshape(amp.shape + psi.shape[1:])
             # einsum sums the products without a state-sized temporary (fewer page faults)
@@ -109,8 +113,9 @@ class LocalUnitary:
     def dimension(self) -> int:
         return self.reflection.dimension
 
-    def apply(self, psi: np.ndarray) -> np.ndarray:
-        return self.reflection.mix(psi, cmath.exp(-1j * self.theta), 2j * math.sin(self.theta))
+    def apply(self, psi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        return self.reflection.mix(psi, cmath.exp(-1j * self.theta), 2j * math.sin(self.theta),
+                                   out)
 
 
 @dataclass(frozen=True)
@@ -130,9 +135,11 @@ class EvolutionOperator:
     def dimension(self) -> int:
         return self.factors[0].dimension
 
-    def step_array(self, psi: np.ndarray) -> np.ndarray:
+    def step_array(self, psi: np.ndarray, buffers=None) -> np.ndarray:
+        """One step on a raw array.  Given `buffers`, two complex arrays shaped like psi,
+        each factor writes into the one that is not its input; else into a new array."""
         for f in self.factors:
-            psi = f.apply(psi)
+            psi = f.apply(psi, None if buffers is None else buffers[psi is buffers[0]])
         return psi
 
     def step(self, state: WalkState) -> WalkState:

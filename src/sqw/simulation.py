@@ -71,6 +71,8 @@ def evolve_final(u: EvolutionOperator, psi0: WalkState, steps: int, observers=()
 
     Each observer is called as observer(step, psi) on psi0 (step 0) and after
     every step; psi is the raw amplitude array, which it must not modify.
+    After step 0 it is one of two buffers the loop reuses, so the next step
+    overwrites it: an observer that keeps a state copies it (as `evolve` does).
     The input state was checked at construction; states made by the loop are
     not re-checked on every step.  The final norm is checked once against
     `tolerances.drift_bound(steps)` and raises NotNormalized beyond it.
@@ -80,10 +82,11 @@ def evolve_final(u: EvolutionOperator, psi0: WalkState, steps: int, observers=()
     if psi0.dimension != u.dimension:
         raise DimensionMismatch(u.dimension, psi0.dimension)
     psi = psi0.amplitudes
+    buffers = (np.empty_like(psi), np.empty_like(psi))
     for observe in observers:
         observe(0, psi)
     for step in range(1, steps + 1):
-        psi = u.step_array(psi)
+        psi = u.step_array(psi, buffers)
         for observe in observers:
             observe(step, psi)
     if not steps:

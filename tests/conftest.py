@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from sqw import OrthogonalReflection, build_graph
@@ -55,3 +57,33 @@ def random_reflection(rng, dimension, cover_all=True) -> OrthogonalReflection:
 def random_state_array(rng, dimension) -> np.ndarray:
     raw = rng.standard_normal(dimension) + 1j * rng.standard_normal(dimension)
     return raw / np.linalg.norm(raw)
+
+
+def grid_graph(m, relabel=None):
+    """The m x m grid, vertex r*m + c renamed relabel[r*m + c] when given."""
+    name = list(range(m * m)) if relabel is None else [int(v) for v in relabel]
+    edges = [(name[r * m + c], name[r * m + c + 1]) for r in range(m) for c in range(m - 1)]
+    edges += [(name[r * m + c], name[(r + 1) * m + c]) for r in range(m - 1) for c in range(m)]
+    return build_graph(m * m, edges)
+
+
+def dense_shift_matrix(cw) -> np.ndarray:
+    """Dense oracle: S as a permutation matrix straight from the edge list (no polygons)."""
+    dim = cw.expansion.arc_count
+    s = np.zeros((dim, dim), dtype=np.complex128)
+    for j, (u, w) in enumerate(cw.graph.edges):
+        a, b = cw.expansion.arc_index(u, j), cw.expansion.arc_index(w, j)
+        s[a, b] = 1.0
+        s[b, a] = 1.0
+    return s
+
+
+def dense_coin_matrix(cw) -> np.ndarray:
+    """Dense oracle: exp(i theta H_coin) from outer products of the coin's polygon vectors."""
+    dim = cw.expansion.arc_count
+    h = -np.eye(dim, dtype=np.complex128)
+    for support, amplitudes in cw.coin_reflection.polygon_vectors:
+        v = np.zeros(dim, dtype=np.complex128)
+        v[list(support)] = amplitudes
+        h += 2.0 * np.outer(v, np.conj(v))
+    return math.cos(cw.coin_angle) * np.eye(dim) + 1j * math.sin(cw.coin_angle) * h

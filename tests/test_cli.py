@@ -224,6 +224,34 @@ class TestEmbed:
         assert "error" in capsys.readouterr().err
 
 
+class TestEmbedCoins:
+    K4_COIN = {"type": "reflection", "theta": 0.4, "polygons": [
+        {"vertices": [0]}, {"vertices": [1, 2], "amplitudes": [[0.6, 0.0], [0.0, 0.8]]},
+        {"vertices": [3, 4, 5]}, {"vertices": [6, 7, 8]}, {"vertices": [9, 10, 11]}]}
+
+    def test_reflection_coin_is_written(self, tmp_path):
+        gpath = tmp_path / "k4.json"
+        gpath.write_text(json.dumps(complete_graph_doc(4)))
+        out = tmp_path / "embed.json"
+        assert main(["embed", "--graph", str(gpath), "--coin", json.dumps(self.K4_COIN),
+                     "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        coin = doc["tessellations"][1]["polygons"]
+        assert [p["vertices"] for p in coin] == [[0], [1, 2], [3, 4, 5], [6, 7, 8], [9, 10, 11]]
+        assert coin[0]["amplitudes"] == [[1.0, 0.0]]
+        assert coin[1]["amplitudes"] == [[0.6, 0.0], [0.0, 0.8]]
+        assert doc["report"]["max_state_deviation"] <= 1e-12
+
+    def test_out_of_range_coin_arc(self, tmp_path, capsys):
+        gpath = tmp_path / "k4.json"
+        gpath.write_text(json.dumps(complete_graph_doc(4)))
+        coin = '{"type": "reflection", "theta": 0.4, "polygons": [{"vertices": [99]}]}'
+        assert main(["embed", "--graph", str(gpath), "--coin", coin]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: vertex 99 out of range")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+
 class TestValidate:
     def test_line_file_valid(self, tmp_path, capsys):
         doc = {"vertices": 4, "edges": [[0, 1], [1, 2], [2, 3]],

@@ -1,10 +1,14 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sqw import (
+    Polygon,
     WalkState,
     apply_exp,
     basis_state,
@@ -25,12 +29,12 @@ from sqw import (
     union_covers_edges,
     validate_tessellation,
 )
-from sqw.coined import phase_invariant_distance
-from sqw.errors import DimensionMismatch, IsolatedVertex, UnsupportedCoin
+from sqw.coined import coined_step, phase_invariant_distance
+from sqw.errors import DimensionMismatch, IsolatedVertex, OutOfRangeVertex, UnsupportedCoin
 from sqw.operators import LocalUnitary, OrthogonalReflection
 
-from conftest import complete_graph, cycle_graph, dense_reflection, hub_fragment, \
-    path_graph, random_state_array
+from conftest import complete_graph, cycle_graph, dense_coin_matrix, dense_reflection, \
+    dense_shift_matrix, grid_graph, hub_fragment, path_graph, random_state_array
 
 PI = math.pi
 
@@ -218,3 +222,67 @@ class TestCoinDescriptors:
     def test_reflection_descriptor_missing_fields(self):
         with pytest.raises(UnsupportedCoin):
             coined_walk_from_descriptor(complete_graph(4), {"type": "reflection"})
+
+    def test_out_of_range_arc_is_typed(self):
+        g = complete_graph(4)  # 12 arcs
+        desc = {"type": "reflection", "theta": 0.4, "polygons": [{"vertices": [99]}]}
+        with pytest.raises(OutOfRangeVertex):
+            coined_walk_from_descriptor(g, desc)
+        with pytest.raises(OutOfRangeVertex):
+            reflection_coined_walk(g, 0.4, [uniform_polygon((99,))])
+
+
+@st.composite
+def coined_walks(draw):
+    """A random graph on 2-7 vertices with no isolated vertex and a random coin.
+
+    The coin is the Grover coin, or a reflection coin whose polygons split
+    each vertex's arcs at random and carry random complex amplitudes; the
+    angle is random in [-pi, pi].
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(2, 7))
+    edges = {(int(rng.integers(v)), v) for v in range(1, n)}  # every vertex touches one
+    for _ in range(draw(st.integers(0, n * (n - 1) // 2))):
+        u, w = sorted(rng.choice(n, 2, replace=False).tolist())
+        edges.add((u, w))
+    g = build_graph(n, edges)
+    theta = draw(st.floats(-PI, PI))
+    if draw(st.booleans()):
+        return grover_coined_walk(g, theta)
+    offsets = clique_expansion(g).offsets
+    polygons = []
+    for v in range(n):
+        arcs = rng.permutation(np.arange(offsets[v], offsets[v + 1]))
+        cuts = rng.choice(np.arange(1, len(arcs)), int(rng.integers(len(arcs))), replace=False)
+        for part in np.split(arcs, np.sort(cuts)):
+            amps = rng.standard_normal(len(part)) + 1j * rng.standard_normal(len(part))
+            amps[np.abs(amps) < 1e-3] = 1.0
+            amps /= np.linalg.norm(amps)
+            polygons.append(Polygon(tuple(part.tolist()), tuple(amps.tolist())))
+    return reflection_coined_walk(g, theta, polygons)
+
+
+class TestLinearOracle:
+    """The O(arcs) coined step against the dense 1j S C oracle."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(cw=coined_walks(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_dense_oracle(self, cw, seed):
+        psi = random_state_array(np.random.default_rng(seed), cw.expansion.arc_count)
+        dense = 1j * (dense_shift_matrix(cw) @ dense_coin_matrix(cw))
+        assert np.max(np.abs(coined_step(cw)(psi) - dense @ psi)) <= 1e-12
+        assert certify_equivalence(cw, 8, WalkState(psi)).max_state_deviation <= 1e-12
+
+    def test_certify_memory_is_linear(self):
+        # 1520 arcs: one dense arcs x arcs matrix would take 35 MiB
+        cw = grover_coined_walk(grid_graph(20))
+        psi = WalkState(random_state_array(np.random.default_rng(21), cw.expansion.arc_count))
+        tracemalloc.start()
+        try:
+            report = certify_equivalence(cw, 16, psi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.max_state_deviation <= 1e-12
+        assert peak < 16 * 2 ** 20

@@ -31,7 +31,7 @@ from sqw.errors import (
     ZeroAmplitude,
 )
 
-from conftest import complete_graph, hub_fragment, path_graph
+from conftest import complete_graph, grid_graph, hub_fragment, path_graph
 
 
 class TestBuildGraph:
@@ -396,6 +396,38 @@ class TestCliqueExpansion:
     def test_isolated_vertex_rejected(self):
         with pytest.raises(IsolatedVertex):
             clique_expansion(build_graph(3, [(0, 1)]))
+
+
+def brute_force_expansion(g):
+    """Arcs, the (vertex, edge) -> arc dict and the edge set of the expansion, by loops."""
+    arcs = [(v, j) for v in range(g.vertex_count) for j, e in enumerate(g.edges) if v in e]
+    index = {a: i for i, a in enumerate(arcs)}
+    edges = {(index[a], index[b]) for a in arcs for b in arcs
+             if a[0] == b[0] and index[a] < index[b]}
+    edges |= {tuple(sorted((index[(u, j)], index[(w, j)]))) for j, (u, w) in enumerate(g.edges)}
+    return arcs, index, edges
+
+
+class TestExpansionArrays:
+    @pytest.mark.parametrize("m", [2, 3, 5, 8])
+    def test_equals_brute_force_on_relabelled_grids(self, m):
+        g = grid_graph(m, np.random.default_rng(m).permutation(m * m))
+        em = clique_expansion(g)
+        arcs, index, edges = brute_force_expansion(g)
+        assert em.arcs == tuple(arcs)
+        assert em.arc_count == len(arcs)
+        assert em.expanded.edges == tuple(sorted(edges))
+        assert em.expanded.labels == tuple(f"{v},{j}" for v, j in arcs)
+        assert all(em.arc_index(v, j) == i for (v, j), i in index.items())
+        assert em.ends.tolist() == [[index[(u, j)], index[(w, j)]]
+                                    for j, (u, w) in enumerate(g.edges)]
+        assert em.offsets.tolist() == [0, *np.cumsum(g.degrees()).tolist()]
+
+    def test_arc_index_of_a_non_arc(self):
+        em = clique_expansion(path_graph(3))  # edges (0, 1) and (1, 2)
+        for vertex, label in ((2, 0), (0, 1), (0, -1), (0, 2)):
+            with pytest.raises(KeyError):
+                em.arc_index(vertex, label)
 
 
 class TestDocumentFormat:

@@ -127,7 +127,7 @@ class TestStreamingLoop:
         class Leaky:
             dimension = 4
 
-            def step_array(self, psi):
+            def step_array(self, psi, buffers=None):
                 return psi * (1 + 1e-9)
 
         with pytest.raises(NotNormalized):
