@@ -43,7 +43,6 @@ from .line_analytic import (
     asymptotic_odd_moment,
     asymptotic_sigma2,
     block_eigenvectors,
-    block_table_tsv,
     closed_form_sigma2,
     coefficients_AB,
     reduced_block,
@@ -72,7 +71,6 @@ from .simulation import (
     evolve,
     evolve_final,
     moments,
-    moments_to_tsv,
     ring_labels,
     superposition_state,
     wrap_check,

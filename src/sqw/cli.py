@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import re
 import sys
 from dataclasses import dataclass
@@ -134,12 +133,6 @@ def _write(path: str, text: str) -> None:
             fh.write(text)
 
 
-def _line_operator(cfg: RunConfig, n: int):
-    t0, t1 = line_tessellations(n, cfg.alpha, cfg.beta, cfg.phi0, cfg.phi1)
-    return compose([(cfg.theta0, reflection_from_tessellation(t0)),
-                    (cfg.theta1, reflection_from_tessellation(t1))])
-
-
 def _require_thetas(cfg: RunConfig) -> None:
     if cfg.theta0 is None or cfg.theta1 is None:
         raise ValueError("set --theta, or both --theta0 and --theta1")
@@ -150,13 +143,24 @@ def _wrap_guard(step: int, psi) -> None:
     wrap_check((psi,), guard_band=0, first_step=step)
 
 
+def _run_line(cfg: RunConfig):
+    """Simulate the line model on its ring, guarded against wrapping.
+
+    Returns the ring size, the initial (position, amplitude) entries and the
+    final state.  The ring defaults to 4 (steps + 1) + 8 sites.
+    """
+    n = cfg.ring_size if cfg.ring_size is not None else 4 * (cfg.steps + 1) + 8
+    t0, t1 = line_tessellations(n, cfg.alpha, cfg.beta, cfg.phi0, cfg.phi1)
+    op = compose([(cfg.theta0, reflection_from_tessellation(t0)),
+                  (cfg.theta1, reflection_from_tessellation(t1))])
+    psi0, entries = _parse_init(cfg.init, n, lambda pos: pos % n)
+    return n, entries, evolve_final(op, psi0, cfg.steps, [_wrap_guard])
+
+
 def cmd_simulate(cfg: RunConfig) -> int:
     _require_thetas(cfg)
     if cfg.model == "line":
-        n = cfg.ring_size if cfg.ring_size is not None else 4 * (cfg.steps + 1) + 8
-        op = _line_operator(cfg, n)
-        psi0, _ = _parse_init(cfg.init, n, lambda pos: pos % n)
-        final = evolve_final(op, psi0, cfg.steps, [_wrap_guard])
+        n, _, final = _run_line(cfg)
         labels = ring_labels(n)
     elif cfg.model == "graph":
         if not cfg.graph:
@@ -188,15 +192,11 @@ def cmd_analytic(cfg: RunConfig) -> int:
         raise ValueError("analytic mode works on the line model only")
     if cfg.theta0 != cfg.theta1:
         raise ValueError("analytic mode needs a common theta (theta0 == theta1)")
-    n = cfg.ring_size if cfg.ring_size is not None else 4 * (cfg.steps + 1) + 8
     params = line_analytic.LineParams(cfg.theta0, cfg.alpha, cfg.beta, cfg.phi0, cfg.phi1)
-    psi0, entries = _parse_init(cfg.init, n, lambda pos: pos % n)
-    start_nodes = int(os.environ.get("SQW_QUAD_NODES", line_analytic.QUAD_START_NODES))
+    n, entries, final = _run_line(cfg)
     labels = ring_labels(n)
-    analytic = line_analytic.wavefunction(params, cfg.steps, positions=labels,
-                                          initial=entries, start_nodes=start_nodes)
-    op = _line_operator(cfg, n)
-    simulated = evolve_final(op, psi0, cfg.steps, [_wrap_guard]).amplitudes
+    analytic = line_analytic.wavefunction(params, cfg.steps, positions=labels, initial=entries)
+    simulated = final.amplitudes
     deviation = np.abs(analytic - simulated)
     dist = distribution(WalkState(analytic), labels)
     sim_prob = np.abs(simulated) ** 2

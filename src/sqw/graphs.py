@@ -466,10 +466,18 @@ def to_document(g: Graph, tessellations=()) -> dict:
 
 def from_document(doc: dict) -> tuple[Graph, list[Tessellation]]:
     """Parse the JSON document schema; absent amplitudes default to uniform."""
-    g = build_graph(int(doc["vertices"]), doc.get("edges", []),
+    g = build_graph(int(_field(doc, "vertices", "graph document")), doc.get("edges", []),
                     doc.get("labels"))
-    return g, [Tessellation.from_arrays(g, *parse_polygons(tdoc["polygons"]))
-               for tdoc in doc.get("tessellations", [])]
+    return g, [Tessellation.from_arrays(g, *parse_polygons(_field(t, "polygons", "tessellation")))
+               for t in doc.get("tessellations", [])]
+
+
+def _field(doc, key: str, what: str):
+    """doc[key], or a ValueError naming the missing key."""
+    try:
+        return doc[key]
+    except (KeyError, TypeError):
+        raise ValueError(f"{what} needs a {key!r} key") from None
 
 
 def parse_polygons(docs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -480,7 +488,7 @@ def parse_polygons(docs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     pairs = []
     for pdoc in docs:
-        verts = [int(v) for v in pdoc["vertices"]]
+        verts = [int(v) for v in _field(pdoc, "vertices", "polygon")]
         if "amplitudes" in pdoc:
             amps = [complex(re, im) for re, im in pdoc["amplitudes"]]
         else:

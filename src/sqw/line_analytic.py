@@ -169,22 +169,16 @@ def _brackets(p, k, t, entries):
     return even, odd
 
 
-def _transform(k, weights, even, odd, positions):
-    positions = np.asarray(positions, dtype=np.int64)
-    out = np.empty(len(positions), dtype=np.complex128)
-    even_mask = positions % 2 == 0
-    w_even = weights * even
-    w_odd = weights * odd
-    chunk = max(1, (1 << 21) // max(1, len(k)))
-    for lo in range(0, len(positions), chunk):
-        block = positions[lo:lo + chunk]
-        phases = np.exp(-1j * np.outer(block, k))
-        mask = even_mask[lo:lo + chunk]
-        res = np.empty(len(block), dtype=np.complex128)
-        res[mask] = phases[mask] @ w_even
-        res[~mask] = phases[~mask] @ w_odd
-        out[lo:lo + chunk] = res
-    return out
+def _transform(even, odd, positions, k0: float, length: int, weight: float):
+    """sum_j weight c_j e^{-i x k_j} on the uniform grid k_j = k0 + 2 pi j / length.
+
+    c is `even` at even x and `odd` at odd x (at most `length` nodes each; a
+    shorter grid is zero-padded).  The sum equals
+    weight e^{-i x k0} FFT_length(c)[x mod length] at every integer x, so one
+    FFT of the two stacked coefficient rows serves every position.
+    """
+    spectra = np.fft.fft(np.stack((even, odd)), n=length, axis=1)
+    return weight * np.exp(-1j * k0 * positions) * spectra[positions % 2, positions % length]
 
 
 def wavefunction(p: LineParams, t: int, positions=None, *,
@@ -197,7 +191,8 @@ def wavefunction(p: LineParams, t: int, positions=None, *,
     uniform grid, doubling the node count from `start_nodes` until successive
     results agree within `tol` (QuadratureNotConverged beyond 1e-8).  With an
     even ring_size N the integral becomes the exact finite sum over the N/2
-    ring momenta, matching the direct ring simulation to roundoff.
+    ring momenta, matching the direct ring simulation to roundoff.  Either sum
+    is one FFT per round: O(K log K + positions) for K nodes.
 
     `initial` lists (position, amplitude) pairs of a unit-norm state;
     `positions` selects which amplitudes to return (default: every position
@@ -213,10 +208,9 @@ def wavefunction(p: LineParams, t: int, positions=None, *,
             raise ValueError(f"ring_size must be an even integer >= 4, got {ring_size}")
         n = ring_size
         k = 2.0 * math.pi * np.arange(n // 2) / n
-        weights = np.full(n // 2, 2.0 / n)
         full = ring_labels(n)
         even, odd = _brackets(p, k, t, entries)
-        amps = _transform(k, weights, even, odd, full)
+        amps = _transform(even, odd, full, 0.0, n, 2.0 / n)
     else:
         lo = min(sources) - 2 * t - 1
         hi = max(sources) + 2 * t + 1
@@ -225,9 +219,8 @@ def wavefunction(p: LineParams, t: int, positions=None, *,
         prev = None
         while True:
             k = -math.pi + (np.arange(nodes) + 0.5) * (2.0 * math.pi / nodes)
-            weights = np.full(nodes, 1.0 / nodes)
             even, odd = _brackets(p, k, t, entries)
-            amps = _transform(k, weights, even, odd, full)
+            amps = _transform(even, odd, full, k[0], nodes, 1.0 / nodes)
             if prev is not None:
                 deviation = float(np.max(np.abs(amps - prev)))
                 if deviation <= tol:
@@ -245,14 +238,11 @@ def wavefunction(p: LineParams, t: int, positions=None, *,
 
     if positions is None:
         return amps
-    index = {int(pos): i for i, pos in enumerate(full)}
-    requested = np.asarray(list(positions), dtype=np.int64)
-    out = np.zeros(len(requested), dtype=np.complex128)
-    for i, pos in enumerate(requested):
-        j = index.get(int(pos))
-        if j is not None:
-            out[i] = amps[j]
-    return out
+    # full holds the consecutive integers full.min()..full.max(), the entry for
+    # x at index (x - full[0]) mod len(full) (the ring lists them from 0 up).
+    requested = np.asarray(positions, dtype=np.int64)
+    inside = (requested >= full.min()) & (requested <= full.max())
+    return np.where(inside, amps[(requested - full[0]) % len(full)], 0.0)
 
 
 # --- asymptotic moments and the variance closed form ---------------------------
@@ -341,17 +331,6 @@ def sigma2_surface(theta_values, alpha_values) -> np.ndarray:
 
 
 # --- TSV tables ----------------------------------------------------------------
-
-
-def block_table_tsv(p: LineParams, k_values) -> str:
-    """TSV with columns k, ReA, ImA, ReB, ImB, lambda."""
-    lines = ["k\tReA\tImA\tReB\tImB\tlambda"]
-    for k in k_values:
-        blk = reduced_block(p, float(k))
-        lines.append("\t".join(f"{x:.17g}" for x in
-                               (blk.k, blk.a.real, blk.a.imag,
-                                blk.b.real, blk.b.imag, blk.lam)))
-    return "\n".join(lines) + "\n"
 
 
 def surface_to_tsv(theta_values, alpha_values, table: np.ndarray) -> str:

@@ -15,7 +15,7 @@ __all__ = [
     "WalkState", "basis_state", "superposition_state",
     "ProbabilityDistribution", "MomentSummary",
     "evolve", "evolve_final", "distribution", "moments", "wrap_check",
-    "ring_labels", "distribution_to_tsv", "moments_to_tsv",
+    "ring_labels", "distribution_to_tsv",
 ]
 
 PROB_TOL = 1e-10
@@ -160,12 +160,4 @@ def distribution_to_tsv(d: ProbabilityDistribution, drop_zeros: bool = False,
     rows = zip(d.position_labels[order].tolist(), *(col[order].tolist() for col in columns))
     lines = [header, *(f"{pos}\t" + "\t".join(f"{x:.17g}" for x in values)
                        for pos, *values in rows)]
-    return "\n".join(lines) + "\n"
-
-
-def moments_to_tsv(summaries) -> str:
-    """TSV with columns `t`, `mean`, `x2`, `sigma`, one row per summary."""
-    lines = ["t\tmean\tx2\tsigma"]
-    for m in summaries:
-        lines.append(f"{m.step}\t{m.mean:.17g}\t{m.second_moment:.17g}\t{m.sigma:.17g}")
     return "\n".join(lines) + "\n"

@@ -87,3 +87,18 @@ def dense_coin_matrix(cw) -> np.ndarray:
         v[list(support)] = amplitudes
         h += 2.0 * np.outer(v, np.conj(v))
     return math.cos(cw.coin_angle) * np.eye(dim) + 1j * math.sin(cw.coin_angle) * h
+
+
+def direct_momentum_sum(k, weight, even, odd, positions) -> np.ndarray:
+    """Independent oracle for momentum sums: sum_j weight c_j e^{-i x k_j} term by term.
+
+    c is `even` at even positions x and `odd` at odd ones.  Positions are
+    taken in blocks so the phase matrix stays small.
+    """
+    positions = np.asarray(positions, dtype=np.int64)
+    out = np.empty(len(positions), dtype=np.complex128)
+    for lo in range(0, len(positions), 256):
+        block = positions[lo:lo + 256]
+        phases = np.exp(-1j * np.outer(block, k))
+        out[lo:lo + 256] = weight * np.where(block % 2 == 0, phases @ even, phases @ odd)
+    return out

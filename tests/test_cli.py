@@ -103,16 +103,17 @@ class TestSimulate:
 
 class TestAnalytic:
     def test_origin_start_deviation_column(self, tmp_path, capsys):
-        out = tmp_path / "ana.tsv"
-        code = main(["analytic", "--theta", "pi/3", "--steps", "60",
-                     "--init", "basis:0", "--out", str(out)])
-        assert code == 0
-        header, rows = read_tsv(out)
-        assert header == ["position", "probability", "probability_sim", "deviation"]
-        assert max(float(r[3]) for r in rows) <= 1e-8
-        stdout = capsys.readouterr().out
-        max_dev = float(stdout.splitlines()[0].split("\t")[1])
-        assert max_dev <= 1e-8
+        for theta, steps in (("pi/3", "60"), ("pi/4", "10")):
+            out = tmp_path / "ana.tsv"
+            code = main(["analytic", "--theta", theta, "--steps", steps,
+                         "--init", "basis:0", "--out", str(out)])
+            assert code == 0
+            header, rows = read_tsv(out)
+            assert header == ["position", "probability", "probability_sim", "deviation"]
+            assert max(float(r[3]) for r in rows) <= 1e-8
+            stdout = capsys.readouterr().out
+            max_dev = float(stdout.splitlines()[0].split("\t")[1])
+            assert max_dev <= 1e-8
 
     def test_zero_steps_point_mass(self, tmp_path):
         out = tmp_path / "ana.tsv"
@@ -130,14 +131,6 @@ class TestAnalytic:
         mass = {int(r[0]): float(r[1]) for r in rows}
         assert mass[24] == pytest.approx(0.5, abs=1e-10)
         assert mass[-23] == pytest.approx(0.5, abs=1e-10)
-        assert max(float(r[3]) for r in rows) <= 1e-8
-
-    def test_quad_nodes_env_override(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("SQW_QUAD_NODES", "256")
-        out = tmp_path / "ana.tsv"
-        assert main(["analytic", "--theta", "pi/4", "--steps", "10",
-                     "--init", "basis:0", "--out", str(out)]) == 0
-        _, rows = read_tsv(out)
         assert max(float(r[3]) for r in rows) <= 1e-8
 
 
@@ -249,6 +242,26 @@ class TestEmbedCoins:
         assert main(["embed", "--graph", str(gpath), "--coin", coin]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: vertex 99 out of range")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+
+class TestMalformedDocuments:
+    """A document missing a required key exits 1 with one error line naming the key."""
+
+    @pytest.mark.parametrize("doc,coin,key", [
+        ({"edges": [[0, 1]]}, None, "vertices"),
+        (complete_graph_doc(3), '{"type":"reflection","theta":0.4,"polygons":[{}]}',
+         "vertices"),
+        ({"vertices": 2, "edges": [[0, 1]], "tessellations": [{}]}, None, "polygons"),
+    ], ids=["graph", "coin-polygon", "tessellation"])
+    def test_missing_key_is_one_error_line(self, tmp_path, capsys, doc, coin, key):
+        gpath = tmp_path / "doc.json"
+        gpath.write_text(json.dumps(doc))
+        argv = ["validate", "--graph", str(gpath)] if coin is None else \
+            ["embed", "--graph", str(gpath), "--coin", coin, "--out", str(tmp_path / "e.json")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and repr(key) in err
         assert err.count("\n") == 1 and "Traceback" not in err
 
 

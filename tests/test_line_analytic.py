@@ -1,7 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sqw import (
     LineParams,
@@ -9,7 +15,6 @@ from sqw import (
     asymptotic_sigma2,
     basis_state,
     block_eigenvectors,
-    block_table_tsv,
     closed_form_sigma2,
     coefficients_AB,
     compose,
@@ -23,7 +28,10 @@ from sqw import (
     surface_to_tsv,
     wavefunction,
 )
+from sqw import line_analytic
 from sqw.errors import DegenerateBlock, DomainError, QuadratureNotConverged
+
+from conftest import direct_momentum_sum
 
 PI = math.pi
 
@@ -214,6 +222,96 @@ class TestWavefunction:
             wavefunction(uniform_params(PI / 4), 60, start_nodes=16, max_nodes=32)
 
 
+# The line-analytic benchmark shape: t = 1000 from a two-site start, general phases.
+T1000_PARAMS = LineParams(PI / 3, PI / 3, PI / 3, 0.37, -1.1)
+T1000_INIT = [(0, 0.6), (1, 0.48 + 0.64j)]
+
+# (kind, L): a ring of L sites (L/2 momenta 2 pi j / L) or an L-node midpoint grid
+GRIDS = st.one_of(st.integers(2, 256).map(lambda h: ("ring", 2 * h)),
+                  st.integers(4, 10).map(lambda e: ("midpoint", 2 ** e)))
+
+
+def grid(kind, length):
+    """Momenta, first momentum k0 and weight of a uniform grid with spacing 2 pi / length."""
+    if kind == "ring":
+        return 2.0 * PI * np.arange(length // 2) / length, 0.0, 2.0 / length
+    k = -PI + (np.arange(length) + 0.5) * (2.0 * PI / length)
+    return k, k[0], 1.0 / length
+
+
+class TestMomentumTransform:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), kind_length=GRIDS, seed=st.integers(0, 2 ** 32 - 1))
+    def test_fft_matches_direct_sum(self, data, kind_length, seed):
+        kind, length = kind_length
+        k, k0, weight = grid(kind, length)
+        rng = np.random.default_rng(seed)
+        even, odd = rng.standard_normal((2, len(k))) + 1j * rng.standard_normal((2, len(k)))
+        positions = np.array(data.draw(st.lists(st.integers(-3 * length, 3 * length),
+                                                max_size=40)), dtype=np.int64)
+        fast = line_analytic._transform(even, odd, positions, k0, length, weight)
+        assert fast.shape == positions.shape
+        assert np.max(np.abs(fast - direct_momentum_sum(k, weight, even, odd, positions)),
+                      initial=0.0) <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), ring=st.booleans(), t=st.integers(0, 12),
+           source=st.integers(-5, 5))
+    def test_position_selection(self, data, ring, t, source):
+        p = LineParams(0.9, 1.2, 2.0, 0.3, -0.4)
+        init = [(source, 1.0)]
+        if ring:
+            n = data.draw(st.integers(2, 40).map(lambda h: 2 * h))
+            labels, kw = ring_labels(n), {"ring_size": n}
+        else:
+            labels, kw = np.arange(source - 2 * t - 1, source + 2 * t + 2), {}
+        lookup = dict(zip(labels.tolist(), wavefunction(p, t, initial=init, **kw)))
+        span = int(np.abs(labels).max()) + 10
+        drawn = data.draw(st.lists(st.integers(-span, span), max_size=40))
+        positions = drawn + drawn[::-1]  # arbitrary order, every position twice
+        expected = np.array([lookup.get(x, 0.0) for x in positions], dtype=np.complex128)
+        assert np.array_equal(wavefunction(p, t, positions, initial=init, **kw), expected)
+
+    @pytest.mark.parametrize("ring_size,rounds", [(None, 5), (4008, 1)])
+    def test_t1000_matches_direct_sum(self, monkeypatch, ring_size, rounds):
+        lengths = {"fft": [], "direct": []}
+        fft = line_analytic._transform
+
+        def counted(even, odd, positions, k0, length, weight):
+            lengths["fft"].append(length)
+            return fft(even, odd, positions, k0, length, weight)
+
+        def direct(even, odd, positions, k0, length, weight):
+            lengths["direct"].append(length)
+            k = k0 + 2.0 * PI * np.arange(len(even)) / length
+            return direct_momentum_sum(k, weight, even, odd, positions)
+
+        amps = {}
+        for name, transform in (("fft", counted), ("direct", direct)):
+            monkeypatch.setattr(line_analytic, "_transform", transform)
+            amps[name] = wavefunction(T1000_PARAMS, 1000, initial=T1000_INIT,
+                                      ring_size=ring_size)
+        assert lengths["fft"] == lengths["direct"] and len(lengths["fft"]) == rounds
+        assert np.max(np.abs(amps["fft"] - amps["direct"])) <= 1e-12
+
+    def test_memory_at_t1000(self):
+        tracemalloc.start()
+        try:
+            wavefunction(T1000_PARAMS, 1000, initial=T1000_INIT)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
+
+    def test_import_does_not_load_fft(self):
+        src = os.path.dirname(os.path.dirname(line_analytic.__file__))
+        code = (f"import sys; sys.path.insert(0, {src!r}); import sqw; "
+                "print('numpy.fft' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True).stdout
+        assert out.strip() == "False"
+
+
 class TestAsymptoticMoments:
     def test_theta_zero(self):
         p = LineParams(0.0, 1.0, 1.0)
@@ -288,12 +386,6 @@ class TestParamsAndTables:
             LineParams(1.0, 0.0, 1.0)
         with pytest.raises(DomainError):
             LineParams(1.0, 1.0, PI)
-
-    def test_block_table(self):
-        text = block_table_tsv(uniform_params(PI / 4), [0.0, PI / 4])
-        lines = text.splitlines()
-        assert lines[0] == "k\tReA\tImA\tReB\tImB\tlambda"
-        assert len(lines) == 3
 
     def test_surface_table(self):
         thetas, alphas = [0.0, PI / 3], [PI / 2]

@@ -13,7 +13,6 @@ from sqw import (
     evolve_final,
     line_tessellations,
     moments,
-    moments_to_tsv,
     reflection_from_tessellation,
     ring_labels,
     superposition_state,
@@ -269,9 +268,3 @@ class TestLabelsAndTsv:
         text = distribution_to_tsv(d, drop_zeros=True,
                                    extra_columns=[("sim", np.array([0.25, 0.0, 0.75, 0.5]))])
         assert text == "position\tprobability\tsim\n0\t0.5\t0.75\n1\t0\t0.5\n2\t0.5\t0.25\n"
-
-    def test_moments_tsv(self):
-        d = distribution(basis_state(2, 0), [0, 1])
-        text = moments_to_tsv([moments(d, step=3)])
-        assert text.splitlines()[0] == "t\tmean\tx2\tsigma"
-        assert text.splitlines()[1].startswith("3\t")
