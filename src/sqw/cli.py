@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import numbers
 import re
 import sys
 from dataclasses import dataclass
@@ -35,7 +36,7 @@ def parse_angle(value) -> float:
     """Parse "pi/3", "2pi/3", "-pi/2", "pi", or a plain number, exactly."""
     if isinstance(value, (int, float)):
         return float(value)
-    m = _ANGLE_RE.match(value)
+    m = isinstance(value, str) and _ANGLE_RE.match(value)
     if m:
         sign = -1.0 if m.group(1) == "-" else 1.0
         coef = float(m.group(2)) if m.group(2) else 1.0
@@ -43,7 +44,7 @@ def parse_angle(value) -> float:
         return sign * coef * math.pi / denom
     try:
         return float(value)
-    except ValueError:
+    except (TypeError, ValueError):
         raise ValueError(f"cannot parse angle {value!r}") from None
 
 
@@ -65,6 +66,8 @@ class RunConfig:
 
 
 _ANGLE_KEYS = ("theta", "theta0", "theta1", "alpha", "beta", "phi0", "phi1")
+_CONFIG_TYPES = {"model": str, "steps": int, "ring_size": int, "graph": str, "coin": (dict, str),
+                 "init": (str, list), "out": str}
 
 
 def _merge_config(args) -> RunConfig:
@@ -73,26 +76,26 @@ def _merge_config(args) -> RunConfig:
     if getattr(args, "config", None):
         with open(args.config, encoding="utf-8") as fh:
             file_values = json.load(fh)
+        if not isinstance(file_values, dict):
+            raise ValueError(f"config file {args.config} must hold a JSON object")
     merged = dict(file_values)
-    for key in ("model", "steps", "ring_size", "graph", "init", "out", *_ANGLE_KEYS):
-        flag = getattr(args, key.replace("-", "_"), None)
+    for key in (*_CONFIG_TYPES, *_ANGLE_KEYS):
+        flag = getattr(args, key, None)
         if flag is not None:
             merged[key] = flag
-    if getattr(args, "coin", None) is not None:
-        merged["coin"] = args.coin
     theta = merged.pop("theta", None)
     if theta is not None:
         merged.setdefault("theta0", theta)
         merged.setdefault("theta1", theta)
     for key, value in merged.items():
-        if key in ("theta0", "theta1", "alpha", "beta", "phi0", "phi1"):
-            value = parse_angle(value)
-        elif key in ("steps", "ring_size"):
-            value = int(value)
-        elif key == "coin" and isinstance(value, str):
-            value = _load_coin(value)
         if not hasattr(cfg, key):
             raise ValueError(f"unknown config key {key!r}")
+        if key in _ANGLE_KEYS:
+            value = parse_angle(value)
+        elif isinstance(value, bool) or not isinstance(value, _CONFIG_TYPES[key]):
+            raise ValueError(f"config key {key!r} cannot be {value!r}")
+        elif key == "coin" and isinstance(value, str):
+            value = _load_coin(value)
         setattr(cfg, key, value)
     return cfg
 
@@ -110,19 +113,25 @@ def _parse_init(spec, dimension: int, to_index):
     Returns the WalkState plus the raw (position, amplitude) entries, which
     the analytic command reuses as line coordinates.
     """
-    if isinstance(spec, str):
-        kind, _, rest = spec.partition(":")
-        if kind == "basis":
-            entries = [(int(rest), 1.0 + 0j)]
-        elif kind == "superpos":
-            positions = [int(s) for s in rest.split(",") if s]
-            amp = 1.0 / math.sqrt(len(positions))
-            entries = [(pos, complex(amp)) for pos in positions]
-        else:
-            raise ValueError(f"cannot parse initial state {spec!r}")
+    kind, _, rest = spec.partition(":") if isinstance(spec, str) else ("", "", "")
+    if kind == "basis":
+        entries = [(int(rest), 1.0 + 0j)]
+    elif kind == "superpos" and rest.strip(", "):
+        positions = [int(s) for s in rest.split(",") if s]
+        amp = 1.0 / math.sqrt(len(positions))
+        entries = [(pos, complex(amp)) for pos in positions]
+    elif isinstance(spec, list) and all(map(_is_init_entry, spec)):
+        entries = [(pos, complex(re, im)) for pos, re, im in spec]
     else:
-        entries = [(int(pos), complex(re, im)) for pos, re, im in spec]
+        raise ValueError(f"cannot parse initial state {spec!r}")
     return superposition_state(dimension, [(to_index(pos), amp) for pos, amp in entries]), entries
+
+
+def _is_init_entry(entry) -> bool:
+    """Whether entry is [position, re, im]: an integer and two real numbers, no bool."""
+    return (isinstance(entry, (list, tuple)) and len(entry) == 3
+            and isinstance(entry[0], numbers.Integral)
+            and all(isinstance(x, numbers.Real) and not isinstance(x, bool) for x in entry))
 
 
 def _write(path: str, text: str) -> None:
@@ -222,8 +231,8 @@ def cmd_embed(args) -> int:
         doc = json.load(fh)
     g, _ = from_document(doc)
     coin = _load_coin(args.coin) if args.coin else doc.get("coin")
-    if coin is None:
-        raise ValueError("no coin descriptor: add a 'coin' key or pass --coin")
+    if not isinstance(coin, dict):
+        raise ValueError("no 'coin' descriptor object: add a 'coin' key or pass --coin")
     if "theta" in coin:
         coin = dict(coin, theta=parse_angle(coin["theta"]))
     cw = coined_walk_from_descriptor(g, coin)

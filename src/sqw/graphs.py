@@ -8,6 +8,7 @@ its vertices; those vectors later induce orthogonal reflections.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
@@ -50,14 +51,14 @@ class Graph:
                 and np.array_equal(self.edge_array, other.edge_array))
 
     def __hash__(self):
-        return hash((self.vertex_count, self.edges, self.labels))
+        return hash((self.vertex_count, self.edge_array.tobytes(), self.labels))
 
     @cached_property
     def edges(self) -> tuple[tuple[int, int], ...]:
         return tuple(map(tuple, self.edge_array.tolist()))
 
     @cached_property
-    def edge_keys(self) -> np.ndarray:
+    def edge_codes(self) -> np.ndarray:
         """u * vertex_count + v for each edge (u, v), ascending."""
         return self.edge_array[:, 0] * self.vertex_count + self.edge_array[:, 1]
 
@@ -72,9 +73,9 @@ class Graph:
     def has_edges(self, u, v) -> np.ndarray:
         """Elementwise has_edge over arrays of endpoints."""
         lo, hi = np.minimum(u, v), np.maximum(u, v)
-        keys = lo * self.vertex_count + hi
-        pos = np.minimum(np.searchsorted(self.edge_keys, keys), len(self.edge_keys) - 1)
-        found = self.edge_keys[pos] == keys if len(self.edge_keys) else np.zeros(keys.shape, bool)
+        codes, known = lo * self.vertex_count + hi, self.edge_codes
+        pos = np.minimum(np.searchsorted(known, codes), len(known) - 1)
+        found = known[pos] == codes if len(known) else np.zeros(codes.shape, bool)
         return found & (lo >= 0) & (hi < self.vertex_count)
 
     def has_edge(self, u: int, v: int) -> bool:
@@ -105,7 +106,7 @@ def build_graph(vertex_count: int, edges, labels=None) -> Graph:
     if vertex_count < 0:
         raise ValueError(f"vertex_count must be non-negative, got {vertex_count}")
     n = vertex_count
-    pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64)
+    pairs = _integers(edges if isinstance(edges, np.ndarray) else list(edges), "'edges' endpoints")
     if pairs.size == 0:
         pairs = pairs.reshape(0, 2)
     if pairs.ndim != 2 or pairs.shape[1] != 2:
@@ -120,7 +121,7 @@ def build_graph(vertex_count: int, edges, labels=None) -> Graph:
     keys = np.sort(np.minimum(u, v) * n + np.maximum(u, v))
     keys = keys[np.append(True, keys[1:] != keys[:-1])] if len(keys) else keys
     if labels is not None:
-        labels = tuple(str(s) for s in labels)
+        labels = tuple(str(s) for s in _list(labels, "'labels'"))
         if len(labels) != vertex_count:
             raise ValueError("labels must have one entry per vertex")
     return Graph(vertex_count, np.stack(np.divmod(keys, max(n, 1)), axis=1), labels)
@@ -139,19 +140,11 @@ class Polygon:
     amplitudes: tuple[complex, ...]
 
     def __post_init__(self):
-        check_polygon_arrays(np.asarray(self.vertices, dtype=np.int64),
-                             np.asarray(self.amplitudes, dtype=np.complex128),
-                             np.zeros(1, dtype=np.int64))
-        self._sort(self.vertices, self.amplitudes)
-
-    def _sort(self, vertices, amplitudes) -> Polygon:
-        order = sorted(range(len(vertices)), key=vertices.__getitem__)
-        object.__setattr__(self, "vertices", tuple(int(vertices[i]) for i in order))
-        object.__setattr__(self, "amplitudes", tuple(complex(amplitudes[i]) for i in order))
-        return self
-
-    def __len__(self) -> int:
-        return len(self.vertices)
+        arrays = flatten_polygons([(self.vertices, self.amplitudes)])
+        check_polygon_arrays(*arrays)
+        vertices, amplitudes, _, _ = canonical_order(*arrays)
+        object.__setattr__(self, "vertices", tuple(vertices.tolist()))
+        object.__setattr__(self, "amplitudes", tuple(amplitudes.tolist()))
 
 
 def uniform_polygon(vertices) -> Polygon:
@@ -182,16 +175,37 @@ def flatten_polygons(pairs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     pairs = tuple(pairs)
     if any(len(v) != len(a) for v, a in pairs):
         raise ValueError("one amplitude per vertex required")
-    return (np.fromiter(chain.from_iterable(v for v, _ in pairs), np.int64),
+    return (_integers(list(chain.from_iterable(v for v, _ in pairs)), "polygon 'vertices'"),
             np.fromiter(chain.from_iterable(a for _, a in pairs), np.complex128),
-            np.cumsum([0, *(len(v) for v, _ in pairs)])[:-1])
+            np.cumsum([0, *(len(v) for v, _ in pairs)], dtype=np.int64)[:-1])
 
 
-def split_polygons(vertices: np.ndarray, amplitudes: np.ndarray, starts: np.ndarray) -> list:
-    """(vertices, amplitudes) tuple pairs of flat arrays, one per polygon, in stored order."""
-    v, a = vertices.tolist(), amplitudes.tolist()
-    bounds = zip(starts.tolist(), [*starts.tolist()[1:], len(v)])
-    return [(tuple(v[i:j]), tuple(a[i:j])) for i, j in bounds]
+def canonical_order(vertices: np.ndarray, amplitudes: np.ndarray, starts: np.ndarray):
+    """Flat polygon arrays in canonical order, plus the stored index of each polygon.
+
+    Each polygon's vertices ascend, its amplitudes permuted to match.  The
+    polygons follow Python tuple order of their vertex tuples: a proper prefix
+    first, equal tuples in stored order.  Vertices must be non-negative and
+    polygons non-empty.  Round c sorts by vertex c only the polygons still
+    tied, so the cost is O(V log V) for V entries whatever the sizes.
+    """
+    sizes = np.diff(np.append(starts, len(vertices)))
+    within = np.lexsort((vertices, np.repeat(np.arange(len(starts)), sizes)))
+    ordered, order = vertices[within], np.arange(len(starts))
+    tied, run, column = order.copy(), np.zeros(len(starts), dtype=np.int64), 0
+    while len(tied):  # order[tied] splits into runs of polygons equal so far, run-numbered
+        ids = order[tied]
+        key = np.where(sizes[ids] > column,
+                       ordered[starts[ids] + np.minimum(column, sizes[ids] - 1)], -1)
+        sort = np.lexsort((key, run))  # stable, and runs keep their positions
+        order[tied], key, run = ids[sort], key[sort], run[sort]
+        first = np.append(True, (run[1:] != run[:-1]) | (key[1:] != key[:-1]))
+        keep = ~(first & np.append(first[1:], True)) & (key >= 0)  # tied, not exhausted
+        tied, run, column = tied[keep], np.cumsum(first)[keep], column + 1
+    out_sizes = sizes[order]
+    out_starts = np.cumsum(out_sizes) - out_sizes
+    take = within[np.repeat(starts[order] - out_starts, out_sizes) + np.arange(len(vertices))]
+    return vertices[take], amplitudes[take], out_starts, order
 
 
 def check_polygon_arrays(vertices: np.ndarray, amplitudes: np.ndarray, starts: np.ndarray,
@@ -219,9 +233,9 @@ def check_polygon_arrays(vertices: np.ndarray, amplitudes: np.ndarray, starts: n
         raise ZeroAmplitude(int(vertices[amplitudes == 0][0]))
     if len(starts):
         norm2 = np.add.reduceat(np.abs(amplitudes) ** 2, starts)
-        bad = np.abs(norm2 - 1.0) > NORM_TOL
+        bad = ~(np.abs(norm2 - 1.0) <= NORM_TOL)  # NaN is bad too
         if bad.any():
-            raise NotNormalized(f"polygon amplitudes square-sum to {norm2[bad][0]!r}, not 1")
+            raise NotNormalized(f"polygon amplitudes square-sum to {float(norm2[bad][0])!r}, not 1")
     if dimension is not None:
         counts = np.bincount(vertices, minlength=dimension)
         if len(counts) > dimension:
@@ -230,74 +244,102 @@ def check_polygon_arrays(vertices: np.ndarray, amplitudes: np.ndarray, starts: n
             raise OverlappingPolygons(int(np.argmax(counts > 1)))
 
 
+class PolygonArrays:
+    """Polygons stored flat: polygon k holds vertices[starts[k]:starts[k + 1]]
+    (the last one runs to the end) with the matching amplitudes.
+
+    Equality and hashing compare the space named by `_space` and the
+    :func:`canonical_order` arrays, computed on first use, so neither depends
+    on the order in which the polygons were listed.
+    """
+
+    _space: str  # the attribute naming the space the polygons live in
+
+    @cached_property
+    def canonical(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        return canonical_order(self.vertices, self.amplitudes, self.starts)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (getattr(self, self._space) == getattr(other, self._space)
+                and all(map(np.array_equal, self.canonical[:3], other.canonical[:3])))
+
+    def __hash__(self):
+        vertices, amplitudes, starts, _ = self.canonical
+        # + 0.0 turns -0.0 into 0.0, which compares equal to it
+        return hash((getattr(self, self._space), vertices.tobytes(),
+                     (amplitudes + 0.0).tobytes(), starts.tobytes()))
+
+
+class _PolygonView(Sequence):
+    """Read-only sequence over flat polygon arrays; each Polygon is built when first read."""
+
+    def __init__(self, vertices: np.ndarray, amplitudes: np.ndarray, starts: np.ndarray):
+        self._arrays = vertices, amplitudes, np.append(starts, len(vertices))
+        self._built = {}
+
+    def __len__(self) -> int:
+        return len(self._arrays[2]) - 1
+
+    def __getitem__(self, k):
+        index = range(len(self))[k]  # IndexError beyond the end; negative k counts back
+        if isinstance(index, range):
+            return [self[i] for i in index]
+        if index not in self._built:
+            vertices, amplitudes, bounds = self._arrays
+            i, j = bounds[index], bounds[index + 1]
+            self._built[index] = Polygon(tuple(vertices[i:j].tolist()),
+                                         tuple(amplitudes[i:j].tolist()))
+        return self._built[index]
+
+
 @dataclass(frozen=True, init=False, eq=False)
-class Tessellation:
+class Tessellation(PolygonArrays):
     """A list of polygons partitioning the vertices of a parent graph.
 
-    Stored flat: polygon k holds vertices[starts[k]:starts[k + 1]] (the last
-    one runs to the end) with the matching amplitudes.  The `polygons` tuple
-    of :class:`Polygon` objects, sorted by vertex tuple, is built on first use.
+    Stored flat (see :class:`PolygonArrays`) in the order given.  `polygons`
+    is the API-edge view: the polygons in canonical order as :class:`Polygon`
+    objects, each built when read.
     """
 
     parent: Graph
     vertices: np.ndarray
     amplitudes: np.ndarray
     starts: np.ndarray
+    _space = "parent"
 
     def __init__(self, polygons, parent: Graph):
-        polygons = tuple(sorted(polygons, key=lambda p: p.vertices))
-        self._set(parent, *flatten_polygons((p.vertices, p.amplitudes) for p in polygons))
-        self.__dict__["polygons"] = polygons
+        arrays = flatten_polygons((p.vertices, p.amplitudes) for p in polygons)
+        self.__dict__.update(vars(Tessellation.from_arrays(parent, *arrays)))
 
     @classmethod
     def from_arrays(cls, parent: Graph, vertices, amplitudes, starts) -> Tessellation:
         """Tessellation from flat arrays, each polygon checked as :class:`Polygon` checks it."""
         t = cls.__new__(cls)
-        t._set(parent, np.asarray(vertices, dtype=np.int64),
-               np.asarray(amplitudes, dtype=np.complex128), np.asarray(starts, dtype=np.int64))
+        t.__dict__.update(parent=parent, vertices=_integers(vertices, "polygon 'vertices'"),
+                          amplitudes=np.asarray(amplitudes, dtype=np.complex128),
+                          starts=np.asarray(starts, dtype=np.int64))
         check_polygon_arrays(t.vertices, t.amplitudes, t.starts)
         return t
-
-    def _set(self, parent, vertices, amplitudes, starts):
-        self.__dict__.update(parent=parent, vertices=vertices, amplitudes=amplitudes,
-                             starts=starts)
-
-    def __eq__(self, other):
-        if not isinstance(other, Tessellation):
-            return NotImplemented
-        return self.parent == other.parent and self.polygons == other.polygons
-
-    def __hash__(self):
-        return hash((self.parent, self.polygons))
 
     def __len__(self) -> int:
         return len(self.starts)
 
     @cached_property
-    def polygons(self) -> tuple[Polygon, ...]:
-        pairs = split_polygons(self.vertices, self.amplitudes, self.starts)
-        # The arrays passed the polygon rules already; only sort each polygon.
-        polygons = (Polygon.__new__(Polygon)._sort(*pair) for pair in pairs)
-        return tuple(sorted(polygons, key=lambda p: p.vertices))
+    def polygons(self) -> Sequence[Polygon]:
+        return _PolygonView(*self.canonical[:3])
 
     @cached_property
-    def _owner(self) -> np.ndarray | None:
-        """Vertex -> polygon index (-1 where none); None when polygons overlap."""
-        size = max(self.parent.vertex_count, int(self.vertices.max(initial=-1)) + 1)
-        if np.any(np.bincount(self.vertices, minlength=size) > 1):
-            return None
-        owner = np.full(size, -1)
-        sizes = np.diff(np.append(self.starts, len(self.vertices)))
-        owner[self.vertices] = np.repeat(np.arange(len(sizes)), sizes)
-        return owner
+    def _polygon_ids(self) -> np.ndarray:
+        """The polygon index of each flat entry."""
+        return np.repeat(np.arange(len(self.starts)),
+                         np.diff(np.append(self.starts, len(self.vertices))))
 
     def covers(self, u: int, v: int) -> bool:
-        """Whether some polygon contains both endpoints; O(1) via the vertex index."""
-        owner = self._owner
-        if owner is None:
-            return any(u in p.vertices and v in p.vertices for p in self.polygons)
-        inside = 0 <= u < len(owner) and 0 <= v < len(owner)
-        return inside and owner[u] >= 0 and owner[u] == owner[v]
+        """Whether some polygon contains both endpoints, in one pass over the flat arrays."""
+        ids = self._polygon_ids
+        return bool(np.isin(ids[self.vertices == u], ids[self.vertices == v]).any())
 
 
 def validate_tessellation(g: Graph, t: Tessellation) -> None:
@@ -307,23 +349,24 @@ def validate_tessellation(g: Graph, t: Tessellation) -> None:
     OutOfRangeVertex), every polygon is a clique (NotAClique), no vertex is in
     two polygons (OverlappingPolygons) and every vertex is in one
     (UncoveredVertex).  A vertex error names the smallest offending vertex; a
-    clique error the first offending polygon in canonical order (sorted
-    vertex tuples).  So the verdict does not depend on polygon order.
+    clique error the first offending polygon in canonical order, with its
+    first missing edge.  So the verdict does not depend on polygon order.
     """
     n, verts = g.vertex_count, t.vertices
     if np.any(verts >= n):
         raise OutOfRangeVertex(int(verts[verts >= n].min()), n)
-    offending = []
+    clique = np.ones(len(t.starts), dtype=bool)
     for d, ids, rows in size_blocks(t.starts, len(verts)):
         i, j = np.triu_indices(d, 1)
         pv = verts[rows]
-        offending.extend(ids[~np.all(g.has_edges(pv[:, i], pv[:, j]), axis=1)].tolist())
-    if offending:
-        pairs = split_polygons(verts, t.amplitudes, t.starts)
-        poly = min(tuple(sorted(pairs[k][0])) for k in offending)
-        missing = next((u, v) for a, u in enumerate(poly) for v in poly[a + 1:]
-                       if not g.has_edge(u, v))
-        raise NotAClique([p.vertices for p in t.polygons].index(poly), missing)
+        clique[ids] = np.all(g.has_edges(pv[:, i], pv[:, j]), axis=1)
+    if not clique.all():
+        vertices, _, starts, order = t.canonical
+        k = int(np.argmin(clique[order]))
+        poly = vertices[starts[k]:np.append(starts, len(vertices))[k + 1]]
+        i, j = np.triu_indices(len(poly), 1)
+        m = int(np.argmin(g.has_edges(poly[i], poly[j])))
+        raise NotAClique(k, (int(poly[i[m]]), int(poly[j[m]])))
     counts = np.bincount(verts, minlength=n)
     if np.any(counts > 1):
         raise OverlappingPolygons(int(np.argmax(counts > 1)))
@@ -343,7 +386,8 @@ def union_covers_edges(g: Graph, tessellations) -> set[tuple[int, int]]:
     u, v = g.edge_array.T
     covered = np.zeros(len(u), dtype=bool)
     for t in tessellations:
-        owner = t._owner
+        owner = np.empty(g.vertex_count, dtype=np.int64)
+        owner[t.vertices] = t._polygon_ids  # valid: each vertex in exactly one polygon
         covered |= owner[u] == owner[v]
     return set(map(tuple, g.edge_array[~covered].tolist()))
 
@@ -441,7 +485,10 @@ def clique_expansion(g: Graph) -> ExpansionMap:
 
 
 def to_document(g: Graph, tessellations=()) -> dict:
-    """Serialize a graph plus tessellations to the JSON document schema."""
+    """Serialize a graph plus tessellations to the JSON document schema.
+
+    Polygons are written in canonical order (see :func:`canonical_order`).
+    """
     doc = {
         "vertices": g.vertex_count,
         "edges": g.edge_array.tolist(),
@@ -449,27 +496,29 @@ def to_document(g: Graph, tessellations=()) -> dict:
     if g.labels is not None:
         doc["labels"] = list(g.labels)
     if tessellations:
-        doc["tessellations"] = [
-            {
-                "polygons": [
-                    {
-                        "vertices": list(p.vertices),
-                        "amplitudes": [[a.real, a.imag] for a in p.amplitudes],
-                    }
-                    for p in t.polygons
-                ]
-            }
-            for t in tessellations
-        ]
+        doc["tessellations"] = []
+    for t in tessellations:
+        vertices, amplitudes, starts, _ = t.canonical
+        verts, amps = vertices.tolist(), np.stack((amplitudes.real, amplitudes.imag), 1).tolist()
+        bounds = [*starts.tolist(), len(verts)]
+        doc["tessellations"].append({"polygons": [
+            {"vertices": verts[i:j], "amplitudes": amps[i:j]} for i, j in zip(bounds, bounds[1:])]})
     return doc
 
 
 def from_document(doc: dict) -> tuple[Graph, list[Tessellation]]:
-    """Parse the JSON document schema; absent amplitudes default to uniform."""
-    g = build_graph(int(_field(doc, "vertices", "graph document")), doc.get("edges", []),
-                    doc.get("labels"))
+    """Parse the JSON document schema; absent amplitudes default to uniform.
+
+    Malformed content (a missing key, a non-list where a list belongs, a
+    non-integer vertex id, an amplitude that is not a [re, im] pair of
+    numbers) raises ValueError naming the field.
+    """
+    count = _field(doc, "vertices", "graph document")
+    if not isinstance(count, int) or isinstance(count, bool):
+        raise ValueError(f"graph 'vertices' must be an integer, got {count!r}")
+    g = build_graph(count, _list(doc.get("edges", []), "'edges'"), doc.get("labels"))
     return g, [Tessellation.from_arrays(g, *parse_polygons(_field(t, "polygons", "tessellation")))
-               for t in doc.get("tessellations", [])]
+               for t in _list(doc.get("tessellations", []), "'tessellations'")]
 
 
 def _field(doc, key: str, what: str):
@@ -480,18 +529,44 @@ def _field(doc, key: str, what: str):
         raise ValueError(f"{what} needs a {key!r} key") from None
 
 
+def _list(value, what: str):
+    """value if it is a list (or tuple), else a ValueError naming `what`."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{what} must be a list, got {type(value).__name__}")
+    return value
+
+
+def _integers(values, what: str) -> np.ndarray:
+    """values as an int64 array, or a ValueError naming `what` if one is not an integer."""
+    values = np.asarray(values)
+    if values.size and values.dtype.kind not in "iu":
+        raise ValueError(f"{what} must be integers")
+    return values.astype(np.int64, copy=False)
+
+
 def parse_polygons(docs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Flat (vertices, amplitudes, starts) arrays of polygon documents.
 
     Each document is {"vertices": [...], "amplitudes": [[re, im], ...]}; absent
     amplitudes default to the uniform superposition.
     """
-    pairs = []
-    for pdoc in docs:
-        verts = [int(v) for v in _field(pdoc, "vertices", "polygon")]
-        if "amplitudes" in pdoc:
-            amps = [complex(re, im) for re, im in pdoc["amplitudes"]]
-        else:
-            amps = [1.0 / math.sqrt(len(verts))] * len(verts) if verts else []
-        pairs.append((verts, amps))
-    return flatten_polygons(pairs)
+    vertices, amplitudes, sizes = [], [], []
+    for pdoc in _list(docs, "tessellation 'polygons'"):
+        verts = _list(_field(pdoc, "vertices", "polygon"), "polygon 'vertices'")
+        amps = _list(pdoc["amplitudes"], "polygon 'amplitudes'") if "amplitudes" in pdoc \
+            else [[1.0 / math.sqrt(max(len(verts), 1)), 0.0]] * len(verts)
+        if len(amps) != len(verts):
+            raise ValueError("one amplitude per vertex required")
+        vertices += verts
+        amplitudes += amps
+        sizes.append(len(verts))
+    message = "polygon 'amplitudes' must be [re, im] pairs of numbers"
+    try:
+        pairs = np.asarray(amplitudes) if amplitudes else np.zeros((0, 2))
+    except ValueError:  # ragged entries
+        raise ValueError(message) from None
+    if pairs.dtype.kind not in "iuf" or pairs.shape != (len(vertices), 2):
+        raise ValueError(message)
+    return (_integers(vertices, "polygon 'vertices'"),
+            pairs.astype(np.float64).view(np.complex128).ravel(),
+            np.cumsum([0, *sizes], dtype=np.int64)[:-1])

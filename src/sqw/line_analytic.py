@@ -21,7 +21,7 @@ from .errors import (
     QuadratureNotConverged,
     SingularIntegrand,
 )
-from .simulation import ring_labels
+from .simulation import ring_labels, tsv_table
 from .tolerances import NORM_TOL
 
 QUAD_START_NODES = 512
@@ -323,11 +323,12 @@ def sigma2_surface(theta_values, alpha_values) -> np.ndarray:
     for name, values in (("theta", thetas), ("alpha", alphas)):
         if values.size and (values.min() < 0.0 or values.max() > math.pi):
             raise ValueError(f"{name} grid must lie within [0, pi]")
-    out = np.empty((len(thetas), len(alphas)), dtype=np.float64)
-    for i, th in enumerate(thetas):
-        for j, al in enumerate(alphas):
-            out[i, j] = closed_form_sigma2(th, min(al, math.pi - al), 1)
-    return out
+    # closed_form_sigma2(theta, min(alpha, pi - alpha), 1) in every cell, operation for
+    # operation; float_power squares through pow() as ** does (x * x can differ by an ulp)
+    mirrored = np.minimum(alphas, math.pi - alphas)
+    s = np.float_power(np.multiply.outer(np.sin(thetas), np.sin(mirrored)), 2.0)
+    root = np.sqrt(np.maximum(0.0, 1.0 - s))
+    return 4.0 * root * (1.0 - root)
 
 
 # --- TSV tables ----------------------------------------------------------------
@@ -335,8 +336,8 @@ def sigma2_surface(theta_values, alpha_values) -> np.ndarray:
 
 def surface_to_tsv(theta_values, alpha_values, table: np.ndarray) -> str:
     """TSV with columns theta, alpha, sigma2_over_t2, row-major over the grid."""
-    lines = ["theta\talpha\tsigma2_over_t2"]
-    for i, th in enumerate(theta_values):
-        for j, al in enumerate(alpha_values):
-            lines.append(f"{th:.17g}\t{al:.17g}\t{table[i, j]:.17g}")
-    return "\n".join(lines) + "\n"
+    thetas = np.asarray(theta_values, dtype=np.float64)
+    alphas = np.asarray(alpha_values, dtype=np.float64)
+    return tsv_table(("theta", "alpha", "sigma2_over_t2"),
+                     (np.repeat(thetas, len(alphas)), np.tile(alphas, len(thetas)),
+                      np.asarray(table, dtype=np.float64).ravel()))

@@ -11,25 +11,24 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .errors import DimensionCapExceeded, DimensionMismatch, EmptyFactorList
-from .graphs import Tessellation, check_polygon_arrays, flatten_polygons, size_blocks, \
-    split_polygons, validate_tessellation
+from .graphs import PolygonArrays, Tessellation, check_polygon_arrays, flatten_polygons, \
+    size_blocks, validate_tessellation
 from .state import WalkState
 
 DENSE_CAP = 4096
 
 
 @dataclass(frozen=True, init=False, eq=False)
-class OrthogonalReflection:
+class OrthogonalReflection(PolygonArrays):
     """The operator 2 sum_k |a_k><a_k| - I, stored by its sparse polygon vectors.
 
-    Polygon vector k is supported on vertices[starts[k]:starts[k + 1]] with
-    the matching amplitudes; supports are pairwise disjoint, amplitudes
-    nonzero and unit-norm.  Basis vectors outside every support are
+    Polygon vector k is polygon k of the flat arrays (see
+    :class:`~sqw.graphs.PolygonArrays`); supports are pairwise disjoint,
+    amplitudes nonzero and unit-norm.  Basis vectors outside every support are
     eigenvectors with eigenvalue -1.  The kernel gathers the polygons of each
     size d as one dense block whose column k is polygon k of that size.
     """
@@ -38,16 +37,13 @@ class OrthogonalReflection:
     vertices: np.ndarray
     amplitudes: np.ndarray
     starts: np.ndarray
+    _space = "dimension"
 
-    def __init__(self, dimension: int, polygon_vectors):
+    def __init__(self, dimension: int, pairs):
         """Checked constructor from (support indices, amplitudes) pairs."""
-        arrays = flatten_polygons(polygon_vectors)
+        arrays = flatten_polygons(pairs)
         check_polygon_arrays(*arrays, dimension)
         self.__dict__.update(vars(OrthogonalReflection.from_arrays(dimension, *arrays)))
-
-    @classmethod
-    def from_polygons(cls, dimension: int, polygons) -> OrthogonalReflection:
-        return cls(dimension, tuple((p.vertices, p.amplitudes) for p in polygons))
 
     @classmethod
     def from_arrays(cls, dimension: int, vertices, amplitudes, starts) -> OrthogonalReflection:
@@ -60,21 +56,6 @@ class OrthogonalReflection:
         h.__dict__.update(dimension=dimension, vertices=vertices, amplitudes=amplitudes,
                           starts=starts, _full=len(vertices) == dimension, _blocks=blocks)
         return h
-
-    def __eq__(self, other):
-        return isinstance(other, OrthogonalReflection) and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def _key(self) -> tuple:  # polygons sorted by vertex: equal keys, equal operators
-        pairs = (tuple(sorted(zip(v, a))) for v, a in self.polygon_vectors)
-        return self.dimension, tuple(sorted(pairs))
-
-    @cached_property
-    def polygon_vectors(self) -> tuple[tuple[tuple[int, ...], tuple[complex, ...]], ...]:
-        """One (support indices, amplitudes) pair per polygon, in stored order."""
-        return tuple(split_polygons(self.vertices, self.amplitudes, self.starts))
 
     def mix(self, psi: np.ndarray, alpha: complex, beta: complex,
             out: np.ndarray | None = None) -> np.ndarray:

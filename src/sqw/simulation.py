@@ -156,8 +156,19 @@ def distribution_to_tsv(d: ProbabilityDistribution, drop_zeros: bool = False,
     columns = [d.probabilities, *(np.asarray(col, dtype=np.float64) for _, col in extra_columns)]
     if drop_zeros:
         order = order[np.any([col[order] != 0.0 for col in columns], axis=0)]
-    header = "\t".join(["position", "probability", *(name for name, _ in extra_columns)])
-    rows = zip(d.position_labels[order].tolist(), *(col[order].tolist() for col in columns))
-    lines = [header, *(f"{pos}\t" + "\t".join(f"{x:.17g}" for x in values)
-                       for pos, *values in rows)]
-    return "\n".join(lines) + "\n"
+    return tsv_table(["position", "probability", *(name for name, _ in extra_columns)],
+                     [d.position_labels[order], *(col[order] for col in columns)])
+
+
+def tsv_table(header, columns) -> str:
+    """Tab-separated text: the header, then row i holds entry i of every column.
+
+    Integer columns are written as integers, all others as %.17g, which
+    reads back to the same float bit for bit.
+    """
+    columns = [np.asarray(col) for col in columns]
+    if len({len(col) for col in columns}) > 1:
+        raise ValueError("TSV columns differ in length")
+    row = "\t".join("%d" if col.dtype.kind in "iu" else "%.17g" for col in columns)
+    lines = map(row.__mod__, zip(*columns))  # no .tolist() copies: they raise peak memory
+    return "\n".join(["\t".join(header), *lines]) + "\n"

@@ -26,12 +26,17 @@ def hub_fragment():
     return build_graph(8, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 6), (1, 7)])
 
 
+def polygon_pairs(h: OrthogonalReflection):
+    """(support, amplitudes) array pairs, one per polygon, cut from the flat arrays."""
+    return zip(np.split(h.vertices, h.starts[1:]), np.split(h.amplitudes, h.starts[1:]))
+
+
 def dense_reflection(h: OrthogonalReflection) -> np.ndarray:
     """Independent dense oracle: 2 sum |v><v| - I from explicit outer products."""
     out = -np.eye(h.dimension, dtype=np.complex128)
-    for support, amplitudes in h.polygon_vectors:
+    for support, amplitudes in polygon_pairs(h):
         v = np.zeros(h.dimension, dtype=np.complex128)
-        v[list(support)] = amplitudes
+        v[support] = amplitudes
         out += 2.0 * np.outer(v, np.conj(v))
     return out
 
@@ -82,9 +87,9 @@ def dense_coin_matrix(cw) -> np.ndarray:
     """Dense oracle: exp(i theta H_coin) from outer products of the coin's polygon vectors."""
     dim = cw.expansion.arc_count
     h = -np.eye(dim, dtype=np.complex128)
-    for support, amplitudes in cw.coin_reflection.polygon_vectors:
+    for support, amplitudes in polygon_pairs(cw.coin_reflection):
         v = np.zeros(dim, dtype=np.complex128)
-        v[list(support)] = amplitudes
+        v[support] = amplitudes
         h += 2.0 * np.outer(v, np.conj(v))
     return math.cos(cw.coin_angle) * np.eye(dim) + 1j * math.sin(cw.coin_angle) * h
 

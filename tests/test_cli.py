@@ -245,24 +245,98 @@ class TestEmbedCoins:
         assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def one_error_line(capsys, field):
+    """Assert stderr is one `error:` line naming `field`, with no traceback."""
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 class TestMalformedDocuments:
-    """A document missing a required key exits 1 with one error line naming the key."""
+    """A malformed document exits 1 with one error line naming the offending key.
+
+    Past the first three cases (missing keys), each document was once
+    accepted with its ids truncated to integers, or crashed with a traceback.
+    `coin` None runs `validate`; otherwise `embed`, with `--coin` when it is
+    non-empty.
+    """
 
     @pytest.mark.parametrize("doc,coin,key", [
         ({"edges": [[0, 1]]}, None, "vertices"),
         (complete_graph_doc(3), '{"type":"reflection","theta":0.4,"polygons":[{}]}',
          "vertices"),
         ({"vertices": 2, "edges": [[0, 1]], "tessellations": [{}]}, None, "polygons"),
-    ], ids=["graph", "coin-polygon", "tessellation"])
+        ({"vertices": 2.9, "edges": [[0, 1]]}, None, "vertices"),
+        ({"vertices": "3", "edges": [[0, 1]]}, None, "vertices"),
+        ({"vertices": 3, "edges": [[0, 1.7]]}, None, "edges"),
+        ({"vertices": 3, "edges": {"0": 1}}, None, "edges"),
+        ({"vertices": 2, "edges": [[0, 1]], "labels": 7}, None, "labels"),
+        ({"vertices": 2, "edges": [[0, 1]], "tessellations": {}}, None, "tessellations"),
+        ({"vertices": 2, "edges": [[0, 1]], "tessellations": [{"polygons": 3}]}, None,
+         "polygons"),
+        ({"vertices": 3, "edges": [[0, 1]],
+          "tessellations": [{"polygons": [{"vertices": [0.6, 1.2]}]}]}, None, "vertices"),
+        ({"vertices": 2, "edges": [[0, 1]],
+          "tessellations": [{"polygons": [{"vertices": 1}]}]}, None, "vertices"),
+        ({"vertices": 2, "edges": [[0, 1]],
+          "tessellations": [{"polygons": [{"vertices": [0, 1], "amplitudes": 0.7}]}]}, None,
+         "amplitudes"),
+        ({"vertices": 2, "edges": [[0, 1]],
+          "tessellations": [{"polygons": [{"vertices": [0, 1], "amplitudes": [0.6, 0.8]}]}]},
+         None, "amplitudes"),
+        ({"vertices": 2, "edges": [[0, 1]],
+          "tessellations": [{"polygons": [{"vertices": [0, 1],
+                                           "amplitudes": [["0.6", 0], [0.8, 0]]}]}]},
+         None, "amplitudes"),
+        ({"vertices": 2, "edges": [[0, 1]],
+          "tessellations": [{"polygons": [{"vertices": [0, 1], "amplitudes": [[1, 0], [0]]}]}]},
+         None, "amplitudes"),
+        (complete_graph_doc(3), '{"type": "reflection", "theta": 0.4, '
+                                '"polygons": [{"vertices": [0.5]}]}', "vertices"),
+        (complete_graph_doc(3), '{"type": "reflection", "theta": 0.4, "polygons": {}}',
+         "polygons"),
+        (dict(complete_graph_doc(3), coin=[{"type": "grover"}]), "", "coin"),
+    ], ids=["graph", "coin-polygon", "tessellation", "count-float", "count-string",
+            "edge-float", "edges-not-list", "labels-not-list", "tessellations-not-list",
+            "polygons-not-list", "polygon-float", "vertices-not-list", "amplitudes-not-list",
+            "amplitudes-not-pairs", "amplitude-string", "amplitudes-ragged", "coin-polygon-float",
+            "coin-polygons-not-list", "coin-not-object"])
     def test_missing_key_is_one_error_line(self, tmp_path, capsys, doc, coin, key):
         gpath = tmp_path / "doc.json"
         gpath.write_text(json.dumps(doc))
         argv = ["validate", "--graph", str(gpath)] if coin is None else \
-            ["embed", "--graph", str(gpath), "--coin", coin, "--out", str(tmp_path / "e.json")]
+            ["embed", "--graph", str(gpath), *(["--coin", coin] if coin else []),
+             "--out", str(tmp_path / "e.json")]
         assert main(argv) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and repr(key) in err
-        assert err.count("\n") == 1 and "Traceback" not in err
+        one_error_line(capsys, repr(key))
+
+
+class TestMalformedConfigs:
+    """A malformed run configuration exits 1 with one error line, never a traceback."""
+
+    @pytest.mark.parametrize("config,flags", [
+        (None, ["--init", "superpos:"]),
+        (None, ["--init", "superpos:,"]),
+        ({"theta": "pi/4", "init": 5}, []),
+        ({"theta": "pi/4", "init": [[0, "a", 0]]}, []),
+        ({"theta": "pi/4", "init": [[0.5, 1, 0]]}, []),
+        ({"theta": "pi/4", "init": [[0, 1]]}, []),
+        ([1, 2], []),
+        ({"theta": "pi/4", "steps": None}, []),
+        ({"theta": "pi/4", "steps": 2.5}, []),
+        ({"theta": "pi/4", "out": 5}, []),
+        ({"theta0": None, "theta1": "pi/4"}, []),
+    ], ids=["superpos-empty", "superpos-commas", "init-number", "init-string-amplitude",
+            "init-float-position", "init-pair", "config-list", "steps-null", "steps-float",
+            "out-number", "theta-null"])
+    def test_one_error_line(self, tmp_path, capsys, config, flags):
+        argv = ["simulate", "--theta", "pi/4", "--steps", "2", *flags]
+        if config is not None:
+            cfg = tmp_path / "run.json"
+            cfg.write_text(json.dumps(config))
+            argv = ["simulate", "--config", str(cfg), *flags]
+        assert main(argv) == 1
+        one_error_line(capsys, "")
 
 
 class TestValidate:
@@ -342,3 +416,125 @@ class TestGoldenOutput:
             "2\t0\t0.33333333333333343\t0.57735026918962584\n")
         assert capsys.readouterr().out == ("max_deviation\t0.80000000000000004\n"
                                            "total_probability\t1\n")
+
+
+class TestGoldenTables:
+    """Byte-exact sigma-surface TSV and embed document, with portable expectations."""
+
+    def test_sigma_surface(self, tmp_path):
+        from sqw.line_analytic import closed_form_sigma2
+
+        out = tmp_path / "surface.tsv"
+        assert main(["sigma-surface", "--theta-min", "0", "--theta-max", "pi",
+                     "--theta-count", "5", "--alpha-min", "pi/7", "--alpha-max", "pi",
+                     "--alpha-count", "6", "--out", str(out)]) == 0
+        # alpha runs past pi/2 up to pi, so half the cells are mirrored
+        rows = [f"{th:.17g}\t{al:.17g}\t{closed_form_sigma2(th, min(al, PI - al), 1):.17g}\n"
+                for th in np.linspace(0, PI, 5).tolist()
+                for al in np.linspace(PI / 7, PI, 6).tolist()]
+        assert out.read_text() == "theta\talpha\tsigma2_over_t2\n" + "".join(rows)
+
+    def test_embed_zero_steps(self, tmp_path, capsys):
+        # a triangle {0, 1, 2} with a pendant vertex 3; arcs by vertex, then edge label:
+        # 0,0 0,1 | 1,0 1,2 | 2,1 2,2 2,3 | 3,3
+        gpath = tmp_path / "g.json"
+        gpath.write_text(json.dumps({"vertices": 4, "edges": [[0, 1], [0, 2], [1, 2], [2, 3]],
+                                     "labels": ["a", "b", "c", "d"]}))
+        # polygons out of canonical order, vertices unsorted within each polygon
+        coin = {"type": "reflection", "theta": "pi/3", "polygons": [
+            {"vertices": [7]},
+            {"vertices": [6, 4], "amplitudes": [[0, 0.6], [0.8, 0]]},
+            {"vertices": [3, 2]},
+            {"vertices": [5]},
+            {"vertices": [1, 0], "amplitudes": [[-0.0, 0.6], [0.8, 0]]}]}
+        out = tmp_path / "embed.json"
+        assert main(["embed", "--graph", str(gpath), "--coin", json.dumps(coin),
+                     "--steps", "0", "--out", str(out)]) == 0
+        s = [1 / math.sqrt(2), 0.0]
+        expected = {
+            "vertices": 8,
+            "edges": [[0, 1], [0, 2], [1, 4], [2, 3], [3, 5], [4, 5], [4, 6], [5, 6], [6, 7]],
+            "labels": ["0,0", "0,1", "1,0", "1,2", "2,1", "2,2", "2,3", "3,3"],
+            "tessellations": [
+                {"polygons": [{"vertices": pair, "amplitudes": [s, s]}
+                              for pair in ([0, 2], [1, 4], [3, 5], [6, 7])]},
+                {"polygons": [
+                    {"vertices": [0, 1], "amplitudes": [[0.8, 0.0], [-0.0, 0.6]]},
+                    {"vertices": [2, 3], "amplitudes": [s, s]},
+                    {"vertices": [4, 6], "amplitudes": [[0.8, 0.0], [0.0, 0.6]]},
+                    {"vertices": [5], "amplitudes": [[1.0, 0.0]]},
+                    {"vertices": [7], "amplitudes": [[1.0, 0.0]]}]}],
+            "report": {"max_state_deviation": 0.0, "steps_checked": 0,
+                       "arcs": [[0, 0], [0, 1], [1, 0], [1, 2], [2, 1], [2, 2], [2, 3], [3, 3]]},
+        }
+        assert out.read_text() == json.dumps(expected, indent=2) + "\n"
+        assert capsys.readouterr().out == "max_state_deviation\t0\n"
+
+
+class TestNoPolygonOnIoPaths:
+    """embed, validate and graph simulate run with Polygon construction disabled."""
+
+    @pytest.fixture(autouse=True)
+    def no_polygons(self, monkeypatch):
+        from sqw import Polygon, graphs
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a Polygon was built on an I/O path")
+
+        class Refused(Polygon):  # also catches Polygon.__new__ calls inside sqw.graphs
+            __new__ = refuse
+
+        monkeypatch.setattr(Polygon, "__post_init__", refuse)
+        monkeypatch.setattr(graphs, "Polygon", Refused)
+        for build in (Polygon, graphs.Polygon, graphs.Polygon.__new__):
+            with pytest.raises(AssertionError):
+                build((0,), (1.0,))
+
+    def test_embed(self, tmp_path, capsys):
+        gpath = tmp_path / "k4.json"
+        gpath.write_text(json.dumps(complete_graph_doc(4)))
+        coin = {"type": "reflection", "theta": 0.4, "polygons": [
+            {"vertices": [11, 9, 10]}, {"vertices": [2, 1], "amplitudes": [[0, 0.8], [0.6, 0]]},
+            {"vertices": [0]}, {"vertices": [5, 3, 4]}, {"vertices": [6, 7, 8]}]}
+        for spec in ('{"type": "grover"}', json.dumps(coin)):
+            out = tmp_path / "embed.json"
+            assert main(["embed", "--graph", str(gpath), "--coin", spec, "--steps", "3",
+                         "--out", str(out)]) == 0
+            doc = json.loads(out.read_text())
+            assert [p["vertices"][0] for p in doc["tessellations"][1]["polygons"]] == \
+                sorted(p["vertices"][0] for p in doc["tessellations"][1]["polygons"])
+
+    def test_validate(self, tmp_path, capsys):
+        doc = {"vertices": 4, "edges": [[0, 1], [1, 2], [2, 3]], "tessellations": [
+            {"polygons": [{"vertices": [3]}, {"vertices": [2, 0]}, {"vertices": [1]}]},
+            {"polygons": [{"vertices": [1, 0]}, {"vertices": [2, 1]}, {"vertices": [3]}]},
+            {"polygons": [{"vertices": [3, 2]}, {"vertices": [1, 0]}]}]}
+        gpath = tmp_path / "doc.json"
+        gpath.write_text(json.dumps(doc))
+        assert main(["validate", "--graph", str(gpath)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert [t["valid"] for t in report["tessellations"]] == [False, False, True]
+        assert report["tessellations"][0]["error"].startswith("polygon 0 is not a clique")
+        assert "vertex 1" in report["tessellations"][1]["error"]
+        assert report["uncovered_edges"] == [[1, 2]]
+
+    def test_simulate_never_orders_polygons(self, tmp_path, monkeypatch):
+        # the step path reads the stored arrays; the canonical order would cost a sort
+        from sqw import graphs
+
+        def refuse(*args):
+            raise AssertionError("canonical order computed on the simulate path")
+
+        monkeypatch.setattr(graphs, "canonical_order", refuse)
+        self.test_graph_simulate(tmp_path)
+        assert main(["simulate", "--theta", "pi/3", "--steps", "20", "--init", "superpos:0,1",
+                     "--out", str(tmp_path / "line.tsv")]) == 0
+
+    def test_graph_simulate(self, tmp_path):
+        doc = {"vertices": 4, "edges": [[0, 1], [1, 2], [2, 3], [0, 3]], "tessellations": [
+            {"polygons": [{"vertices": [3, 2]}, {"vertices": [1, 0]}]},
+            {"polygons": [{"vertices": [2, 1]}, {"vertices": [3, 0]}]}]}
+        gpath = tmp_path / "ring.json"
+        gpath.write_text(json.dumps(doc))
+        assert main(["simulate", "--model", "graph", "--graph", str(gpath), "--theta", "pi/3",
+                     "--steps", "5", "--init", "basis:0", "--out", str(tmp_path / "d.tsv")]) == 0

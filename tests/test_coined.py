@@ -141,7 +141,8 @@ class TestGeneralizedGroverOperator:
         # with phi = 2 theta, equal to e^{i theta} exp(i theta H)
         rng = np.random.default_rng(14)
         dim = 7
-        h = OrthogonalReflection.from_polygons(dim, [uniform_polygon(range(dim))])
+        p = uniform_polygon(range(dim))
+        h = OrthogonalReflection(dim, [(p.vertices, p.amplitudes)])
         psi_uniform = np.full(dim, dim ** -0.5, dtype=complex)
         for theta in (0.3, PI / 2, -1.2):
             state = WalkState(random_state_array(rng, dim))

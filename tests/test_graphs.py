@@ -3,8 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sqw import (
+    OrthogonalReflection,
     Polygon,
     Tessellation,
     build_graph,
@@ -30,6 +33,8 @@ from sqw.errors import (
     UncoveredVertex,
     ZeroAmplitude,
 )
+
+from sqw.graphs import canonical_order
 
 from conftest import complete_graph, grid_graph, hub_fragment, path_graph
 
@@ -94,6 +99,18 @@ class TestPolygons:
     def test_not_normalized_rejected(self):
         with pytest.raises(NotNormalized):
             Polygon((0, 1), (1.0, 1.0))
+
+    def test_non_integer_vertex_rejected(self):
+        # float ids were once truncated to integers without a word
+        for build in (lambda: Polygon((0.6, 1.2), (0.6, 0.8)),
+                      lambda: Tessellation.from_arrays(path_graph(3), [0.5], [1.0], [0]),
+                      lambda: OrthogonalReflection(3, [((0.5,), (1.0,))])):
+            with pytest.raises(ValueError, match="'vertices' must be integers"):
+                build()
+
+    def test_nan_amplitude_rejected(self):
+        with pytest.raises(NotNormalized):
+            Polygon((0, 1), (math.nan, 1.0))
 
     def test_orthonormal_polygon_vectors(self):
         # disjoint supports force <a_k|a_k'> = delta
@@ -440,8 +457,101 @@ class TestDocumentFormat:
         assert g2 == g
         assert u0 == t0 and u1 == t1
 
+    def test_empty_polygon_rejected(self):
+        doc = {"vertices": 2, "edges": [[0, 1]],
+               "tessellations": [{"polygons": [{"vertices": []}, {"vertices": [0, 1]}]}]}
+        with pytest.raises(EmptyPolygon):
+            from_document(doc)
+
     def test_default_uniform_amplitudes(self):
         doc = {"vertices": 2, "edges": [[0, 1]],
                "tessellations": [{"polygons": [{"vertices": [0, 1]}]}]}
         _, (t,) = from_document(doc)
         assert np.allclose(t.polygons[0].amplitudes, 1 / math.sqrt(2))
+
+
+def flat(polygons):
+    """Flat (vertices, starts) arrays of vertex lists."""
+    sizes = [len(p) for p in polygons]
+    return (np.array([v for p in polygons for v in p], dtype=np.int64),
+            np.cumsum([0, *sizes], dtype=np.int64)[:-1])
+
+
+# small vertex range: overlaps, shared first vertices, prefixes and repeats are common
+polygon_lists = st.lists(st.lists(st.integers(0, 5), min_size=1, max_size=4, unique=True),
+                         max_size=8)
+
+
+class TestCanonicalOrder:
+    @settings(max_examples=400, deadline=None)
+    @given(polygons=polygon_lists)
+    @example(polygons=[[2, 0], [0], [0, 2], [1, 3], [0, 1, 2], [3, 1], [0]])
+    def test_equals_sorted_vertex_tuples(self, polygons):
+        vertices, starts = flat(polygons)
+        amplitudes = np.arange(len(vertices)) + 0.5j  # tags: each entry is traceable
+        got_v, got_a, got_s, order = canonical_order(vertices, amplitudes, starts)
+        expected = sorted(range(len(polygons)), key=lambda k: tuple(sorted(polygons[k])))
+        assert order.tolist() == expected  # Python's sort is stable: ties keep stored order
+        want_v, want_a = [], []
+        for k in expected:
+            pairs = sorted(zip(polygons[k], amplitudes[starts[k]:].tolist()))
+            want_v += [v for v, _ in pairs]
+            want_a += [a for _, a in pairs]
+        assert got_v.tolist() == want_v and got_a.tolist() == want_a
+        assert got_s.tolist() == flat([polygons[k] for k in expected])[1].tolist()
+
+    @settings(max_examples=200, deadline=None)
+    @given(polygons=polygon_lists)
+    def test_covers_matches_scan_with_overlaps(self, polygons):
+        vertices, starts = flat(polygons)
+        amplitudes = np.repeat([len(p) ** -0.5 for p in polygons], [len(p) for p in polygons])
+        t = Tessellation.from_arrays(build_graph(6, []), vertices, amplitudes, starts)
+        for u in range(7):
+            for v in range(7):
+                assert t.covers(u, v) == any(u in p and v in p for p in polygons)
+
+
+@st.composite
+def relisted_pairs(draw):
+    """Random disjoint polygons with unit amplitudes, listed twice: the second time in
+    another polygon order, with each polygon's vertices shuffled and every zero
+    real or imaginary part given the other sign."""
+    n = draw(st.integers(1, 9))
+    order = draw(st.permutations(range(n)))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=n - 1))) if n > 1 else []
+    polygons = []
+    for part in np.split(np.array(order), cuts):
+        amps = np.array([draw(st.floats(0.1, 1.0)) for _ in part])
+        amps = amps / np.linalg.norm(amps)
+        imaginary = np.array([draw(st.booleans()) for _ in part])
+        polygons.append((part.tolist(), [complex(0.0, a) if im else complex(a, 0.0)
+                                         for a, im in zip(amps.tolist(), imaginary)]))
+    flipped = []
+    for vertices, amps in draw(st.permutations(polygons)):
+        perm = draw(st.permutations(range(len(vertices))))
+        flipped.append(([vertices[i] for i in perm],
+                        [complex(-amps[i].real if amps[i].real == 0 else amps[i].real,
+                                 -amps[i].imag if amps[i].imag == 0 else amps[i].imag)
+                         for i in perm]))
+    return n, polygons, flipped
+
+
+class TestValueEquality:
+    @settings(max_examples=200, deadline=None)
+    @given(case=relisted_pairs())
+    def test_relisted_polygons_equal_and_hash_equal(self, case):
+        n, polygons, relisted = case
+        g = build_graph(n, [])
+        t, u = (Tessellation([Polygon(*p) for p in ps], g) for ps in (polygons, relisted))
+        assert t == u and hash(t) == hash(u)
+        h, k = OrthogonalReflection(n, polygons), OrthogonalReflection(n, relisted)
+        assert h == k and hash(h) == hash(k)
+        vertices, amps = polygons[0]
+        changed = [(vertices, [-a for a in amps]), *polygons[1:]]
+        assert OrthogonalReflection(n, changed) != h
+        assert Tessellation([Polygon(*p) for p in changed], g) != t
+
+    def test_hash_reads_the_edge_array(self):
+        t0, _ = line_tessellations(8, 1.0, 2.0)
+        hash(t0)
+        assert "edges" not in vars(t0.parent)  # no tuple per edge was built

@@ -379,6 +379,20 @@ class TestSurface:
         with pytest.raises(ValueError):
             sigma2_surface([-0.1], [1.0])
 
+    @settings(max_examples=200, deadline=None)
+    @given(thetas=st.lists(st.floats(0.0, PI), max_size=12),
+           alphas=st.lists(st.floats(0.0, PI), max_size=12), seed=st.integers(0, 2 ** 32 - 1))
+    def test_bit_identical_to_closed_form(self, thetas, alphas, seed):
+        # drawn edge values plus uniform ones: x * x and pow(x, 2) differ on ~1e-3 of the latter
+        rng = np.random.default_rng(seed)
+        thetas = thetas + rng.uniform(0.0, PI, 30).tolist()
+        alphas = alphas + rng.uniform(0.0, PI, 30).tolist()
+        table = sigma2_surface(thetas, alphas)
+        assert table.shape == (len(thetas), len(alphas))
+        expected = np.array([[closed_form_sigma2(th, min(al, PI - al), 1) for al in alphas]
+                             for th in thetas]).reshape(table.shape)
+        assert table.tobytes() == expected.tobytes()
+
 
 class TestParamsAndTables:
     def test_params_validation(self):

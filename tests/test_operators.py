@@ -70,7 +70,7 @@ class TestReflectionConstruction:
         assert h == OrthogonalReflection(3, (((1,), (1.0,)), ((2, 0), (0.8j, 0.6))))
         t0, t1 = line_tessellations(6, 1.1, 1.9, 0.3, -0.4)
         for t in (t0, t1):  # t1 stores its wrap polygon last, as (5, 0)
-            canonical = OrthogonalReflection.from_polygons(6, t.polygons)
+            canonical = OrthogonalReflection(6, [(p.vertices, p.amplitudes) for p in t.polygons])
             assert reflection_from_tessellation(t) == canonical
         assert compose([(0.3, h)]) == compose([(0.3, OrthogonalReflection(3, vectors))])
 
