@@ -24,8 +24,8 @@ from .errors import WalkError
 from .graphs import from_document, line_tessellations, to_document, \
     union_covers_edges, validate_tessellation
 from .operators import compose, reflection_from_tessellation
-from .simulation import WalkState, distribution, distribution_to_tsv, evolve_final, \
-    moments, ring_labels, superposition_state, wrap_check
+from .simulation import WalkState, WrapGuard, distribution, distribution_to_tsv, \
+    evolve_final, moments, ring_labels, superposition_state
 
 _ANGLE_RE = re.compile(
     r"^\s*([+-]?)\s*(\d+(?:\.\d*)?|\.\d+)?\s*\*?\s*pi\s*(?:/\s*(\d+(?:\.\d*)?))?\s*$",
@@ -60,13 +60,12 @@ class RunConfig:
     steps: int = 0
     ring_size: int | None = None
     graph: str | None = None
-    coin: dict | None = None
     init: object = "basis:0"
     out: str = "-"
 
 
 _ANGLE_KEYS = ("theta", "theta0", "theta1", "alpha", "beta", "phi0", "phi1")
-_CONFIG_TYPES = {"model": str, "steps": int, "ring_size": int, "graph": str, "coin": (dict, str),
+_CONFIG_TYPES = {"model": str, "steps": int, "ring_size": int, "graph": str,
                  "init": (str, list), "out": str}
 
 
@@ -94,8 +93,6 @@ def _merge_config(args) -> RunConfig:
             value = parse_angle(value)
         elif isinstance(value, bool) or not isinstance(value, _CONFIG_TYPES[key]):
             raise ValueError(f"config key {key!r} cannot be {value!r}")
-        elif key == "coin" and isinstance(value, str):
-            value = _load_coin(value)
         setattr(cfg, key, value)
     return cfg
 
@@ -147,13 +144,8 @@ def _require_thetas(cfg: RunConfig) -> None:
         raise ValueError("set --theta, or both --theta0 and --theta1")
 
 
-def _wrap_guard(step: int, psi) -> None:
-    """Observer for `evolve_final`: fail a line run once its front reaches the antipode."""
-    wrap_check((psi,), guard_band=0, first_step=step)
-
-
 def _run_line(cfg: RunConfig):
-    """Simulate the line model on its ring, guarded against wrapping.
+    """Simulate the line model on its ring, failing once its front reaches the antipode.
 
     Returns the ring size, the initial (position, amplitude) entries and the
     final state.  The ring defaults to 4 (steps + 1) + 8 sites.
@@ -163,7 +155,7 @@ def _run_line(cfg: RunConfig):
     op = compose([(cfg.theta0, reflection_from_tessellation(t0)),
                   (cfg.theta1, reflection_from_tessellation(t1))])
     psi0, entries = _parse_init(cfg.init, n, lambda pos: pos % n)
-    return n, entries, evolve_final(op, psi0, cfg.steps, [_wrap_guard])
+    return n, entries, evolve_final(op, psi0, cfg.steps, [WrapGuard(n)])
 
 
 def cmd_simulate(cfg: RunConfig) -> int:

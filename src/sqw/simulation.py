@@ -7,14 +7,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, LabelMismatch, WavefrontWrapped
-from .operators import EvolutionOperator
+from .operators import ActiveSupport, EvolutionOperator
 from .state import WalkState, basis_state, check_norm, superposition_state
 from .tolerances import drift_bound
 
 __all__ = [
     "WalkState", "basis_state", "superposition_state",
     "ProbabilityDistribution", "MomentSummary",
-    "evolve", "evolve_final", "distribution", "moments", "wrap_check",
+    "evolve", "evolve_final", "distribution", "moments", "wrap_check", "WrapGuard",
     "ring_labels", "distribution_to_tsv",
 ]
 
@@ -69,12 +69,20 @@ def ring_labels(size: int) -> np.ndarray:
 def evolve_final(u: EvolutionOperator, psi0: WalkState, steps: int, observers=()) -> WalkState:
     """U^steps psi0: the one evolution loop, on raw arrays, storing no trajectory.
 
+    Each factor updates only the polygons that touch sites the amplitude can
+    have reached (`operators.ActiveSupport`), at O(support of those polygons),
+    until the reached sites near `operators.ACTIVE_SHARE` of the state; from
+    then on every factor runs the full O(n) path.  Both paths give the same
+    amplitudes bit for bit (an exact zero may differ in sign).
+
     Each observer is called as observer(step, psi) on psi0 (step 0) and after
     every step; psi is the raw amplitude array, which it must not modify.
     After step 0 it is one of two buffers the loop reuses, so the next step
     overwrites it: an observer that keeps a state copies it (as `evolve` does).
-    The input state was checked at construction; states made by the loop are
-    not re-checked on every step.  The final norm is checked once against
+    The one exception is a `WrapGuard`: it is skipped while its antipode is
+    unreached, as that site then holds exactly 0.  The input state was
+    checked at construction; states made by the loop are not re-checked on
+    every step.  The final norm is checked once against
     `tolerances.drift_bound(steps)` and raises NotNormalized beyond it.
     """
     if steps < 0:
@@ -82,13 +90,13 @@ def evolve_final(u: EvolutionOperator, psi0: WalkState, steps: int, observers=()
     if psi0.dimension != u.dimension:
         raise DimensionMismatch(u.dimension, psi0.dimension)
     psi = psi0.amplitudes
-    buffers = (np.empty_like(psi), np.empty_like(psi))
-    for observe in observers:
-        observe(0, psi)
-    for step in range(1, steps + 1):
-        psi = u.step_array(psi, buffers)
+    support = ActiveSupport(psi)
+    for step in range(steps + 1):
+        if step:
+            psi = u.step_array(psi, support)
         for observe in observers:
-            observe(step, psi)
+            if not isinstance(observe, WrapGuard) or support.reaches(observe.sites):
+                observe(step, psi)
     if not steps:
         return psi0
     check_norm(psi, drift_bound(steps))
@@ -142,6 +150,20 @@ def wrap_check(trajectory, guard_band: int, origin: int = 0, tol: float = WRAP_T
         mass = float(np.sum(np.abs(psi[window]) ** 2))
         if mass > tol:
             raise WavefrontWrapped(step, mass)
+
+
+class WrapGuard:
+    """Observer for `evolve_final` that fails a run on an n-site ring once its
+    front reaches the antipode: `wrap_check` with guard band 0 on each step it sees.
+
+    `evolve_final` skips it while the antipode, its only site, is unreached.
+    """
+
+    def __init__(self, n: int):
+        self.sites = [n // 2]
+
+    def __call__(self, step: int, psi: np.ndarray) -> None:
+        wrap_check((psi,), guard_band=0, first_step=step)
 
 
 def distribution_to_tsv(d: ProbabilityDistribution, drop_zeros: bool = False,

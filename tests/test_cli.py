@@ -1,5 +1,8 @@
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -78,6 +81,17 @@ class TestSimulate:
                      "--out", str(tmp_path / "x.tsv")])
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+    def test_line_simulate_does_not_load_numpy_ma(self, tmp_path):
+        # numpy.ma (loaded by np.unique, among others) adds ~0.9 MiB of peak RSS
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = (f"import sys; sys.path.insert(0, {str(src)!r}); from sqw.cli import main; "
+                f"main(['simulate', '--theta', 'pi/4', '--steps', '200', '--init', "
+                f"'superpos:0,1', '--out', {str(tmp_path / 'd.tsv')!r}]); "
+                "print('numpy.ma' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True).stdout
+        assert out.strip().splitlines()[-1] == "False"
 
     def test_graph_model(self, tmp_path):
         doc = {"vertices": 4, "edges": [[0, 1], [1, 2], [2, 3], [0, 3]],
@@ -337,6 +351,14 @@ class TestMalformedConfigs:
             argv = ["simulate", "--config", str(cfg), *flags]
         assert main(argv) == 1
         one_error_line(capsys, "")
+
+    @pytest.mark.parametrize("command", ["simulate", "analytic"])
+    def test_coin_key_is_unknown(self, tmp_path, capsys, command):
+        # a run config never selected a coin: the key was read and then ignored
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"theta": "pi/4", "steps": 2, "coin": {"type": "grover"}}))
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "x.tsv")]) == 1
+        one_error_line(capsys, "unknown config key 'coin'")
 
 
 class TestValidate:

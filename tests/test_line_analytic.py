@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sqw import (
@@ -19,6 +19,7 @@ from sqw import (
     coefficients_AB,
     compose,
     evolve,
+    evolve_final,
     line_tessellations,
     reduced_block,
     reflection_from_tessellation,
@@ -30,6 +31,7 @@ from sqw import (
 )
 from sqw import line_analytic
 from sqw.errors import DegenerateBlock, DomainError, QuadratureNotConverged
+from sqw.tolerances import drift_bound
 
 from conftest import direct_momentum_sum
 
@@ -310,6 +312,37 @@ class TestMomentumTransform:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True).stdout
         assert out.strip() == "False"
+
+
+class TestRingOracleAtScale:
+    """The direct simulation against the exact ring momentum sum, at scale.
+
+    Rings reach ~10^4 sites and runs ~10^4 steps (the product is capped so
+    each case costs well under a second); most runs cross the antipode, where
+    the ring sum stays exact and the line quadrature would not.  The bound on
+    every amplitude is the norm-drift bound of `tolerances`, set beforehand.
+    """
+
+    @settings(max_examples=8, deadline=None)
+    @given(half=st.integers(2, 5000), laps=st.floats(0.0, 4.0),
+           theta=st.floats(-PI, PI), alpha=st.floats(0.01, PI - 0.01),
+           beta=st.floats(0.01, PI - 0.01), phi0=st.floats(-PI, PI), phi1=st.floats(-PI, PI),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(half=5000, laps=0.3, theta=PI / 3, alpha=1.1, beta=2.0, phi0=0.4, phi1=-1.2, seed=0)
+    @example(half=60, laps=4.0, theta=0.7, alpha=0.5, beta=2.9, phi0=-2.0, phi1=3.0, seed=1)
+    def test_simulation_matches_ring_sum(self, half, laps, theta, alpha, beta, phi0, phi1, seed):
+        n = 2 * half
+        # the front moves up to two sites a step each way: it meets itself from laps = 1
+        t = min(max(1, int(laps * n / 4)), 10_000, 10_000_000 // (n + 3000))
+        p = LineParams(theta, alpha, beta, phi0, phi1)
+        rng = np.random.default_rng(seed)
+        sites = rng.choice(np.arange(-half, half), size=int(rng.integers(1, 4)), replace=False)
+        amps = rng.standard_normal(len(sites)) + 1j * rng.standard_normal(len(sites))
+        init = [(int(x), complex(a)) for x, a in zip(sites, amps / np.linalg.norm(amps))]
+        psi0 = superposition_state(n, [(x % n, a) for x, a in init])
+        psi = evolve_final(line_operator(n, p), psi0, t).amplitudes
+        ring = wavefunction(p, t, positions=ring_labels(n), initial=init, ring_size=n)
+        assert np.max(np.abs(psi - ring)) <= drift_bound(t)
 
 
 class TestAsymptoticMoments:

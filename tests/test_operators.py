@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from sqw import (
@@ -14,6 +14,7 @@ from sqw import (
     basis_state,
     compose,
     dense_matrix,
+    evolve_final,
     grover_phase_apply,
     line_tessellations,
     reflection_from_tessellation,
@@ -26,7 +27,8 @@ from sqw.errors import (
     NotNormalized,
     OverlappingPolygons,
 )
-from sqw.operators import LocalUnitary
+from sqw.graphs import check_polygon_arrays
+from sqw.operators import ActiveSupport, LocalUnitary
 from sqw.state import WalkState
 
 from conftest import dense_reflection, random_reflection, random_state_array
@@ -313,3 +315,125 @@ class TestKernelProperties:
     def test_dense_matrix_is_unitary(self, h):
         m = dense_matrix(compose([(0.4, h), (-1.1, h)]))
         assert np.max(np.abs(m.conj().T @ m - np.eye(h.dimension))) < 1e-12
+
+
+@st.composite
+def sparse_walks(draw):
+    """A sparse walk: 2-3 factors on one to three rings, a start of 1-4 sites, and up to 300 steps.
+
+    Rings have 6-2000 sites, so many walks stay below the switch share for a
+    batch or more.  In a chain walk the first two factors pair neighbours from
+    offsets 0 and 1, as on the line, so the reach keeps growing and a long
+    enough walk crosses the switch point.  Every other factor cuts each ring
+    into runs of 1-4 consecutive sites from its own offset (so polygon sizes
+    mix and the reach can stay confined) and leaves runs uncovered with
+    probability 0 or 1/4 (sites the kernel scales by alpha).  A random
+    relabelling scatters the site indices, and the start sits on random
+    rings, so it can span several components.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    rings = [int(m) for m in rng.integers(6, 2001, size=draw(st.integers(1, 3)))]
+    n = sum(rings)
+    label = rng.permutation(n)
+    chain = draw(st.booleans())
+    factors = []
+    for k in range(draw(st.integers(2, 3))):
+        paired = chain and k < 2
+        drop = 0.0 if paired else float(rng.choice([0.0, 0.25]))
+        vertices, sizes, base = [], [], 0
+        for m in rings:
+            ends = np.minimum(np.cumsum(np.full(m, 2) if paired else rng.integers(1, 5, m)), m)
+            runs = np.diff(ends[:np.searchsorted(ends, m) + 1], prepend=0)
+            keep = rng.random(len(runs)) >= drop
+            ring = label[base + (np.arange(m) + (k if paired else rng.integers(m))) % m]
+            vertices.append(ring[np.repeat(keep, runs)])
+            sizes.append(runs[keep])
+            base += m
+        vertices, sizes = np.concatenate(vertices), np.concatenate(sizes)
+        starts = np.cumsum(sizes) - sizes
+        amps = rng.standard_normal(len(vertices)) + 1j * rng.standard_normal(len(vertices))
+        amps[np.abs(amps) < 1e-3] = 1.0
+        amps /= np.repeat(np.sqrt(np.add.reduceat(np.abs(amps) ** 2, starts)), sizes)
+        check_polygon_arrays(vertices, amps, starts, n)
+        factors.append((float(rng.uniform(-math.pi, math.pi)),
+                        OrthogonalReflection.from_arrays(n, vertices, amps, starts)))
+    psi0 = np.zeros(n, dtype=np.complex128)
+    start = rng.choice(n, size=draw(st.integers(1, 4)), replace=False)
+    psi0[start] = rng.standard_normal(len(start)) + 1j * rng.standard_normal(len(start))
+    return compose(factors), psi0 / np.linalg.norm(psi0), draw(st.integers(1, 300))
+
+
+class TestActiveSupport:
+    """The active-support path against `mix` on every column.
+
+    Each step must equal the full path element for element (`array_equal`:
+    bit for bit, with -0.0 equal to 0.0, since a zero the full path writes as
+    alpha * 0 may carry a sign).  This rests on numpy rounding a complex
+    multiply alike at every array length the kernel uses.  Measured on numpy
+    2.4.6 on an Intel Xeon with AVX-512 and FMA: an in-place multiply of a
+    one-element array skips the fused multiply-add of the vector loop (the
+    kernel never packs a block to one column when it has two), while an
+    out-of-place one-element multiply, as on the uncovered sites, matches.
+    """
+
+    @settings(max_examples=150, deadline=None)
+    @given(walk=sparse_walks())
+    def test_equals_full_path_every_step(self, walk):
+        # after the switch both sides run the full path, so the step after it is the last compared
+        u, psi0, steps = walk
+        support = ActiveSupport(psi0)
+        active = full = psi0
+        sparse = 0
+        for _ in range(steps):
+            active = u.step_array(active, support)
+            full = u.step_array(full)
+            assert np.array_equal(active, full)
+            if support.reached is None:
+                break
+            sparse += 1
+        event("no sparse step" if not sparse else
+              "sparse, then crossed" if support.reached is None else "sparse throughout")
+
+    def test_crosses_the_switch_share(self):
+        # a 400-site line from one site: sparse for its first steps, then full
+        t0, t1 = line_tessellations(400, 0.7, 1.1, 0.3, 0.9)
+        u = compose([(0.6, reflection_from_tessellation(t0)),
+                     (0.6, reflection_from_tessellation(t1))])
+        psi0 = basis_state(400, 5).amplitudes
+        support = ActiveSupport(psi0)
+        active = full = psi0
+        sparse_steps = 0
+        for _ in range(60):
+            active = u.step_array(active, support)
+            full = u.step_array(full)
+            assert np.array_equal(active, full)
+            sparse_steps += support.reached is not None
+        assert 5 < sparse_steps < 60
+        assert np.array_equal(evolve_final(u, WalkState(psi0), 60).amplitudes, full)
+
+    def test_one_uncovered_site_reached_first(self):
+        # on a 400-site ring the first factor pairs (1, 2), (3, 4), ... and leaves
+        # sites 0 and 399 uncovered, the second pairs (0, 1), (2, 3), ...; from site 0
+        # the first step scales exactly one reached uncovered site, a one-element
+        # multiply, and site 399 stays unreached while the support is tracked
+        n = 400
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            def pairs(first):
+                vertices = np.arange(first, first + 2 * ((n - first) // 2))
+                amps = rng.standard_normal((len(vertices) // 2, 2)) + 1j * rng.standard_normal(
+                    (len(vertices) // 2, 2))
+                amps /= np.linalg.norm(amps, axis=1, keepdims=True)
+                return OrthogonalReflection.from_arrays(n, vertices, amps.ravel(),
+                                                        np.arange(0, len(vertices), 2))
+            u = compose([(float(rng.uniform(-math.pi, math.pi)), pairs(1)),
+                         (float(rng.uniform(-math.pi, math.pi)), pairs(0))])
+            psi0 = np.zeros(n, dtype=np.complex128)
+            psi0[0] = np.exp(1j * rng.uniform(-math.pi, math.pi))
+            support = ActiveSupport(psi0)
+            active = full = psi0
+            for _ in range(3):
+                active = u.step_array(active, support)
+                full = u.step_array(full)
+                assert np.array_equal(active, full)
+            assert list(support._plan[0][1]) == [0]

@@ -19,7 +19,7 @@ from sqw import (
     wrap_check,
 )
 from sqw.errors import DimensionMismatch, LabelMismatch, NotNormalized, WavefrontWrapped
-from sqw.simulation import ProbabilityDistribution, WalkState
+from sqw.simulation import ProbabilityDistribution, WalkState, WrapGuard
 from sqw.tolerances import NORM_TOL, drift_bound
 
 from conftest import random_state_array
@@ -121,6 +121,36 @@ class TestStreamingLoop:
             evolve_final(u, basis_state(n, 0), t, [guard])
         assert streamed.value.step == full.value.step
         assert streamed.value.mass == full.value.mass
+
+    @pytest.mark.parametrize("start", [0, 117])
+    def test_wrap_guard_skipped_until_reached(self, start):
+        # a ring too small for its steps: the guard, which the loop skips while
+        # the antipode (site 120) is unreached, stops where `wrap_check` run on
+        # every step does.  From site 0 the antipode is reached only after the
+        # switch to the full path; from site 117 while the support is tracked.
+        n, t = 240, 120
+        u = line_operator(n, math.pi / 4)
+
+        def every_step(step, psi):
+            wrap_check((psi,), guard_band=0, first_step=step)
+
+        with pytest.raises(WavefrontWrapped) as full:
+            evolve_final(u, basis_state(n, start), t, [every_step])
+        guarded, plain = [], []
+
+        class Counted(WrapGuard):
+            def __call__(self, step, psi):
+                guarded.append(step)
+                super().__call__(step, psi)
+
+        with pytest.raises(WavefrontWrapped) as stopped:
+            evolve_final(u, basis_state(n, start), t,
+                         [Counted(n), lambda step, psi: plain.append(step)])
+        assert stopped.value.step == full.value.step
+        assert stopped.value.mass == full.value.mass
+        assert guarded[0] > 0 and guarded == list(range(guarded[0], full.value.step + 1))
+        # an observer that is not a WrapGuard runs on every step
+        assert plain == list(range(full.value.step))
 
     def test_non_unitary_step_caught_at_the_end(self):
         class Leaky:
