@@ -21,8 +21,8 @@ import numpy as np
 from . import line_analytic
 from .coined import certify_equivalence, coined_walk_from_descriptor
 from .errors import WalkError
-from .graphs import from_document, line_tessellations, to_document, \
-    union_covers_edges, validate_tessellation
+from .graphs import _uncovered_edges, from_document, line_tessellations, to_document, \
+    validate_tessellation
 from .operators import compose, reflection_from_tessellation
 from .simulation import WalkState, WrapGuard, distribution, distribution_to_tsv, \
     evolve_final, moments, ring_labels, superposition_state
@@ -257,7 +257,7 @@ def cmd_validate(args) -> int:
         else:
             findings.append({"index": i, "valid": True})
             valid.append(t)
-    uncovered = sorted(union_covers_edges(g, valid))
+    uncovered = sorted(_uncovered_edges(g, valid))
     report = {
         "tessellations": findings,
         "uncovered_edges": [[u, v] for u, v in uncovered],

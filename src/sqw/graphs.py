@@ -156,17 +156,18 @@ def uniform_polygon(vertices) -> Polygon:
     return Polygon(vertices, (complex(a),) * len(vertices))
 
 
-def size_blocks(starts: np.ndarray, total: int) -> list:
+def size_blocks(starts: np.ndarray, vertices: np.ndarray) -> list:
     """Polygons of flat arrays grouped by size.
 
-    One (size d, polygon ids, (P, d) positions into the flat arrays) triple
-    per distinct size, in increasing size; rows follow the polygon order.
+    One (polygon ids, (P, d) positions into the flat arrays, (P, d) vertices)
+    triple per distinct size d, in increasing size; rows follow the polygon order.
     """
-    sizes = np.diff(np.append(starts, total))
+    sizes = np.diff(np.append(starts, len(vertices)))
     blocks = []
     for d in np.flatnonzero(np.bincount(sizes)).tolist():
         ids = np.flatnonzero(sizes == d)
-        blocks.append((d, ids, starts[ids, None] + np.arange(d)))
+        rows = starts[ids, None] + np.arange(d)
+        blocks.append((ids, rows, vertices[rows]))
     return blocks
 
 
@@ -214,19 +215,25 @@ def check_polygon_arrays(vertices: np.ndarray, amplitudes: np.ndarray, starts: n
 
     Each polygon needs at least one vertex, one amplitude per vertex, no
     repeated vertex, no negative vertex, no zero amplitude and a square-sum
-    of 1 within NORM_TOL.  Given a dimension, also require every vertex below
-    it and no vertex in two polygons.  :class:`Polygon` checks through here.
+    of 1 within NORM_TOL.  Given a dimension, also apply :func:`_check_partition`
+    on that many vertices, without a graph.  :class:`Polygon` checks through here.
     """
     sizes = np.diff(np.append(starts, len(vertices)))
     if np.any(sizes <= 0) or (len(vertices) and (not len(starts) or starts[0] != 0)):
         raise EmptyPolygon("polygon must contain at least one vertex")
     if len(vertices) != len(amplitudes):
         raise ValueError("one amplitude per vertex required")
-    for _, _, rows in size_blocks(starts, len(vertices)):
-        ordered = np.sort(vertices[rows], axis=1)
-        dup = np.any(ordered[:, 1:] == ordered[:, :-1], axis=1)
-        if dup.any():
-            raise ValueError(f"duplicate vertex in polygon {tuple(ordered[dup][0].tolist())}")
+    # Only a vertex listed twice can repeat in a polygon.  One count over ~V hash slots
+    # (the low bits of the V vertices) leaves only entries sharing a slot to sort.
+    slot = vertices & ((1 << len(vertices).bit_length()) - 1)
+    shared = np.flatnonzero(np.bincount(slot)[slot] > 1)
+    if len(shared):  # none when each vertex is listed once, as in a tessellation
+        pairs = np.stack((np.searchsorted(starts, shared, side="right") - 1, vertices[shared]), 1)
+        pairs, counts = np.unique(pairs, axis=0, return_counts=True)  # by polygon, then vertex
+        if np.any(counts > 1):
+            k = pairs[np.argmax(counts > 1), 0]
+            polygon = sorted(vertices[starts[k]:starts[k] + sizes[k]].tolist())
+            raise ValueError(f"duplicate vertex in polygon {tuple(polygon)}")
     if np.any(vertices < 0):
         raise OutOfRangeVertex(int(vertices[vertices < 0][0]), "any non-negative index")
     if np.any(amplitudes == 0):
@@ -237,11 +244,43 @@ def check_polygon_arrays(vertices: np.ndarray, amplitudes: np.ndarray, starts: n
         if bad.any():
             raise NotNormalized(f"polygon amplitudes square-sum to {float(norm2[bad][0])!r}, not 1")
     if dimension is not None:
-        counts = np.bincount(vertices, minlength=dimension)
-        if len(counts) > dimension:
-            raise OutOfRangeVertex(int(vertices.max()), dimension)
-        if np.any(counts > 1):
-            raise OverlappingPolygons(int(np.argmax(counts > 1)))
+        _check_partition(dimension, vertices, starts)
+
+
+def _check_partition(n: int, vertices: np.ndarray, starts: np.ndarray, g: Graph | None = None):
+    """The partition rules for non-negative flat polygons on vertices 0 .. n-1.
+
+    Checks, in this order, that every vertex is below n (OutOfRangeVertex); given a
+    graph g, that every polygon is a clique of g (NotAClique); that no vertex is in two
+    polygons (OverlappingPolygons); given g, that every vertex is in one
+    (UncoveredVertex).  A vertex error names the smallest offending vertex, a clique
+    error the first offending polygon in canonical order and its first missing edge, so
+    the verdict does not depend on polygon order.  Given g, returns the clique rule's
+    :func:`size_blocks`, which the reflection compile reuses.
+    """
+    if np.any(vertices >= n):
+        raise OutOfRangeVertex(int(vertices[vertices >= n].min()), n)
+    blocks = []
+    if g is not None:
+        blocks = size_blocks(starts, vertices)
+        clique = np.ones(len(starts), dtype=bool)
+        for ids, rows, pv in blocks:
+            i, j = np.triu_indices(rows.shape[1], 1)
+            clique[ids] = np.all(g.has_edges(pv[:, i], pv[:, j]), axis=1)
+        if not clique.all():
+            # amplitudes play no part in the order: pass the vertices in their place
+            ordered, _, ordered_starts, order = canonical_order(vertices, vertices, starts)
+            k = int(np.argmin(clique[order]))
+            poly = ordered[ordered_starts[k]:np.append(ordered_starts, len(ordered))[k + 1]]
+            i, j = np.triu_indices(len(poly), 1)
+            m = int(np.argmin(g.has_edges(poly[i], poly[j])))
+            raise NotAClique(k, (int(poly[i[m]]), int(poly[j[m]])))
+    counts = np.bincount(vertices, minlength=n)
+    if np.any(counts > 1):
+        raise OverlappingPolygons(int(np.argmax(counts > 1)))
+    if g is not None and np.any(counts == 0):
+        raise UncoveredVertex(int(np.argmin(counts)))
+    return blocks
 
 
 class PolygonArrays:
@@ -342,36 +381,11 @@ class Tessellation(PolygonArrays):
         return bool(np.isin(ids[self.vertices == u], ids[self.vertices == v]).any())
 
 
-def validate_tessellation(g: Graph, t: Tessellation) -> None:
-    """Check the partition-into-cliques conditions in one vectorised pass.
-
-    Checks, in this order, that every vertex is in range (else
-    OutOfRangeVertex), every polygon is a clique (NotAClique), no vertex is in
-    two polygons (OverlappingPolygons) and every vertex is in one
-    (UncoveredVertex).  A vertex error names the smallest offending vertex; a
-    clique error the first offending polygon in canonical order, with its
-    first missing edge.  So the verdict does not depend on polygon order.
-    """
-    n, verts = g.vertex_count, t.vertices
-    if np.any(verts >= n):
-        raise OutOfRangeVertex(int(verts[verts >= n].min()), n)
-    clique = np.ones(len(t.starts), dtype=bool)
-    for d, ids, rows in size_blocks(t.starts, len(verts)):
-        i, j = np.triu_indices(d, 1)
-        pv = verts[rows]
-        clique[ids] = np.all(g.has_edges(pv[:, i], pv[:, j]), axis=1)
-    if not clique.all():
-        vertices, _, starts, order = t.canonical
-        k = int(np.argmin(clique[order]))
-        poly = vertices[starts[k]:np.append(starts, len(vertices))[k + 1]]
-        i, j = np.triu_indices(len(poly), 1)
-        m = int(np.argmin(g.has_edges(poly[i], poly[j])))
-        raise NotAClique(k, (int(poly[i[m]]), int(poly[j[m]])))
-    counts = np.bincount(verts, minlength=n)
-    if np.any(counts > 1):
-        raise OverlappingPolygons(int(np.argmax(counts > 1)))
-    if np.any(counts == 0):
-        raise UncoveredVertex(int(np.argmin(counts)))
+def validate_tessellation(g: Graph, t: Tessellation) -> list:
+    """Check that t partitions the vertices of g into cliques of g by :func:`_check_partition`
+    (range, clique, overlap, then coverage; a vertex error names the smallest offending
+    vertex), and return its :func:`size_blocks`."""
+    return _check_partition(g.vertex_count, t.vertices, t.starts, g)
 
 
 def union_covers_edges(g: Graph, tessellations) -> set[tuple[int, int]]:
@@ -383,6 +397,11 @@ def union_covers_edges(g: Graph, tessellations) -> set[tuple[int, int]]:
     tessellations = list(tessellations)
     for t in tessellations:
         validate_tessellation(g, t)
+    return _uncovered_edges(g, tessellations)
+
+
+def _uncovered_edges(g: Graph, tessellations) -> set[tuple[int, int]]:
+    """:func:`union_covers_edges` of tessellations already valid on g."""
     u, v = g.edge_array.T
     covered = np.zeros(len(u), dtype=bool)
     for t in tessellations:
@@ -473,8 +492,8 @@ def clique_expansion(g: Graph) -> ExpansionMap:
     ends[arc_ends] = np.arange(arc_count)
     ends = ends.reshape(-1, 2)
     pairs = [ends]
-    for d, _, rows in size_blocks(offsets[:-1], arc_count):  # the arcs of a vertex are a clique
-        i, j = np.triu_indices(d, 1)
+    for _, _, rows in size_blocks(offsets[:-1], np.arange(arc_count)):  # a clique per vertex
+        i, j = np.triu_indices(rows.shape[1], 1)
         pairs.append(np.stack((rows[:, i].ravel(), rows[:, j].ravel()), axis=1))
     arcs = tuple(zip(g.edge_array.ravel()[arc_ends].tolist(), (arc_ends // 2).tolist()))
     expanded = build_graph(arc_count, np.concatenate(pairs), [f"{v},{j}" for v, j in arcs])

@@ -17,12 +17,11 @@ import numpy as np
 from .errors import (
     DegenerateBlock,
     DomainError,
-    NotNormalized,
     QuadratureNotConverged,
     SingularIntegrand,
 )
 from .simulation import ring_labels, tsv_table
-from .tolerances import NORM_TOL
+from .state import check_norm
 
 QUAD_START_NODES = 512
 QUAD_MAX_NODES = 1 << 18
@@ -144,9 +143,7 @@ def block_eigenvectors(block: ReducedBlock, eps: float = EPS_DEGENERATE):
 
 def _split_initial(initial):
     entries = [(int(s), complex(c)) for s, c in initial]
-    norm2 = sum(abs(c) ** 2 for _, c in entries)
-    if abs(norm2 - 1.0) > NORM_TOL:
-        raise NotNormalized(f"initial amplitudes square-sum to {norm2!r}")
+    check_norm(np.array([c for _, c in entries], dtype=np.complex128))
     return entries
 
 def _brackets(p, k, t, entries):

@@ -59,23 +59,30 @@ class OrthogonalReflection(PolygonArrays):
     @classmethod
     def from_arrays(cls, dimension: int, vertices, amplitudes, starts) -> OrthogonalReflection:
         """Reflection from flat arrays that already passed the tessellation checks."""
-        blocks = []  # (gather index, (d, P) amplitudes, their conjugates) per size d
-        for _, _, rows in size_blocks(starts, len(vertices)):
+        return cls._compile(dimension, vertices, amplitudes, starts, size_blocks(starts, vertices))
+
+    @classmethod
+    def _compile(cls, dimension: int, vertices, amplitudes, starts, blocks) -> OrthogonalReflection:
+        """Reflection from checked flat arrays and their `graphs.size_blocks`; the gather
+        index of a block is its (P, d) vertex matrix, transposed."""
+        compiled = []  # (gather index, (d, P) amplitudes, their conjugates) per size d
+        for _, rows, pv in blocks:
             amp = np.ascontiguousarray(amplitudes[rows].T)
-            blocks.append((vertices[rows].T.ravel().astype(np.intp), amp, amp.conj()))
+            compiled.append((pv.T.ravel().astype(np.intp, copy=False), amp, amp.conj()))
         h = cls.__new__(cls)
         h.__dict__.update(dimension=dimension, vertices=vertices, amplitudes=amplitudes,
-                          starts=starts, _full=len(vertices) == dimension, _blocks=blocks)
+                          starts=starts, _full=len(vertices) == dimension, _blocks=compiled)
         return h
 
     def mix(self, psi: np.ndarray, alpha: complex, beta: complex,
-            out: np.ndarray | None = None, active=None) -> np.ndarray:
+            out: np.ndarray | None = None, active=None, scratch: dict | None = None) -> np.ndarray:
         """alpha psi + beta P psi, P = sum_k |a_k><a_k|, on a raw array (1-D or columns).
 
         Every function of H = 2P - I has this form: exp(i t H) = e^{-it} I + 2i sin(t) P.
         The result goes to `out` (complex, shaped like psi, not psi) if given, else to a new array.
         `active` (from `ActiveSupport.plan`) limits the update to its size blocks and
-        uncovered sites; `out` must then hold 0 at every other site.
+        uncovered sites; `out` must then hold 0 at every other site.  Without `active`,
+        each block works in the arrays kept in `scratch` (from `ActiveSupport`), if given.
         """
         alpha, beta = complex(alpha), complex(beta)
         out = np.empty(psi.shape, dtype=np.complex128) if out is None else out
@@ -85,15 +92,17 @@ class OrthogonalReflection(PolygonArrays):
                 np.multiply(psi, alpha, out=out)
         else:
             blocks, uncovered = active
+            scratch = None  # packed blocks change shape batch by batch
             if len(uncovered):
                 out[uncovered] = psi[uncovered] * alpha
         for sites, amp, conj in blocks:  # each column x becomes alpha x + beta <a|x> a
-            x = psi[sites].reshape(amp.shape + psi.shape[1:])
+            x, overlap, product = _work_arrays(amp.shape + psi.shape[1:], scratch)
+            psi.take(sites.reshape(amp.shape), axis=0, out=x, mode="clip")  # in range
             # einsum sums the products without a state-sized temporary (fewer page faults)
-            overlap = np.einsum("dp...,dp->p...", x, conj)
+            np.einsum("dp...,dp->p...", x, conj, out=overlap)
             overlap *= beta
             x *= alpha
-            x += overlap * amp.reshape(amp.shape + (1,) * (psi.ndim - 1))
+            x += np.multiply(overlap, amp.reshape(amp.shape + (1,) * (psi.ndim - 1)), out=product)
             out[sites] = x.reshape(sites.shape + psi.shape[1:])
         return out
 
@@ -113,9 +122,10 @@ class LocalUnitary:
     def dimension(self) -> int:
         return self.reflection.dimension
 
-    def apply(self, psi: np.ndarray, out: np.ndarray | None = None, active=None) -> np.ndarray:
+    def apply(self, psi: np.ndarray, out: np.ndarray | None = None, active=None,
+              scratch: dict | None = None) -> np.ndarray:
         return self.reflection.mix(psi, cmath.exp(-1j * self.theta), 2j * math.sin(self.theta),
-                                   out, active)
+                                   out, active, scratch)
 
 
 @dataclass(frozen=True)
@@ -148,7 +158,8 @@ class EvolutionOperator:
             return psi
         plan = support.plan(self.factors)
         for i, f in enumerate(self.factors):
-            psi = f.apply(psi, support.buffers[psi is support.buffers[0]], plan and plan[i])
+            psi = f.apply(psi, support.buffers[psi is support.buffers[0]], plan and plan[i],
+                          support.scratch)
         return psi
 
     def step(self, state: WalkState) -> WalkState:
@@ -181,6 +192,7 @@ class ActiveSupport:
     def __init__(self, psi0: np.ndarray):
         # np.zeros, unlike zeros_like, leaves a large buffer's pages untouched until written
         self.buffers = (np.zeros(psi0.shape, psi0.dtype), np.zeros(psi0.shape, psi0.dtype))
+        self.scratch = {}  # the full path's work arrays by block shape (_work_arrays)
         self.limit = int(ACTIVE_SHARE * psi0.shape[0])
         start = np.flatnonzero(psi0)
         self.reached = self.order = self._fronts = self._plan = None  # None: saturated
@@ -190,10 +202,6 @@ class ActiveSupport:
             self.reached = bytearray(psi0.shape[0])
             for site in self.order:
                 self.reached[site] = 1
-
-    def reaches(self, sites) -> bool:
-        """Whether any of `sites` can hold a nonzero amplitude."""
-        return self.reached is None or any(self.reached[site] for site in sites)
 
     def plan(self, factors):
         """Per factor, the (size blocks, uncovered sites) it updates in the next step;
@@ -293,6 +301,23 @@ class _Front:
         return blocks, np.array(self.uncovered, dtype=np.intp)
 
 
+def _work_arrays(shape: tuple, scratch: dict | None) -> list:
+    """The (gather, overlap, product) arrays for a block of `shape`, kept in `scratch`.
+
+    Fresh arrays on every factor can make glibc trim and regrow the heap top each
+    time, at a page fault per page (2x the wall time of a 2000-step walk on an
+    8012-site ring in some heap layouts); kept ones are allocated once per run.
+    """
+    work = None if scratch is None else scratch.get(shape)
+    if work is None:
+        # a list: tuple() of a generator shrinks an oversized tuple, and the 3-tuples it
+        # frees pile up on CPython's free list (~2000, 128 KiB) over a run
+        work = [np.empty(s, np.complex128) for s in (shape, shape[1:], shape)]
+        if scratch is not None:
+            scratch[shape] = work
+    return work
+
+
 def _check_dim(expected: int, state: WalkState) -> None:
     if state.dimension != expected:
         raise DimensionMismatch(expected, state.dimension)
@@ -300,9 +325,8 @@ def _check_dim(expected: int, state: WalkState) -> None:
 
 def reflection_from_tessellation(t: Tessellation) -> OrthogonalReflection:
     """Embed a valid tessellation's polygon vectors as an orthogonal reflection."""
-    validate_tessellation(t.parent, t)
-    return OrthogonalReflection.from_arrays(t.parent.vertex_count, t.vertices, t.amplitudes,
-                                            t.starts)
+    return OrthogonalReflection._compile(t.parent.vertex_count, t.vertices, t.amplitudes,
+                                         t.starts, validate_tessellation(t.parent, t))
 
 
 def apply_reflection(h: OrthogonalReflection, state: WalkState) -> WalkState:

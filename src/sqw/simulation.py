@@ -6,8 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, LabelMismatch, WavefrontWrapped
-from .operators import ActiveSupport, EvolutionOperator
+from .errors import LabelMismatch, WavefrontWrapped
+from .operators import ActiveSupport, EvolutionOperator, _check_dim
 from .state import WalkState, basis_state, check_norm, superposition_state
 from .tolerances import drift_bound
 
@@ -79,24 +79,21 @@ def evolve_final(u: EvolutionOperator, psi0: WalkState, steps: int, observers=()
     every step; psi is the raw amplitude array, which it must not modify.
     After step 0 it is one of two buffers the loop reuses, so the next step
     overwrites it: an observer that keeps a state copies it (as `evolve` does).
-    The one exception is a `WrapGuard`: it is skipped while its antipode is
-    unreached, as that site then holds exactly 0.  The input state was
-    checked at construction; states made by the loop are not re-checked on
-    every step.  The final norm is checked once against
+    The input state was checked at construction; states made by the loop are
+    not re-checked on every step.  The final norm is checked once against
     `tolerances.drift_bound(steps)` and raises NotNormalized beyond it.
     """
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
-    if psi0.dimension != u.dimension:
-        raise DimensionMismatch(u.dimension, psi0.dimension)
+    _check_dim(u.dimension, psi0)
     psi = psi0.amplitudes
     support = ActiveSupport(psi)
     for step in range(steps + 1):
         if step:
             psi = u.step_array(psi, support)
         for observe in observers:
-            if not isinstance(observe, WrapGuard) or support.reaches(observe.sites):
-                observe(step, psi)
+            observe(step, psi)
+    del support  # free the other buffer and the work arrays before the final copy
     if not steps:
         return psi0
     check_norm(psi, drift_bound(steps))
@@ -154,16 +151,17 @@ def wrap_check(trajectory, guard_band: int, origin: int = 0, tol: float = WRAP_T
 
 class WrapGuard:
     """Observer for `evolve_final` that fails a run on an n-site ring once its
-    front reaches the antipode: `wrap_check` with guard band 0 on each step it sees.
-
-    `evolve_final` skips it while the antipode, its only site, is unreached.
-    """
+    front reaches the antipode: `wrap_check` with guard band 0, as one amplitude read."""
 
     def __init__(self, n: int):
-        self.sites = [n // 2]
+        self.site = n // 2
 
     def __call__(self, step: int, psi: np.ndarray) -> None:
-        wrap_check((psi,), guard_band=0, first_step=step)
+        # a one-element array, as in wrap_check: numpy's array abs and ** 2 can
+        # differ in the last bit from abs and ** 2 on a scalar
+        mass = float((np.abs(psi[self.site:self.site + 1]) ** 2)[0])
+        if mass > WRAP_TOL:
+            raise WavefrontWrapped(step, mass)
 
 
 def distribution_to_tsv(d: ProbabilityDistribution, drop_zeros: bool = False,

@@ -560,3 +560,41 @@ class TestNoPolygonOnIoPaths:
         gpath.write_text(json.dumps(doc))
         assert main(["simulate", "--model", "graph", "--graph", str(gpath), "--theta", "pi/3",
                      "--steps", "5", "--init", "basis:0", "--out", str(tmp_path / "d.tsv")]) == 0
+
+
+def count_calls(monkeypatch, name):
+    """Count the calls of sqw.graphs.<name> wherever a sqw module holds it; the
+    returned list gets the arguments of each call."""
+    from sqw import graphs
+    original, calls = getattr(graphs, name), []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.split(".")[0] == "sqw" and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestEachInputCheckedOnce:
+    """The CLI groups each tessellation by polygon size once and validates it once."""
+
+    def test_line_simulate(self, tmp_path, monkeypatch):
+        groupings = count_calls(monkeypatch, "size_blocks")
+        assert main(["simulate", "--theta", "pi/4", "--steps", "20", "--init", "basis:0",
+                     "--out", str(tmp_path / "line.tsv")]) == 0
+        assert len(groupings) == 2
+
+    def test_graph_simulate(self, tmp_path, monkeypatch):
+        groupings = count_calls(monkeypatch, "size_blocks")
+        TestNoPolygonOnIoPaths().test_graph_simulate(tmp_path)  # two tessellations
+        assert len(groupings) == 2
+
+    def test_validate(self, tmp_path, capsys, monkeypatch):
+        groupings = count_calls(monkeypatch, "size_blocks")
+        validations = count_calls(monkeypatch, "validate_tessellation")
+        TestNoPolygonOnIoPaths().test_validate(tmp_path, capsys)  # two invalid, one valid
+        assert len({id(t) for _, t in validations}) == len(validations) == 3
+        assert len(groupings) == 3

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -34,7 +35,7 @@ from sqw.errors import (
     ZeroAmplitude,
 )
 
-from sqw.graphs import canonical_order
+from sqw.graphs import canonical_order, check_polygon_arrays
 
 from conftest import complete_graph, grid_graph, hub_fragment, path_graph
 
@@ -276,6 +277,25 @@ class TestFlatTessellation:
     def test_from_arrays_checks_like_polygon(self, vertices, amplitudes, starts, error):
         with pytest.raises(error):
             Tessellation.from_arrays(path_graph(3), vertices, amplitudes, starts)
+
+    # 0 and 8 share a hash slot on small inputs, as do 2 and 2 ** 40 + 2
+    @settings(max_examples=300, deadline=None)
+    @given(polygons=st.lists(st.lists(st.sampled_from([-3, 0, 2, 5, 8, 2 ** 40 + 2]),
+                                      min_size=1, max_size=4), min_size=1, max_size=6))
+    def test_repeated_vertex_found_as_a_scan_finds_it(self, polygons):
+        repeats = [p for p in polygons if len(set(p)) < len(p)]
+        arrays = (np.array([v for p in polygons for v in p]),
+                  np.array([1 / math.sqrt(len(p)) for p in polygons for _ in p], dtype=complex),
+                  np.cumsum([0, *map(len, polygons)])[:-1])
+        if repeats:
+            message = f"duplicate vertex in polygon {tuple(sorted(repeats[0]))}"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                check_polygon_arrays(*arrays)
+        elif min(arrays[0]) < 0:
+            with pytest.raises(OutOfRangeVertex):
+                check_polygon_arrays(*arrays)
+        else:
+            check_polygon_arrays(*arrays)
 
     def test_not_a_clique_names_canonical_polygon(self):
         # stored order {3}, {1}, {2, 0}; canonical order puts {0, 2} first

@@ -25,6 +25,7 @@ from sqw.errors import (
     DimensionMismatch,
     EmptyFactorList,
     NotNormalized,
+    OutOfRangeVertex,
     OverlappingPolygons,
 )
 from sqw.graphs import check_polygon_arrays
@@ -62,6 +63,15 @@ class TestReflectionConstruction:
         amp = (1 / math.sqrt(2),) * 2
         with pytest.raises(OverlappingPolygons):
             OrthogonalReflection(3, (((0, 1), amp), ((1, 2), amp)))
+
+    @pytest.mark.parametrize("pairs,vertex", [
+        ([((10 ** 12,), (1.0,))], 10 ** 12),  # once a counting array sized by the vertex
+        ([((5,), (1.0,)), ((4,), (1.0,))], 4),
+    ])
+    def test_out_of_range_names_smallest_vertex(self, pairs, vertex):
+        with pytest.raises(OutOfRangeVertex) as err:
+            OrthogonalReflection(3, pairs)
+        assert str(err.value) == f"vertex {vertex} out of range for 3 vertices"
 
     def test_value_equality(self):
         vectors = (((0, 2), (0.6, 0.8j)), ((1,), (1.0,)))

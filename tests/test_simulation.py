@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from sqw import (
 )
 from sqw.errors import DimensionMismatch, LabelMismatch, NotNormalized, WavefrontWrapped
 from sqw.simulation import ProbabilityDistribution, WalkState, WrapGuard
+from sqw.state import check_norm
 from sqw.tolerances import NORM_TOL, drift_bound
 
 from conftest import random_state_array
@@ -123,10 +125,10 @@ class TestStreamingLoop:
         assert streamed.value.mass == full.value.mass
 
     @pytest.mark.parametrize("start", [0, 117])
-    def test_wrap_guard_skipped_until_reached(self, start):
-        # a ring too small for its steps: the guard, which the loop skips while
-        # the antipode (site 120) is unreached, stops where `wrap_check` run on
-        # every step does.  From site 0 the antipode is reached only after the
+    def test_wrap_guard_runs_every_step(self, start):
+        # a ring too small for its steps: the guard runs on every step from 0
+        # and stops where `wrap_check` run on every step does, with the same
+        # mass.  From site 0 the antipode (site 120) is reached only after the
         # switch to the full path; from site 117 while the support is tracked.
         n, t = 240, 120
         u = line_operator(n, math.pi / 4)
@@ -148,8 +150,8 @@ class TestStreamingLoop:
                          [Counted(n), lambda step, psi: plain.append(step)])
         assert stopped.value.step == full.value.step
         assert stopped.value.mass == full.value.mass
-        assert guarded[0] > 0 and guarded == list(range(guarded[0], full.value.step + 1))
-        # an observer that is not a WrapGuard runs on every step
+        assert guarded == list(range(full.value.step + 1))
+        # an observer after the guard runs on every step before it stops
         assert plain == list(range(full.value.step))
 
     def test_non_unitary_step_caught_at_the_end(self):
@@ -191,6 +193,31 @@ class TestNormDrift:
     def test_bound_grows_with_steps(self):
         assert drift_bound(0) == NORM_TOL
         assert drift_bound(self.STEPS) > drift_bound(self.STEPS // 2) > NORM_TOL
+
+
+class TestCheckNorm:
+    """check_norm on 2^18-site states, a size at which BLAS dot runs threaded."""
+
+    SITES = 2 ** 18
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_agrees_with_linalg_norm(self, seed):
+        psi = 3.0 * random_state_array(np.random.default_rng(seed), self.SITES)
+        with pytest.raises(NotNormalized) as err:
+            check_norm(psi, 0.0)  # names the norm it found
+        found = re.fullmatch(r"state norm is (\S+), expected 1 within 0\.0", str(err.value))
+        reference = float(np.linalg.norm(psi))
+        assert abs(float(found.group(1)) - reference) <= 1e-14 * reference
+
+    @pytest.mark.parametrize("tol", [NORM_TOL, drift_bound(2000)])
+    def test_tolerance_edges(self, tol):
+        psi = random_state_array(np.random.default_rng(4), self.SITES)
+        for inside in (1 - 0.5 * tol, 1 + 0.5 * tol):
+            check_norm(psi * inside, tol)
+        message = rf"state norm is \S+, expected 1 within {re.escape(str(tol))}"
+        for outside in (1 - 2 * tol, 1 + 2 * tol):
+            with pytest.raises(NotNormalized, match=f"^{message}$"):
+                check_norm(psi * outside, tol)
 
 
 class TestDistribution:
