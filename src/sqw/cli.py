@@ -20,7 +20,7 @@ import numpy as np
 
 from . import line_analytic
 from .coined import certify_equivalence, coined_walk_from_descriptor
-from .errors import WalkError
+from .errors import OutOfRangeVertex, WalkError
 from .graphs import _uncovered_edges, from_document, line_tessellations, to_document, \
     validate_tessellation
 from .operators import compose, reflection_from_tessellation
@@ -33,19 +33,25 @@ _ANGLE_RE = re.compile(
 
 
 def parse_angle(value) -> float:
-    """Parse "pi/3", "2pi/3", "-pi/2", "pi", or a plain number, exactly."""
-    if isinstance(value, (int, float)):
-        return float(value)
+    """Parse "pi/3", "2pi/3", "-pi/2", "pi", or a plain number, exactly.
+
+    A zero denominator and a non-finite angle (nan, inf) raise ValueError."""
     m = isinstance(value, str) and _ANGLE_RE.match(value)
     if m:
         sign = -1.0 if m.group(1) == "-" else 1.0
         coef = float(m.group(2)) if m.group(2) else 1.0
         denom = float(m.group(3)) if m.group(3) else 1.0
-        return sign * coef * math.pi / denom
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"cannot parse angle {value!r}") from None
+        if denom == 0.0:
+            raise ValueError(f"angle {value!r} divides by zero")
+        angle = sign * coef * math.pi / denom
+    else:
+        try:
+            angle = float(value)
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError(f"cannot parse angle {value!r}") from None
+    if not math.isfinite(angle):
+        raise ValueError(f"angle {value!r} is not finite")
+    return angle
 
 
 @dataclass
@@ -154,7 +160,14 @@ def _run_line(cfg: RunConfig):
     t0, t1 = line_tessellations(n, cfg.alpha, cfg.beta, cfg.phi0, cfg.phi1)
     op = compose([(cfg.theta0, reflection_from_tessellation(t0)),
                   (cfg.theta1, reflection_from_tessellation(t1))])
-    psi0, entries = _parse_init(cfg.init, n, lambda pos: pos % n)
+
+    def site(pos: int) -> int:
+        # the ring's labels are -n/2 .. n/2 - 1 (ring_labels); others would wrap silently
+        if not -(n // 2) <= pos < n // 2:
+            raise OutOfRangeVertex(pos, n)
+        return pos % n
+
+    psi0, entries = _parse_init(cfg.init, n, site)
     return n, entries, evolve_final(op, psi0, cfg.steps, [WrapGuard(n)])
 
 

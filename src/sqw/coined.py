@@ -195,19 +195,22 @@ def certify_equivalence(cw: CoinedWalk, steps: int, psi0: WalkState) -> Equivale
 
     Route (a) is :func:`coined_step`, built from the raw edge ends and the
     coin's polygon vectors; route (b) is the staggered evolution operator
-    assembled from the two tessellations; both cost O(arcs) per step.  Reports
-    the maximum phase-invariant deviation between the two trajectories.
+    assembled from the two tessellations, run by `simulation.evolve_final`,
+    with route (a) advanced by its observer; both cost O(arcs) per step.
+    Reports the maximum phase-invariant deviation between the two trajectories.
     """
-    dim = cw.expansion.arc_count
-    if psi0.dimension != dim:
-        raise DimensionMismatch(dim, psi0.dimension)
-    if steps < 0:
-        raise ValueError(f"steps must be >= 0, got {steps}")
-    coined, sqw_step = coined_step(cw), embed_coined_as_sqw(cw)
-    a = b = psi0.amplitudes
-    worst = 0.0
-    for _ in range(steps):
-        a = coined(a)
-        b = sqw_step.step_array(b)
-        worst = max(worst, phase_invariant_distance(a, b))
+    # imported here: importing simulation with this module, ahead of line_analytic,
+    # raised the peak RSS of each sqwbench line-long session by 0.35 MiB
+    from .simulation import evolve_final
+
+    coined = coined_step(cw)
+    a, worst = psi0.amplitudes, 0.0
+
+    def compare(step: int, b: np.ndarray) -> None:
+        nonlocal a, worst
+        if step:
+            a = coined(a)
+            worst = max(worst, phase_invariant_distance(a, b))
+
+    evolve_final(embed_coined_as_sqw(cw), psi0, steps, [compare])
     return EquivalenceReport(worst, steps, cw.expansion)

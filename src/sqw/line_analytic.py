@@ -166,30 +166,30 @@ def _brackets(p, k, t, entries):
     return even, odd
 
 
-def _transform(even, odd, positions, k0: float, length: int, weight: float):
-    """sum_j weight c_j e^{-i x k_j} on the uniform grid k_j = k0 + 2 pi j / length.
+def _transform(even, odd, positions, length: int):
+    """(2 / length) sum_j c_j e^{-i x k_j} over the ring momenta k_j = 2 pi j / length.
 
-    c is `even` at even x and `odd` at odd x (at most `length` nodes each; a
-    shorter grid is zero-padded).  The sum equals
-    weight e^{-i x k0} FFT_length(c)[x mod length] at every integer x, so one
-    FFT of the two stacked coefficient rows serves every position.
+    c is `even` at even x and `odd` at odd x (length / 2 momenta each, zero-padded
+    to `length`).  The sum equals (2 / length) FFT_length(c)[x mod length] at
+    every integer x, so one FFT of the two stacked coefficient rows serves every
+    position.
     """
     spectra = np.fft.fft(np.stack((even, odd)), n=length, axis=1)
-    return weight * np.exp(-1j * k0 * positions) * spectra[positions % 2, positions % length]
+    return (2.0 / length) * spectra[positions % 2, positions % length]
 
 
 def wavefunction(p: LineParams, t: int, positions=None, *,
-                 initial=((0, 1.0),), ring_size: int | None = None,
-                 start_nodes: int = QUAD_START_NODES, tol: float = QUAD_TOL,
-                 max_nodes: int = QUAD_MAX_NODES) -> np.ndarray:
+                 initial=((0, 1.0),), ring_size: int | None = None) -> np.ndarray:
     """Amplitudes after t steps from a localized initial state, by momentum sum.
 
-    With ring_size=None the momentum integral over [-pi, pi] is evaluated on a
-    uniform grid, doubling the node count from `start_nodes` until successive
-    results agree within `tol` (QuadratureNotConverged beyond 1e-8).  With an
-    even ring_size N the integral becomes the exact finite sum over the N/2
-    ring momenta, matching the direct ring simulation to roundoff.  Either sum
-    is one FFT per round: O(K log K + positions) for K nodes.
+    On an even ring of N sites the walk is exactly the finite sum over the N/2
+    ring momenta 2 pi j / N, one FFT: O(N log N + positions).  With
+    ring_size=None this is the infinite line: every factor moves amplitude by
+    at most one site, so after t steps it lies within the light cone
+    [min source - 2t - 1, max source + 2t + 1], and on any even ring that
+    holds the cone each ring amplitude equals the line amplitude; the ring
+    used is the smallest power of two that does.  The final norm is checked
+    against QUAD_FAIL_TOL (NotNormalized beyond it).
 
     `initial` lists (position, amplitude) pairs of a unit-norm state;
     `positions` selects which amplitudes to return (default: every position
@@ -198,40 +198,18 @@ def wavefunction(p: LineParams, t: int, positions=None, *,
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
     entries = _split_initial(initial)
-    sources = [s for s, _ in entries]
-
-    if ring_size is not None:
+    if ring_size is None:
+        sources = [s for s, _ in entries]
+        full = np.arange(min(sources) - 2 * t - 1, max(sources) + 2 * t + 2, dtype=np.int64)
+        n = 1 << (len(full) - 1).bit_length()  # a power of two: no slow prime-length FFT
+    else:
         if ring_size < 4 or ring_size % 2:
             raise ValueError(f"ring_size must be an even integer >= 4, got {ring_size}")
         n = ring_size
-        k = 2.0 * math.pi * np.arange(n // 2) / n
         full = ring_labels(n)
-        even, odd = _brackets(p, k, t, entries)
-        amps = _transform(even, odd, full, 0.0, n, 2.0 / n)
-    else:
-        lo = min(sources) - 2 * t - 1
-        hi = max(sources) + 2 * t + 1
-        full = np.arange(lo, hi + 1, dtype=np.int64)
-        nodes = start_nodes
-        prev = None
-        while True:
-            k = -math.pi + (np.arange(nodes) + 0.5) * (2.0 * math.pi / nodes)
-            even, odd = _brackets(p, k, t, entries)
-            amps = _transform(even, odd, full, k[0], nodes, 1.0 / nodes)
-            if prev is not None:
-                deviation = float(np.max(np.abs(amps - prev)))
-                if deviation <= tol:
-                    break
-                if nodes * 2 > max_nodes:
-                    if deviation > QUAD_FAIL_TOL:
-                        raise QuadratureNotConverged(nodes, deviation, QUAD_FAIL_TOL)
-                    break
-            prev = amps
-            nodes *= 2
-
-    norm2 = float(np.sum(np.abs(amps) ** 2))
-    if abs(norm2 - 1.0) > QUAD_FAIL_TOL:
-        raise QuadratureNotConverged(len(k), abs(norm2 - 1.0), QUAD_FAIL_TOL)
+    even, odd = _brackets(p, 2.0 * math.pi * np.arange(n // 2) / n, t, entries)
+    amps = _transform(even, odd, full, n)
+    check_norm(amps, QUAD_FAIL_TOL)
 
     if positions is None:
         return amps
@@ -265,9 +243,7 @@ def _drift_integrand(p: LineParams, k: np.ndarray, n: int) -> np.ndarray:
     return ratio2 ** n
 
 
-def asymptotic_odd_moment(p: LineParams, n: int, t: int, *,
-                          start_nodes: int = QUAD_START_NODES,
-                          max_nodes: int = QUAD_MAX_NODES) -> float:
+def asymptotic_odd_moment(p: LineParams, n: int, t: int) -> float:
     """Leading-order <x^{2n-1}> at step t for the walk started at the origin.
 
     Evaluates t^{2n-1}/(4 pi) times the momentum integral of the drift
@@ -276,14 +252,14 @@ def asymptotic_odd_moment(p: LineParams, n: int, t: int, *,
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    nodes = start_nodes
+    nodes = QUAD_START_NODES
     prev = None
     while True:
         k = -math.pi + (np.arange(nodes) + 0.5) * (2.0 * math.pi / nodes)
         integral = float(np.sum(_drift_integrand(p, k, n))) * (2.0 * math.pi / nodes)
         if prev is not None and abs(integral - prev) <= QUAD_TOL * (1.0 + abs(integral)):
             break
-        if nodes * 2 > max_nodes:
+        if nodes * 2 > QUAD_MAX_NODES:
             raise QuadratureNotConverged(nodes, abs(integral - (prev or 0.0)), QUAD_TOL)
         prev = integral
         nodes *= 2

@@ -360,6 +360,38 @@ class TestMalformedConfigs:
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "x.tsv")]) == 1
         one_error_line(capsys, "unknown config key 'coin'")
 
+    @pytest.mark.parametrize("argv,config", [
+        (["simulate", "--theta", "pi/0"], None),
+        (["simulate", "--theta", "nan"], None),
+        (["simulate"], '{"theta": "pi/0"}'),
+        (["simulate"], '{"theta": NaN}'),
+        (["analytic"], '{"theta": Infinity}'),
+        (["sigma-surface", "--theta-max", "pi/0"], None),
+    ], ids=["flag-zero-denominator", "flag-nan", "config-zero-denominator", "config-nan",
+            "config-infinity", "surface-bound-zero-denominator"])
+    def test_bad_angle_is_one_error_line(self, tmp_path, capsys, argv, config):
+        # a zero denominator once ended in a ZeroDivisionError traceback, and nan ran
+        # every step before the final norm check failed
+        if config is not None:
+            cfg = tmp_path / "run.json"
+            cfg.write_text(config)
+            argv = [*argv, "--config", str(cfg), "--steps", "2"]
+        try:
+            code = main([*argv, "--out", str(tmp_path / "x.tsv")])
+        except SystemExit as exc:  # argparse rejects a flag value, after its usage line
+            code = exc.code
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert code != 0 and "Traceback" not in err
+        assert errors == err.splitlines()[-1:] and "angle" in errors[0]
+
+    @pytest.mark.parametrize("command,steps", [("simulate", "0"), ("analytic", "5")])
+    def test_line_init_outside_ring_labels(self, tmp_path, capsys, command, steps):
+        # the default ring's labels are -n/2 .. n/2 - 1; position 100 once wrapped silently
+        assert main([command, "--theta", "pi/4", "--steps", steps,
+                     "--init", "superpos:0,100", "--out", str(tmp_path / "x.tsv")]) == 1
+        one_error_line(capsys, "vertex 100 out of range")
+
 
 class TestValidate:
     def test_line_file_valid(self, tmp_path, capsys):

@@ -30,7 +30,7 @@ from sqw import (
     wavefunction,
 )
 from sqw import line_analytic
-from sqw.errors import DegenerateBlock, DomainError, QuadratureNotConverged
+from sqw.errors import DegenerateBlock, DomainError
 from sqw.tolerances import drift_bound
 
 from conftest import direct_momentum_sum
@@ -219,41 +219,70 @@ class TestWavefunction:
         psi = wavefunction(p, t, positions=[2 * t, 1 - 2 * t], initial=init)
         assert np.allclose(np.abs(psi) ** 2, [0.5, 0.5], atol=1e-10)
 
-    def test_not_converged_raises(self):
-        with pytest.raises(QuadratureNotConverged):
-            wavefunction(uniform_params(PI / 4), 60, start_nodes=16, max_nodes=32)
+    @settings(max_examples=30, deadline=None)
+    @given(t=st.integers(0, 300), theta=st.floats(-PI, PI),
+           alpha=st.floats(0.01, PI - 0.01), beta=st.floats(0.01, PI - 0.01),
+           phi0=st.floats(-PI, PI), phi1=st.floats(-PI, PI), seed=st.integers(0, 2 ** 32 - 1))
+    def test_line_mode_matches_simulation(self, t, theta, alpha, beta, phi0, phi1, seed):
+        # the ring holds twice the light cone, so the simulated front never wraps
+        p = LineParams(theta, alpha, beta, phi0, phi1)
+        rng = np.random.default_rng(seed)
+        sites = rng.choice(np.arange(-20, 21), size=int(rng.integers(1, 4)), replace=False)
+        amps = rng.standard_normal(len(sites)) + 1j * rng.standard_normal(len(sites))
+        init = [(int(x), complex(a)) for x, a in zip(sites, amps / np.linalg.norm(amps))]
+        n = 2 * (4 * t + 44)
+        psi0 = superposition_state(n, [(x % n, a) for x, a in init])
+        psi = evolve_final(line_operator(n, p), psi0, t).amplitudes
+        labels = ring_labels(n)
+        line = wavefunction(p, t, positions=labels, initial=init)
+        assert np.max(np.abs(line - psi)) <= drift_bound(t)
+        lo, hi = min(sites) - 2 * t - 1, max(sites) + 2 * t + 1
+        outside = (labels < lo) | (labels > hi)
+        assert not np.any(line[outside]) and not np.any(psi[outside])
+        far = [lo - 1, hi + 1, lo - 10 ** 6, hi + 10 ** 6]
+        assert not np.any(wavefunction(p, t, positions=far, initial=init))
+
+    @pytest.mark.parametrize("init", [[(0, 1.0)], [(1, 1.0)], [(0, 0.6), (1, 0.8j)],
+                                      [(-3, 0.6), (4, 0.8)]])
+    @pytest.mark.parametrize("t", [0, 1, 3, 7, 15, 50])
+    def test_light_cone_ring_matches_wider_ring(self, init, t):
+        # line mode sums on the smallest power-of-two ring that holds the light cone
+        # [lo, hi]: 4t + 3 sites from one source, 4t + 4 from two neighbours, so at
+        # t = 2^m - 1 that ring has at most one site to spare
+        p = LineParams(1.1, 0.8, 2.3, 0.4, -0.9)
+        sources = [x for x, _ in init]
+        lo, hi = min(sources) - 2 * t - 1, max(sources) + 2 * t + 1
+        n = 4 * (hi - lo + 1)  # every cone here holds 0, so these ring labels hold it
+        positions = ring_labels(n)
+        wide = wavefunction(p, t, positions=positions, initial=init, ring_size=n)
+        line = wavefunction(p, t, positions=positions, initial=init)
+        assert np.max(np.abs(line - wide)) <= 1e-12
 
 
 # The line-analytic benchmark shape: t = 1000 from a two-site start, general phases.
 T1000_PARAMS = LineParams(PI / 3, PI / 3, PI / 3, 0.37, -1.1)
 T1000_INIT = [(0, 0.6), (1, 0.48 + 0.64j)]
 
-# (kind, L): a ring of L sites (L/2 momenta 2 pi j / L) or an L-node midpoint grid
-GRIDS = st.one_of(st.integers(2, 256).map(lambda h: ("ring", 2 * h)),
-                  st.integers(4, 10).map(lambda e: ("midpoint", 2 ** e)))
+# L: a ring of L sites, with L/2 momenta 2 pi j / L
+GRIDS = st.integers(2, 256).map(lambda h: 2 * h)
 
 
-def grid(kind, length):
-    """Momenta, first momentum k0 and weight of a uniform grid with spacing 2 pi / length."""
-    if kind == "ring":
-        return 2.0 * PI * np.arange(length // 2) / length, 0.0, 2.0 / length
-    k = -PI + (np.arange(length) + 0.5) * (2.0 * PI / length)
-    return k, k[0], 1.0 / length
+def ring_momenta(length):
+    return 2.0 * PI * np.arange(length // 2) / length
 
 
 class TestMomentumTransform:
     @settings(max_examples=150, deadline=None)
-    @given(data=st.data(), kind_length=GRIDS, seed=st.integers(0, 2 ** 32 - 1))
-    def test_fft_matches_direct_sum(self, data, kind_length, seed):
-        kind, length = kind_length
-        k, k0, weight = grid(kind, length)
+    @given(data=st.data(), length=GRIDS, seed=st.integers(0, 2 ** 32 - 1))
+    def test_fft_matches_direct_sum(self, data, length, seed):
+        k = ring_momenta(length)
         rng = np.random.default_rng(seed)
         even, odd = rng.standard_normal((2, len(k))) + 1j * rng.standard_normal((2, len(k)))
         positions = np.array(data.draw(st.lists(st.integers(-3 * length, 3 * length),
                                                 max_size=40)), dtype=np.int64)
-        fast = line_analytic._transform(even, odd, positions, k0, length, weight)
+        fast = line_analytic._transform(even, odd, positions, length)
         assert fast.shape == positions.shape
-        assert np.max(np.abs(fast - direct_momentum_sum(k, weight, even, odd, positions)),
+        assert np.max(np.abs(fast - direct_momentum_sum(k, 2.0 / length, even, odd, positions)),
                       initial=0.0) <= 1e-12
 
     @settings(max_examples=60, deadline=None)
@@ -274,19 +303,18 @@ class TestMomentumTransform:
         expected = np.array([lookup.get(x, 0.0) for x in positions], dtype=np.complex128)
         assert np.array_equal(wavefunction(p, t, positions, initial=init, **kw), expected)
 
-    @pytest.mark.parametrize("ring_size,rounds", [(None, 5), (4008, 1)])
+    @pytest.mark.parametrize("ring_size,rounds", [(None, 1), (4008, 1)])
     def test_t1000_matches_direct_sum(self, monkeypatch, ring_size, rounds):
         lengths = {"fft": [], "direct": []}
         fft = line_analytic._transform
 
-        def counted(even, odd, positions, k0, length, weight):
+        def counted(even, odd, positions, length):
             lengths["fft"].append(length)
-            return fft(even, odd, positions, k0, length, weight)
+            return fft(even, odd, positions, length)
 
-        def direct(even, odd, positions, k0, length, weight):
+        def direct(even, odd, positions, length):
             lengths["direct"].append(length)
-            k = k0 + 2.0 * PI * np.arange(len(even)) / length
-            return direct_momentum_sum(k, weight, even, odd, positions)
+            return direct_momentum_sum(ring_momenta(length), 2.0 / length, even, odd, positions)
 
         amps = {}
         for name, transform in (("fft", counted), ("direct", direct)):
@@ -319,8 +347,9 @@ class TestRingOracleAtScale:
 
     Rings reach ~10^4 sites and runs ~10^4 steps (the product is capped so
     each case costs well under a second); most runs cross the antipode, where
-    the ring sum stays exact and the line quadrature would not.  The bound on
-    every amplitude is the norm-drift bound of `tolerances`, set beforehand.
+    the ring sum stays exact and the line amplitudes (ring_size=None) would
+    not.  The bound on every amplitude is the norm-drift bound of
+    `tolerances`, set beforehand.
     """
 
     @settings(max_examples=8, deadline=None)

@@ -1,0 +1,12 @@
+"""The README's library example runs as written against the package."""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_library_example_runs():
+    section = README.read_text(encoding="utf-8").split("## Library example", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+    exec(compile(block, f"{README.name} (Library example)", "exec"), {})
