@@ -224,8 +224,10 @@ def cmd_analytic(cfg: RunConfig) -> int:
 
 
 def cmd_sigma_surface(args) -> int:
-    thetas = np.linspace(args.theta_min, args.theta_max, args.theta_count)
-    alphas = np.linspace(args.alpha_min, args.alpha_max, args.alpha_count)
+    thetas = np.linspace(parse_angle(args.theta_min), parse_angle(args.theta_max),
+                         args.theta_count)
+    alphas = np.linspace(parse_angle(args.alpha_min), parse_angle(args.alpha_max),
+                         args.alpha_count)
     table = line_analytic.sigma2_surface(thetas, alphas)
     _write(args.out, line_analytic.surface_to_tsv(thetas, alphas, table))
     return 0
@@ -290,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file; flags override it")
         p.add_argument("--model", choices=["line", "graph"])
         for name in _ANGLE_KEYS:
-            p.add_argument(f"--{name}", type=parse_angle, metavar="ANGLE")
+            p.add_argument(f"--{name}", metavar="ANGLE")  # parsed in _merge_config
         p.add_argument("--steps", type=int)
         p.add_argument("--ring-size", type=int, dest="ring_size")
         p.add_argument("--graph", help="graph+tessellations JSON (graph model)")
@@ -307,11 +309,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_ana.set_defaults(func=lambda a: cmd_analytic(_merge_config(a)))
 
     p_surf = sub.add_parser("sigma-surface", help="variance-rate table over (theta, alpha)")
-    p_surf.add_argument("--theta-min", type=parse_angle, default=0.0)
-    p_surf.add_argument("--theta-max", type=parse_angle, default=math.pi)
+    # angles stay strings here: cmd_sigma_surface parses them, so a bad one is one error line
+    p_surf.add_argument("--theta-min", default="0")
+    p_surf.add_argument("--theta-max", default="pi")
     p_surf.add_argument("--theta-count", type=int, default=101)
-    p_surf.add_argument("--alpha-min", type=parse_angle, default=0.0)
-    p_surf.add_argument("--alpha-max", type=parse_angle, default=math.pi)
+    p_surf.add_argument("--alpha-min", default="0")
+    p_surf.add_argument("--alpha-max", default="pi")
     p_surf.add_argument("--alpha-count", type=int, default=101)
     p_surf.add_argument("--out", default="-")
     p_surf.set_defaults(func=cmd_sigma_surface)

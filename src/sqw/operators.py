@@ -2,8 +2,14 @@
 
 A reflection induced by disjoint polygon vectors {|a_k>} is H = 2 P - I with
 P = sum_k |a_k><a_k|.  H is unitary, Hermitian and involutive, so the local
-unitary exp(i t H) is exactly cos(t) I + i sin(t) H.  One walk step applies an
-ordered list of such local unitaries.  An evolution from a sparse state
+unitary exp(i t H) is exactly cos(t) I + i sin(t) H = e^{-it} I + 2i sin(t) P:
+on a polygon of d sites a fixed d x d matrix.  Each local unitary is compiled
+once into site-major stencil rows, a self coefficient per site and one
+partner index and coefficient per other site of its polygon (polygons above
+STENCIL_CAP sites take a rank-1 update instead), so a factor costs at most
+STENCIL_CAP terms per site, sum over polygons of min(d, STENCIL_CAP) d on
+equal sizes: O(|V| + |E|) for a graph's tessellation.  One walk step applies
+an ordered list of such local unitaries.  An evolution from a sparse state
 updates only the polygons its amplitude can have reached (`ActiveSupport`).
 """
 
@@ -21,13 +27,19 @@ from .graphs import PolygonArrays, Tessellation, check_polygon_arrays, flatten_p
 from .state import WalkState
 
 DENSE_CAP = 4096
+# Largest polygon a factor compiles into site-major stencil rows (one partner row
+# per other site, padded on smaller polygons); a larger polygon takes a rank-1
+# update, so a k-site polygon never becomes k rows of n entries.
+STENCIL_CAP = 4
 # Share of the state the reached sites may fill, as projected one batch of
 # LEAD_STEPS steps ahead, before an evolution switches to the full path for
 # good (CHANGES.md has the measurements behind it).
 ACTIVE_SHARE = 0.25
 # The reached sites run this many steps ahead of the state, so a factor packs
-# its new polygons once per LEAD_STEPS steps, not on every step.
+# its new polygons once per LEAD_STEPS steps, not on every step; after the
+# switch, the full path flushes subnormal amplitudes once per LEAD_STEPS steps.
 LEAD_STEPS = 8
+SMALLEST_NORMAL = float(np.finfo(np.float64).tiny)
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -37,11 +49,18 @@ class OrthogonalReflection(PolygonArrays):
     Polygon vector k is polygon k of the flat arrays (see
     :class:`~sqw.graphs.PolygonArrays`); supports are pairwise disjoint,
     amplitudes nonzero and unit-norm.  Basis vectors outside every support are
-    eigenvectors with eigenvalue -1.  The kernel gathers the polygons of each
-    size d as one dense block whose column k is polygon k of that size.  A
-    factor costs O(n) on the full path, and O(support of the polygons it
-    updates) on the active path that `ActiveSupport` drives until the state
-    saturates.
+    eigenvectors with eigenvalue -1.
+
+    Compiled for the kernel in site order: row j of `_partners` holds, for each
+    site, the (j+1)-th other site of its polygon, or the site itself where
+    there is none.  There are m rows, m + 1 the largest polygon size up to
+    STENCIL_CAP; each larger polygon keeps its column of a (d, P) site grid
+    per size d, with its amplitudes, for a rank-1 update.  On the full path a
+    function alpha I + beta P then costs m + 1 terms per site, at most
+    STENCIL_CAP (sum over polygons of min(d, STENCIL_CAP) d when all have
+    m + 1 sites), plus O(d) per larger polygon: O(n), and O(|V| + |E|) for a
+    graph's tessellation.  The active path that `ActiveSupport` drives costs
+    the same on the polygons it updates.
     """
 
     dimension: int
@@ -63,48 +82,58 @@ class OrthogonalReflection(PolygonArrays):
 
     @classmethod
     def _compile(cls, dimension: int, vertices, amplitudes, starts, blocks) -> OrthogonalReflection:
-        """Reflection from checked flat arrays and their `graphs.size_blocks`; the gather
-        index of a block is its (P, d) vertex matrix, transposed."""
-        compiled = []  # (gather index, (d, P) amplitudes, their conjugates) per size d
+        """Reflection from checked flat arrays and their `graphs.size_blocks`."""
+        stencil = max((pv.shape[1] for _, _, pv in blocks if pv.shape[1] <= STENCIL_CAP),
+                      default=1)
+        partners = np.empty((stencil - 1, dimension), dtype=np.intp)
+        partners[:] = np.arange(dimension)
+        big = []  # (d, P) site grid, amplitudes and their conjugates per size d > STENCIL_CAP
         for _, rows, pv in blocks:
-            amp = np.ascontiguousarray(amplitudes[rows].T)
-            compiled.append((pv.T.ravel().astype(np.intp, copy=False), amp, amp.conj()))
+            if pv.shape[1] > STENCIL_CAP:
+                amp = np.ascontiguousarray(amplitudes[rows].T)
+                big.append((np.ascontiguousarray(pv.T, dtype=np.intp), amp, amp.conj()))
+                continue
+            for j in range(1, pv.shape[1]):
+                partners[j - 1, pv] = np.roll(pv, -j, axis=1)
         h = cls.__new__(cls)
         h.__dict__.update(dimension=dimension, vertices=vertices, amplitudes=amplitudes,
-                          starts=starts, _full=len(vertices) == dimension, _blocks=compiled)
+                          starts=starts, _partners=partners, _big=big)
         return h
 
-    def mix(self, psi: np.ndarray, alpha: complex, beta: complex,
-            out: np.ndarray | None = None, active=None, scratch: dict | None = None) -> np.ndarray:
+    def _rows(self, alpha: complex, beta: complex) -> tuple:
+        """alpha I + beta P as stencil rows (c0, partners, coefficients):
+        out[s] = c0[s] psi[s] + sum_j coefficients[j, s] psi[partners[j, s]].
+
+        c0[s] = alpha + beta |a_s|^2 and coefficients[j, s] = beta a_s conj(a_g),
+        g = partners[j, s], on polygons up to STENCIL_CAP sites; c0 is alpha and
+        the coefficients 0 elsewhere (uncovered sites, padding, larger polygons).
+        """
+        # in place where it can be: fresh pages fault in, and on a 262 144-site line
+        # that costs more than the arithmetic
+        a = np.zeros(self.dimension, dtype=np.complex128)  # a_s by site
+        a[self.vertices] = self.amplitudes
+        for grid, _, _ in self._big:
+            a[grid] = 0.0
+        c0 = np.conjugate(a)
+        c0 *= a
+        c0.imag = 0.0  # |a_s|^2, without the rounding residue of x y - y x
+        c0 *= beta
+        c0 += alpha
+        coefficients = a.take(self._partners)
+        np.conjugate(coefficients, out=coefficients)
+        coefficients *= a
+        coefficients *= beta
+        coefficients[self._partners == np.arange(self.dimension)] = 0.0
+        return c0, self._partners, coefficients
+
+    def mix(self, psi: np.ndarray, alpha: complex, beta: complex) -> np.ndarray:
         """alpha psi + beta P psi, P = sum_k |a_k><a_k|, on a raw array (1-D or columns).
 
         Every function of H = 2P - I has this form: exp(i t H) = e^{-it} I + 2i sin(t) P.
-        The result goes to `out` (complex, shaped like psi, not psi) if given, else to a new array.
-        `active` (from `ActiveSupport.plan`) limits the update to its size blocks and
-        uncovered sites; `out` must then hold 0 at every other site.  Without `active`,
-        each block works in the arrays kept in `scratch` (from `ActiveSupport`), if given.
+        Compiles the rows for (alpha, beta) on each call; `LocalUnitary` keeps its own.
         """
         alpha, beta = complex(alpha), complex(beta)
-        out = np.empty(psi.shape, dtype=np.complex128) if out is None else out
-        if active is None:
-            blocks = self._blocks
-            if not self._full:
-                np.multiply(psi, alpha, out=out)
-        else:
-            blocks, uncovered = active
-            scratch = None  # packed blocks change shape batch by batch
-            if len(uncovered):
-                out[uncovered] = psi[uncovered] * alpha
-        for sites, amp, conj in blocks:  # each column x becomes alpha x + beta <a|x> a
-            x, overlap, product = _work_arrays(amp.shape + psi.shape[1:], scratch)
-            psi.take(sites.reshape(amp.shape), axis=0, out=x, mode="clip")  # in range
-            # einsum sums the products without a state-sized temporary (fewer page faults)
-            np.einsum("dp...,dp->p...", x, conj, out=overlap)
-            overlap *= beta
-            x *= alpha
-            x += np.multiply(overlap, amp.reshape(amp.shape + (1,) * (psi.ndim - 1)), out=product)
-            out[sites] = x.reshape(sites.shape + psi.shape[1:])
-        return out
+        return _mix(psi, self._rows(alpha, beta), self._big, beta)
 
     def apply(self, psi: np.ndarray) -> np.ndarray:
         """H psi = 2 sum_k <a_k|psi> |a_k> - psi on a raw array (1-D or columns)."""
@@ -113,10 +142,20 @@ class OrthogonalReflection(PolygonArrays):
 
 @dataclass(frozen=True)
 class LocalUnitary:
-    """exp(i theta H) = cos(theta) I + i sin(theta) H for a reflection H."""
+    """exp(i theta H) = e^{-i theta} I + 2i sin(theta) P for a reflection H = 2P - I.
+
+    Its stencil rows (`OrthogonalReflection._rows`) are compiled once, at
+    construction; theta never changes.
+    """
 
     theta: float
     reflection: OrthogonalReflection
+
+    def __post_init__(self):
+        beta = 2j * math.sin(self.theta)
+        object.__setattr__(self, "_beta", beta)
+        object.__setattr__(self, "_rows",
+                           self.reflection._rows(cmath.exp(-1j * self.theta), beta))
 
     @property
     def dimension(self) -> int:
@@ -124,8 +163,56 @@ class LocalUnitary:
 
     def apply(self, psi: np.ndarray, out: np.ndarray | None = None, active=None,
               scratch: dict | None = None) -> np.ndarray:
-        return self.reflection.mix(psi, cmath.exp(-1j * self.theta), 2j * math.sin(self.theta),
-                                   out, active, scratch)
+        """exp(i theta H) psi on a raw array (1-D or columns).
+
+        The result goes to `out` (complex, shaped like psi, not psi) if given, else to a new
+        array.  `active` (from `ActiveSupport.plan`) limits the update to its packed
+        columns; `out` must then hold 0 at every other site.  Without `active`, the work
+        arrays are the ones kept in `scratch` (from `ActiveSupport`), if given.
+        """
+        return _mix(psi, self._rows, self.reflection._big, self._beta, out, active, scratch)
+
+
+def _mix(psi, rows, big, beta, out=None, active=None, scratch=None) -> np.ndarray:
+    """out = c0 psi + sum_j coefficients[j] psi[partners[j]] for stencil `rows`, then
+    out += beta <a|psi> a on each polygon of the `big` size blocks.
+
+    Given `active`, the same on its packed stencil columns and big blocks.  Every
+    multiply writes to an array that is not one of its inputs: numpy 2.4.6 rounds an
+    in-place multiply of a one-element array without the fused multiply-add of its
+    vector loop (Intel Xeon with AVX-512 and FMA), and the active path may pack one
+    column.  So both paths round alike at any length, bit for bit.
+    """
+    if out is None:
+        out = np.empty(psi.shape, dtype=np.complex128)
+    if active is None:
+        c0, partners, coefficients = rows
+        if psi.ndim > 1:  # one row entry per site, for every column
+            c0, coefficients = c0[:, None], coefficients[:, :, None]
+        np.multiply(c0, psi, out=out)
+        if len(partners):
+            gathered, product = _work_arrays((psi.shape, psi.shape), scratch)
+            for g, c in zip(partners, coefficients):  # g is in range; "clip" skips the check
+                psi.take(g, axis=0, out=gathered, mode="clip")
+                out += np.multiply(c, gathered, out=product)
+    else:
+        (sites, c0, partners, coefficients), big = active
+        scratch = None  # packed columns change shape batch by batch
+        x = c0 * psi[sites]
+        for g, c in zip(partners, coefficients):
+            x += c * psi[g]
+        out[sites] = x
+    for grid, amp, conj in big:
+        shape = amp.shape + psi.shape[1:]
+        x, overlap, scaled, product = _work_arrays((shape, shape[1:], shape[1:], shape), scratch)
+        psi.take(grid, axis=0, out=x, mode="clip")
+        np.einsum("dp...,dp->p...", x, conj, out=overlap)
+        np.multiply(overlap, beta, out=scaled)
+        np.multiply(scaled, amp.reshape(shape[:2] + (1,) * (psi.ndim - 1)), out=product)
+        out.take(grid, axis=0, out=x, mode="clip")
+        x += product
+        out[grid] = x
+    return out
 
 
 @dataclass(frozen=True)
@@ -150,7 +237,8 @@ class EvolutionOperator:
 
         Given `support`, made from the start state of a 1-D evolution, each factor
         writes into the support buffer that is not its input and updates only the
-        polygons that touch reached sites, until the state saturates.
+        polygons that touch reached sites, until the state saturates; after that,
+        `ActiveSupport.flush` clears subnormal parts once every LEAD_STEPS steps.
         """
         if support is None:
             for f in self.factors:
@@ -160,6 +248,8 @@ class EvolutionOperator:
         for i, f in enumerate(self.factors):
             psi = f.apply(psi, support.buffers[psi is support.buffers[0]], plan and plan[i],
                           support.scratch)
+        if plan is None:
+            support.flush(psi)
         return psi
 
     def step(self, state: WalkState) -> WalkState:
@@ -173,30 +263,37 @@ class ActiveSupport:
     A site is reached once it is nonzero in the start state or lies in a
     polygon that a factor updated.  Every other site holds exactly 0 in the
     state and in both buffers, and a polygon whose sites are all 0 maps to 0.
-    So each factor updates only the polygons that touch a reached site, and
-    scales its reached uncovered sites by alpha, with the full kernel's
-    arithmetic per column: the result is the full path's bit for bit (an exact
-    zero may differ in sign).
+    So each factor updates only the sites of polygons that touch a reached
+    site, and its reached uncovered sites, as packed columns of its stencil
+    rows (and of its size blocks above STENCIL_CAP), with the full path's
+    arithmetic per site: the result is the full path's bit for bit (an exact
+    zero may differ in sign).  A factor costs O(support of the polygons it
+    updates), as the full path costs O(n).
 
     The reached sites are tracked LEAD_STEPS steps ahead of the state, one
-    batch of steps at a time, through each factor's site -> polygon owner map
-    at O(newly reached sites); a factor's new polygons are packed once per
-    batch.  Tracking ahead only makes a factor update some polygons while
-    their sites still hold 0.  Tracking stops, and every later step runs the
-    full path, once one tracked step's growth kept up for LEAD_STEPS more
-    steps would carry the reached sites past ACTIVE_SHARE of the state: the
-    sparse path then has at most about a batch left, and on a graph whose
-    reach grows fast this ends the first batch after a few tracked steps.
+    batch of steps at a time, through each factor's partner rows at
+    O(newly reached sites); a factor's new sites are packed once per batch.
+    Tracking ahead only makes a factor update some polygons while their sites
+    still hold 0.  Tracking stops, and every later step runs the full path,
+    once one tracked step's growth kept up for LEAD_STEPS more steps would
+    carry the reached sites past ACTIVE_SHARE of the state: the sparse path
+    then has at most about a batch left, and on a graph whose reach grows
+    fast this ends the first batch after a few tracked steps.
+
+    On the full path, every LEAD_STEPS steps, `flush` sets the subnormal
+    components of the state to 0.
     """
 
     def __init__(self, psi0: np.ndarray):
         # np.zeros, unlike zeros_like, leaves a large buffer's pages untouched until written
         self.buffers = (np.zeros(psi0.shape, psi0.dtype), np.zeros(psi0.shape, psi0.dtype))
-        self.scratch = {}  # the full path's work arrays by block shape (_work_arrays)
+        self.scratch = {}  # the full path's work arrays by shape (_work_arrays)
         self.limit = int(ACTIVE_SHARE * psi0.shape[0])
         start = np.flatnonzero(psi0)
         self.reached = self.order = self._fronts = self._plan = None  # None: saturated
         self._ahead = 0  # steps the reached sites still cover
+        self._full_steps = 0
+        self._flush_work = None
         if len(start) <= self.limit:
             self.order = start.tolist()  # the reached sites, in the order reached
             self.reached = bytearray(psi0.shape[0])
@@ -204,13 +301,13 @@ class ActiveSupport:
                 self.reached[site] = 1
 
     def plan(self, factors):
-        """Per factor, the (size blocks, uncovered sites) it updates in the next step;
-        None once the state is saturated."""
+        """Per factor, the (packed stencil columns, packed big blocks) it updates in the
+        next step; None once the state is saturated."""
         if self.reached is None:
             return None
         if not self._ahead:
             if self._fronts is None:
-                self._fronts = [_Front(f.reflection) for f in factors]
+                self._fronts = [_Front(f) for f in factors]
             for _ in range(LEAD_STEPS):
                 before = len(self.order)
                 for front in self._fronts:
@@ -223,98 +320,127 @@ class ActiveSupport:
         self._ahead -= 1
         return self._plan
 
+    def flush(self, psi: np.ndarray) -> None:
+        """Count a full step; every LEAD_STEPS of them, set the subnormal real and
+        imaginary parts of psi, the step's output buffer, to 0.
+
+        A part below SMALLEST_NORMAL squares to a probability of 0, but x86
+        arithmetic on a subnormal operand is far slower (a microcode assist).
+        The tail ahead of a walk's front decays into that range: on a 2000-step
+        walk on an 8012-site ring, 2618 of the 16 024 parts were subnormal by the
+        last step, and a full step took 412 us instead of ~90 us (2-vCPU Xeon,
+        numpy 2.4.6).  With this flush at most 24 parts are subnormal at any
+        step, and a flush costs ~12 us.
+        """
+        self._full_steps += 1
+        if self._full_steps % LEAD_STEPS:
+            return
+        parts = psi.view(np.float64)
+        if self._flush_work is None:
+            self._flush_work = (np.empty(parts.shape), np.empty(parts.shape, dtype=bool))
+        magnitude, below = self._flush_work
+        np.less(np.abs(parts, out=magnitude), SMALLEST_NORMAL, out=below)
+        np.copyto(parts, 0.0, where=below)
+
 
 class _Front:
-    """The polygons of one factor that touch reached sites, packed per size block.
+    """The sites of one factor's polygons that touch reached sites, as packed columns.
 
-    Polygon k of size block b is packed into column count[b] of that block's
-    (d, capacity) site, amplitude and conjugate arrays, which grow by doubling;
-    the kernel reads their first count[b] columns.
+    A newly reached site takes its polygon: itself and its partners, read
+    from the partner rows, or on a polygon above STENCIL_CAP sites its
+    column of that size's site grid, found through an owner map that exists
+    only when the factor has such polygons.  Each taken site is one column
+    (its site, c0, partners and coefficients) and each taken big polygon one
+    column of its block (sites, amplitudes, conjugates), copied once per
+    batch into arrays that grow by doubling; the kernel reads the first
+    count columns.
     """
 
-    def __init__(self, h: OrthogonalReflection):
-        nb = len(h._blocks)
-        owner = np.full(h.dimension, -1, dtype=np.int32)  # site -> column * nb + block
-        for b, (sites, amp, _) in enumerate(h._blocks):
-            owner[sites.reshape(amp.shape)] = np.arange(amp.shape[1], dtype=np.int32) * nb + b
-        self.owner = memoryview(owner)
-        self.grids = [(sites.reshape(amp.shape), amp, conj) for sites, amp, conj in h._blocks]
-        self.flat = [(memoryview(sites), sites.size, amp.shape[1]) for sites, amp, _ in h._blocks]
-        self.taken = [bytearray(amp.shape[1]) for _, amp, _ in h._blocks]
-        self.fresh = [[] for _ in range(nb)]  # columns taken since the last pack
-        self.packed = [None] * nb
-        self.count = [0] * nb
-        self.uncovered = []
+    def __init__(self, f: LocalUnitary):
+        h = f.reflection
+        # column sources per group: the stencil rows (None: the column's own site),
+        # then each big size block
+        self.sources = [(None, *f._rows), *h._big]
+        self.partners = [memoryview(row) for row in h._partners]
+        self.owner = None
+        if h._big:
+            owner = np.full(h.dimension, -1, dtype=np.int32)  # site -> column * blocks + block
+            for b, (grid, _, _) in enumerate(h._big):
+                owner[grid] = np.arange(grid.shape[1], dtype=np.int32) * len(h._big) + b
+            self.owner = memoryview(owner)
+        self.taken = bytearray(h.dimension)
+        self.fresh = [[] for _ in self.sources]  # columns taken since the last pack
+        self.packed = [tuple(np.empty(0, np.intp) if a is None else a[..., :0] for a in s)
+                       for s in self.sources]
+        self.count = [0] * len(self.sources)
         self.seen = 0
 
     def advance(self, order: list, reached: bytearray) -> None:
         """Take the polygons that touch sites reached since this factor last
         advanced, and mark their sites reached."""
-        owner, nb = self.owner, len(self.taken)
+        taken, partners, owner, stencil = self.taken, self.partners, self.owner, self.fresh[0]
         for site in order[self.seen:]:
-            g = owner[site]
+            if taken[site]:
+                continue
+            g = -1 if owner is None else owner[site]
             if g < 0:
-                self.uncovered.append(site)
-                continue
-            c, b = divmod(g, nb)
-            if self.taken[b][c]:
-                continue
-            if not (self.count[b] or self.fresh[b]) and len(self.taken[b]) > 1:
-                # numpy multiplies a one-element array in place without the fused
-                # multiply-add of its vector loop, so a block packed to one column
-                # would round differently from the full block: take a second one.
-                # (Seen on numpy 2.4.6 on an Intel Xeon with AVX-512 and FMA; an
-                # out-of-place one-element multiply, as on uncovered sites, matches.)
-                self._take(b, 1 - min(c, 1), order, reached)
-            self._take(b, c, order, reached)
+                polygon = [site, *[row[site] for row in partners]]
+            else:
+                c, b = divmod(g, len(self.sources) - 1)
+                self.fresh[b + 1].append(c)
+                polygon = self.sources[b + 1][0][:, c].tolist()
+            for v in polygon:
+                if not taken[v]:
+                    taken[v] = 1
+                    stencil.append(v)
+                    if not reached[v]:
+                        reached[v] = 1
+                        order.append(v)
         self.seen = len(order)  # the sites this factor just added are its own
 
-    def _take(self, b: int, c: int, order: list, reached: bytearray) -> None:
-        self.taken[b][c] = 1
-        self.fresh[b].append(c)
-        sites, size, stride = self.flat[b]
-        for r in range(c, size, stride):
-            v = sites[r]
-            if not reached[v]:
-                reached[v] = 1
-                order.append(v)
-
     def pack(self):
-        """Append the columns taken since the last pack; the (blocks, uncovered) to update."""
-        for b, cols in enumerate(self.fresh):
-            if not cols:
-                continue
-            k, m = self.count[b], len(cols)
-            packed = self.packed[b]
-            if packed is None or k + m > packed[0].shape[1]:
-                grown = tuple(np.empty((a.shape[0], 2 * (k + m)), a.dtype) for a in self.grids[b])
-                for old, new in zip(packed or (), grown):
-                    new[:, :k] = old[:, :k]
-                packed = self.packed[b] = grown
-            cols = np.array(cols)
-            for src, dst in zip(self.grids[b], packed):
-                dst[:, k:k + m] = src[:, cols]
-            self.count[b] = k + m
-            self.fresh[b] = []
-        blocks = [tuple(a[:, :k] for a in packed)
-                  for packed, k in zip(self.packed, self.count) if k]
-        return blocks, np.array(self.uncovered, dtype=np.intp)
+        """Append the columns taken since the last pack; the (stencil columns, big
+        blocks) to update."""
+        for i, cols in enumerate(self.fresh):
+            if cols:
+                cols = np.array(cols, dtype=np.intp)
+                new = tuple(cols if a is None else a[..., cols] for a in self.sources[i])
+                self.packed[i] = _appended(self.packed[i], self.count[i], new)
+                self.count[i] += len(cols)
+                self.fresh[i] = []
+        stencil, *big = (tuple(a[..., :k] for a in packed)
+                         for packed, k in zip(self.packed, self.count))
+        return stencil, [block for block in big if block[0].shape[-1]]
 
 
-def _work_arrays(shape: tuple, scratch: dict | None) -> list:
-    """The (gather, overlap, product) arrays for a block of `shape`, kept in `scratch`.
+def _appended(packed: tuple, count: int, new: tuple) -> tuple:
+    """`packed` (columns on the last axis, the first `count` in use) with the columns
+    of `new` after them; the arrays grow by doubling."""
+    k, m = count, new[0].shape[-1]
+    if k + m > packed[0].shape[-1]:
+        grown = tuple(np.empty(a.shape[:-1] + (2 * (k + m),), a.dtype) for a in new)
+        for old, wide in zip(packed, grown):
+            wide[..., :k] = old[..., :k]
+        packed = grown
+    for dst, src in zip(packed, new):
+        dst[..., k:k + m] = src
+    return packed
+
+
+def _work_arrays(shapes: tuple, scratch: dict | None) -> list:
+    """Complex arrays of the given shapes, kept in `scratch` under those shapes.
 
     Fresh arrays on every factor can make glibc trim and regrow the heap top each
     time, at a page fault per page (2x the wall time of a 2000-step walk on an
     8012-site ring in some heap layouts); kept ones are allocated once per run.
     """
-    work = None if scratch is None else scratch.get(shape)
+    work = None if scratch is None else scratch.get(shapes)
     if work is None:
         # a list: tuple() of a generator shrinks an oversized tuple, and the 3-tuples it
         # frees pile up on CPython's free list (~2000, 128 KiB) over a run
-        work = [np.empty(s, np.complex128) for s in (shape, shape[1:], shape)]
+        work = [np.empty(s, np.complex128) for s in shapes]
         if scratch is not None:
-            scratch[shape] = work
+            scratch[shapes] = work
     return work
 
 

@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import LabelMismatch, WavefrontWrapped
 from .operators import ActiveSupport, EvolutionOperator, _check_dim
-from .state import WalkState, basis_state, check_norm, superposition_state
+from .state import WalkState, basis_state, superposition_state
 from .tolerances import drift_bound
 
 __all__ = [
@@ -69,10 +69,13 @@ def ring_labels(size: int) -> np.ndarray:
 def evolve_final(u: EvolutionOperator, psi0: WalkState, steps: int, observers=()) -> WalkState:
     """U^steps psi0: the one evolution loop, on raw arrays, storing no trajectory.
 
-    Each factor updates only the polygons that touch sites the amplitude can
-    have reached (`operators.ActiveSupport`), at O(support of those polygons),
+    Each factor applies its compiled stencil rows (`operators.LocalUnitary`).
+    It updates only the polygons that touch sites the amplitude can have
+    reached (`operators.ActiveSupport`), at O(support of those polygons),
     until the reached sites near `operators.ACTIVE_SHARE` of the state; from
-    then on every factor runs the full O(n) path.  Both paths give the same
+    then on every factor runs the full path, at O(n) for polygons of at most
+    `operators.STENCIL_CAP` sites, and every `operators.LEAD_STEPS` steps the
+    subnormal parts of the state are set to 0.  Both paths give the same
     amplitudes bit for bit (an exact zero may differ in sign).
 
     Each observer is called as observer(step, psi) on psi0 (step 0) and after
@@ -81,7 +84,8 @@ def evolve_final(u: EvolutionOperator, psi0: WalkState, steps: int, observers=()
     overwrites it: an observer that keeps a state copies it (as `evolve` does).
     The input state was checked at construction; states made by the loop are
     not re-checked on every step.  The final norm is checked once against
-    `tolerances.drift_bound(steps)` and raises NotNormalized beyond it.
+    `tolerances.drift_bound(steps)` and raises NotNormalized beyond it.  The
+    final state holds the last loop buffer itself, made read-only, not a copy.
     """
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
@@ -93,11 +97,10 @@ def evolve_final(u: EvolutionOperator, psi0: WalkState, steps: int, observers=()
             psi = u.step_array(psi, support)
         for observe in observers:
             observe(step, psi)
-    del support  # free the other buffer and the work arrays before the final copy
+    del support  # free the other buffer and the work arrays; psi is the loop's alone
     if not steps:
         return psi0
-    check_norm(psi, drift_bound(steps))
-    return WalkState.unchecked(psi)
+    return WalkState._own(psi, drift_bound(steps))
 
 
 def evolve(u: EvolutionOperator, psi0: WalkState, steps: int) -> list[WalkState]:

@@ -32,25 +32,34 @@ class WalkState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.amplitudes, dtype=np.complex128)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValueError("state must be a non-empty 1-D amplitude vector")
-        check_norm(arr)
-        arr.setflags(write=False)
-        object.__setattr__(self, "amplitudes", arr)
+        object.__setattr__(self, "amplitudes",
+                           _frozen(np.array(self.amplitudes, dtype=np.complex128), NORM_TOL))
 
     @classmethod
     def unchecked(cls, amplitudes) -> WalkState:
-        """Wrap a vector whose norm the caller bounds itself (see `tolerances`)."""
+        """Wrap a copy of a vector whose norm the caller bounds itself (see `tolerances`)."""
+        return cls._own(np.array(amplitudes, dtype=np.complex128), None)
+
+    @classmethod
+    def _own(cls, arr: np.ndarray, tol: float | None) -> WalkState:
+        """Wrap `arr`, a fresh complex128 vector nothing else will write, without a copy;
+        it becomes read-only.  Its norm is checked within `tol`, unless tol is None."""
         state = object.__new__(cls)
-        arr = np.array(amplitudes, dtype=np.complex128)
-        arr.setflags(write=False)
-        object.__setattr__(state, "amplitudes", arr)
+        object.__setattr__(state, "amplitudes", _frozen(arr, tol))
         return state
 
     @property
     def dimension(self) -> int:
         return self.amplitudes.shape[0]
+
+
+def _frozen(arr: np.ndarray, tol: float | None) -> np.ndarray:
+    if arr.ndim != 1 or arr.size == 0:
+        raise ValueError("state must be a non-empty 1-D amplitude vector")
+    if tol is not None:
+        check_norm(arr, tol)
+    arr.setflags(write=False)
+    return arr
 
 
 def basis_state(dimension: int, index: int) -> WalkState:
@@ -65,4 +74,4 @@ def superposition_state(dimension: int, entries) -> WalkState:
         if not 0 <= index < dimension:
             raise OutOfRangeVertex(index, dimension)
         arr[index] += amplitude
-    return WalkState(arr)
+    return WalkState._own(arr, NORM_TOL)

@@ -376,14 +376,9 @@ class TestMalformedConfigs:
             cfg = tmp_path / "run.json"
             cfg.write_text(config)
             argv = [*argv, "--config", str(cfg), "--steps", "2"]
-        try:
-            code = main([*argv, "--out", str(tmp_path / "x.tsv")])
-        except SystemExit as exc:  # argparse rejects a flag value, after its usage line
-            code = exc.code
-        err = capsys.readouterr().err
-        errors = [line for line in err.splitlines() if "error:" in line]
-        assert code != 0 and "Traceback" not in err
-        assert errors == err.splitlines()[-1:] and "angle" in errors[0]
+        # flags and config keys share one parser: exit 1, no argparse usage block
+        assert main([*argv, "--out", str(tmp_path / "x.tsv")]) == 1
+        one_error_line(capsys, "angle")
 
     @pytest.mark.parametrize("command,steps", [("simulate", "0"), ("analytic", "5")])
     def test_line_init_outside_ring_labels(self, tmp_path, capsys, command, steps):

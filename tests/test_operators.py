@@ -29,7 +29,8 @@ from sqw.errors import (
     OverlappingPolygons,
 )
 from sqw.graphs import check_polygon_arrays
-from sqw.operators import ActiveSupport, LocalUnitary
+from sqw.operators import LEAD_STEPS, SMALLEST_NORMAL, STENCIL_CAP, ActiveSupport, \
+    LocalUnitary
 from sqw.state import WalkState
 
 from conftest import dense_reflection, random_reflection, random_state_array
@@ -270,14 +271,14 @@ class TestNormPreservation:
 
 @st.composite
 def reflections(draw):
-    """Random partitions of a random subset of sites, polygon sizes 1-5.
+    """Random partitions of a random subset of sites, polygon sizes 1-6.
 
-    Supports sit on shuffled or on consecutive sites, so the kernel meets both
-    gathered rows and rows read as views.  Amplitudes are drawn per polygon,
-    shared by all polygons of one size (the matmul branch), or shared in the
-    first entry only.
+    Sizes up to STENCIL_CAP become padded stencil rows, larger ones rank-1
+    size blocks; spare sites are left uncovered.  Supports sit on shuffled or
+    on consecutive sites.  Amplitudes are drawn per polygon, shared by all
+    polygons of one size, or shared in the first entry only.
     """
-    sizes = draw(st.lists(st.integers(1, 5), min_size=0, max_size=12))
+    sizes = draw(st.lists(st.integers(1, 6), min_size=0, max_size=12))
     spare = draw(st.integers(0, 4))  # sites outside every support
     dim = max(1, sum(sizes) + spare)
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
@@ -301,7 +302,7 @@ def reflections(draw):
 
 
 class TestKernelProperties:
-    """The blocked kernel against the dense outer-product oracle."""
+    """The stencil kernel against the dense outer-product oracle."""
 
     @settings(max_examples=200, deadline=None)
     @given(h=reflections(), theta=st.floats(-math.pi, math.pi), columns=st.booleans(),
@@ -309,6 +310,9 @@ class TestKernelProperties:
     def test_matches_dense_oracle(self, h, theta, columns, seed):
         rng = np.random.default_rng(seed)
         n = h.dimension
+        sizes = np.diff(np.append(h.starts, len(h.vertices)))
+        event("a polygon above the cap" if np.any(sizes > STENCIL_CAP) else "stencil rows only")
+        event("uncovered sites" if len(h.vertices) < n else "every site covered")
         shape = (n, 3) if columns else (n,)
         psi = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         dense = dense_reflection(h)
@@ -335,8 +339,9 @@ def sparse_walks(draw):
     batch or more.  In a chain walk the first two factors pair neighbours from
     offsets 0 and 1, as on the line, so the reach keeps growing and a long
     enough walk crosses the switch point.  Every other factor cuts each ring
-    into runs of 1-4 consecutive sites from its own offset (so polygon sizes
-    mix and the reach can stay confined) and leaves runs uncovered with
+    into runs of 1-6 consecutive sites from its own offset (so polygon sizes
+    mix, runs above STENCIL_CAP take the rank-1 update, and the reach can stay
+    confined) and leaves runs uncovered with
     probability 0 or 1/4 (sites the kernel scales by alpha).  A random
     relabelling scatters the site indices, and the start sits on random
     rings, so it can span several components.
@@ -352,7 +357,7 @@ def sparse_walks(draw):
         drop = 0.0 if paired else float(rng.choice([0.0, 0.25]))
         vertices, sizes, base = [], [], 0
         for m in rings:
-            ends = np.minimum(np.cumsum(np.full(m, 2) if paired else rng.integers(1, 5, m)), m)
+            ends = np.minimum(np.cumsum(np.full(m, 2) if paired else rng.integers(1, 7, m)), m)
             runs = np.diff(ends[:np.searchsorted(ends, m) + 1], prepend=0)
             keep = rng.random(len(runs)) >= drop
             ring = label[base + (np.arange(m) + (k if paired else rng.integers(m))) % m]
@@ -374,16 +379,16 @@ def sparse_walks(draw):
 
 
 class TestActiveSupport:
-    """The active-support path against `mix` on every column.
+    """The active-support path against the full path, step by step.
 
     Each step must equal the full path element for element (`array_equal`:
     bit for bit, with -0.0 equal to 0.0, since a zero the full path writes as
-    alpha * 0 may carry a sign).  This rests on numpy rounding a complex
+    c0 * 0 may carry a sign).  This rests on numpy rounding a complex
     multiply alike at every array length the kernel uses.  Measured on numpy
     2.4.6 on an Intel Xeon with AVX-512 and FMA: an in-place multiply of a
-    one-element array skips the fused multiply-add of the vector loop (the
-    kernel never packs a block to one column when it has two), while an
-    out-of-place one-element multiply, as on the uncovered sites, matches.
+    one-element array skips the fused multiply-add of the vector loop, while
+    an out-of-place one-element multiply matches; the kernel multiplies out of
+    place only, since the active path may pack a single column.
     """
 
     @settings(max_examples=150, deadline=None)
@@ -421,6 +426,28 @@ class TestActiveSupport:
         assert 5 < sparse_steps < 60
         assert np.array_equal(evolve_final(u, WalkState(psi0), 60).amplitudes, full)
 
+    def test_full_path_flushes_subnormal_parts(self):
+        # site 0 is uncovered by both factors, so a subnormal amplitude there only turns
+        # its phase: the saturated full path sets it to 0 on its LEAD_STEPS-th step and
+        # leaves every other site as the plain step writes it
+        rng = np.random.default_rng(13)
+
+        def pairs(first):
+            vertices = np.arange(first, first + 6) % 6 + 1
+            amps = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+            amps /= np.repeat(np.sqrt(np.add.reduceat(np.abs(amps) ** 2, [0, 2, 4])), 2)
+            return OrthogonalReflection.from_arrays(7, vertices, amps, np.arange(0, 6, 2))
+        u = compose([(0.9, pairs(0)), (-0.4, pairs(1))])
+        psi0 = np.append(1e-310 - 2e-310j, random_state_array(rng, 6))
+        support = ActiveSupport(psi0)  # a dense start: the full path from the first step
+        flushed = plain = psi0
+        for step in range(1, 2 * LEAD_STEPS + 1):
+            flushed = u.step_array(flushed, support)
+            plain = u.step_array(plain)
+            assert 0 < abs(plain[0]) < SMALLEST_NORMAL
+            assert (flushed[0] == 0) == (step >= LEAD_STEPS)
+            assert np.array_equal(flushed[1:], plain[1:])
+
     def test_one_uncovered_site_reached_first(self):
         # on a 400-site ring the first factor pairs (1, 2), (3, 4), ... and leaves
         # sites 0 and 399 uncovered, the second pairs (0, 1), (2, 3), ...; from site 0
@@ -446,4 +473,36 @@ class TestActiveSupport:
                 active = u.step_array(active, support)
                 full = u.step_array(full)
                 assert np.array_equal(active, full)
-            assert list(support._plan[0][1]) == [0]
+            (sites, c0, _, coefficients), _ = support._plan[0]
+            uncovered = ~coefficients.any(axis=0)  # no partner term: scaled by c0 alone
+            assert list(sites[uncovered]) == [0]
+            assert c0[uncovered][0] == cmath.exp(-1j * u.factors[0].theta)  # alpha
+
+
+class TestStencilCap:
+    """A polygon above STENCIL_CAP sites keeps a rank-1 update of its own size."""
+
+    def test_large_polygon_compiles_to_linear_size(self):
+        # one 3000-site polygon plus singletons on 10^5 sites: as padded rows it
+        # would take 3000 rows of 10^5 entries
+        n, d, theta = 100_000, 3000, 0.7
+        rng = np.random.default_rng(12)
+        polygon = rng.choice(n, d, replace=False)
+        vertices = np.concatenate([polygon, np.setdiff1d(np.arange(n), polygon)])
+        amps = np.ones(n, dtype=np.complex128)
+        amps[:d] = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        amps[:d] /= np.linalg.norm(amps[:d])
+        starts = np.concatenate([[0], np.arange(d, n)])
+        h = OrthogonalReflection.from_arrays(n, vertices, amps, starts)
+        u = LocalUnitary(theta, h)
+        held = [h._partners, *(a for block in h._big for a in block), *u._rows]
+        assert sum({id(a): a.size for a in held}.values()) <= 2 * n + 3 * d
+
+        # |s> inside the polygon maps to e^{-i theta} |s> + 2i sin(theta) conj(a_s) |a>
+        k = 5
+        psi = np.zeros(n, dtype=np.complex128)
+        psi[polygon[k]] = 1.0
+        expected = np.zeros(n, dtype=np.complex128)
+        expected[polygon] = 2j * math.sin(theta) * np.conj(amps[k]) * amps[:d]
+        expected[polygon[k]] += cmath.exp(-1j * theta)
+        assert np.max(np.abs(u.apply(psi) - expected)) < 1e-12
