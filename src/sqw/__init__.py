@@ -15,8 +15,6 @@ from .coined import (
     coin_tessellation,
     coined_walk_from_descriptor,
     embed_coined_as_sqw,
-    flipflop_shift,
-    grover_coin_reflection,
     grover_coined_walk,
     phase_invariant_distance,
     reflection_coined_walk,
@@ -25,7 +23,6 @@ from .coined import (
 from .graphs import (
     ExpansionMap,
     Graph,
-    Polygon,
     Tessellation,
     build_graph,
     clique_expansion,
@@ -33,7 +30,6 @@ from .graphs import (
     line_tessellations,
     ring_graph,
     to_document,
-    uniform_polygon,
     union_covers_edges,
     validate_tessellation,
 )
@@ -55,7 +51,6 @@ from .operators import (
     LocalUnitary,
     OrthogonalReflection,
     apply_exp,
-    apply_reflection,
     compose,
     dense_matrix,
     grover_phase_apply,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, OutOfRangeVertex, UnsupportedCoin
+from .errors import DimensionMismatch, UnsupportedCoin
 from .graphs import ExpansionMap, Graph, Tessellation, clique_expansion, parse_polygons
 from .operators import EvolutionOperator, OrthogonalReflection, compose, \
     reflection_from_tessellation
@@ -42,20 +42,6 @@ def coin_tessellation(expansion: ExpansionMap) -> Tessellation:
                                     expansion.offsets[:-1])
 
 
-def flipflop_shift(g: Graph, expansion: ExpansionMap | None = None) -> OrthogonalReflection:
-    """The edge-swap involution S as an orthogonal reflection on the arc space."""
-    if expansion is None:
-        expansion = clique_expansion(g)
-    return reflection_from_tessellation(shift_tessellation(expansion))
-
-
-def grover_coin_reflection(g: Graph, expansion: ExpansionMap | None = None) -> OrthogonalReflection:
-    """Block-diagonal Grover reflection: a (2/d) J - I block on each vertex."""
-    if expansion is None:
-        expansion = clique_expansion(g)
-    return reflection_from_tessellation(coin_tessellation(expansion))
-
-
 @dataclass(frozen=True)
 class CoinedWalk:
     """A flip-flop coined walk with coin exp(i coin_angle H) on the arc space."""
@@ -76,10 +62,8 @@ class CoinedWalk:
 
 def _coined_walk(expansion: ExpansionMap, theta: float, coin: Tessellation) -> CoinedWalk:
     """The walk with coin tessellation `coin`; each polygon must lie in one vertex's arcs."""
-    arcs, dim = coin.vertices, expansion.arc_count
-    if np.any(arcs >= dim):
-        raise OutOfRangeVertex(int(arcs[arcs >= dim].min()), dim)
-    owner = np.repeat(np.arange(expansion.original.vertex_count), np.diff(expansion.offsets))[arcs]
+    arcs = coin.vertices  # an arc past the arc space maps past the last vertex
+    owner = np.searchsorted(expansion.offsets, arcs, side="right") - 1
     spans = np.minimum.reduceat(owner, coin.starts) != np.maximum.reduceat(owner, coin.starts)
     if spans.any():
         k = np.split(np.arange(len(arcs)), coin.starts[1:])[np.argmax(spans)]
@@ -102,15 +86,16 @@ def grover_coined_walk(g: Graph, theta: float = math.pi / 2) -> CoinedWalk:
     return _coined_walk(expansion, theta, coin_tessellation(expansion))
 
 
-def reflection_coined_walk(g: Graph, theta: float, polygons) -> CoinedWalk:
-    """Coined walk from explicit arc-space coin polygons.
+def reflection_coined_walk(g: Graph, theta: float, pairs) -> CoinedWalk:
+    """Coined walk from explicit arc-space coin polygons, as (arcs, amplitudes) pairs.
 
     Every polygon must sit inside a single vertex's arc set (a coin never
     moves the walker); anything else is not a coin and raises UnsupportedCoin.
-    An arc beyond the arc space raises OutOfRangeVertex.
+    An arc beyond the arc space raises OutOfRangeVertex, or UnsupportedCoin when its
+    polygon also holds an arc of the arc space.
     """
     expansion = clique_expansion(g)
-    return _coined_walk(expansion, theta, Tessellation(polygons, expansion.expanded))
+    return _coined_walk(expansion, theta, Tessellation(pairs, expansion.expanded))
 
 
 def coined_walk_from_descriptor(g: Graph, descriptor: dict) -> CoinedWalk:

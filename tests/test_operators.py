@@ -10,7 +10,6 @@ from sqw import (
     OrthogonalReflection,
     Tessellation,
     apply_exp,
-    apply_reflection,
     basis_state,
     compose,
     dense_matrix,
@@ -18,7 +17,6 @@ from sqw import (
     grover_phase_apply,
     line_tessellations,
     reflection_from_tessellation,
-    uniform_polygon,
 )
 from sqw.errors import (
     DimensionCapExceeded,
@@ -32,9 +30,11 @@ from sqw.graphs import check_polygon_arrays
 from sqw.operators import LEAD_STEPS, SMALLEST_NORMAL, STENCIL_CAP, ActiveSupport, \
     LocalUnitary
 from sqw.state import WalkState
+from sqw.tolerances import drift_bound
 
-from conftest import dense_reflection, random_reflection, random_state_array
-from conftest import path_graph
+from conftest import dense_reflection, random_reflection, random_state_array, \
+    segment_sum_evolve
+from conftest import path_graph, uniform
 
 
 def ring4_reflections():
@@ -45,7 +45,7 @@ def ring4_reflections():
 class TestReflectionConstruction:
     def test_all_singletons_is_identity(self):
         g = path_graph(3)
-        t = Tessellation(tuple(uniform_polygon({v}) for v in range(3)), g)
+        t = Tessellation(tuple(uniform(v) for v in range(3)), g)
         h = reflection_from_tessellation(t)
         assert np.allclose(dense_reflection(h), np.eye(3))
 
@@ -56,9 +56,8 @@ class TestReflectionConstruction:
         assert np.max(np.abs(dense_reflection(h0) - expected)) < 1e-15
 
     def test_unsupported_vertex_gets_minus_one(self):
-        h = OrthogonalReflection(3, (((0, 1), tuple(uniform_polygon({0, 1}).amplitudes)),))
-        out = apply_reflection(h, basis_state(3, 2))
-        assert np.allclose(out.amplitudes, [0, 0, -1])
+        h = OrthogonalReflection(3, (uniform(0, 1),))
+        assert np.allclose(h.apply(basis_state(3, 2).amplitudes), [0, 0, -1])
 
     def test_overlapping_supports_rejected(self):
         amp = (1 / math.sqrt(2),) * 2
@@ -83,7 +82,7 @@ class TestReflectionConstruction:
         assert h == OrthogonalReflection(3, (((1,), (1.0,)), ((2, 0), (0.8j, 0.6))))
         t0, t1 = line_tessellations(6, 1.1, 1.9, 0.3, -0.4)
         for t in (t0, t1):  # t1 stores its wrap polygon last, as (5, 0)
-            canonical = OrthogonalReflection(6, [(p.vertices, p.amplitudes) for p in t.polygons])
+            canonical = OrthogonalReflection(6, t.polygons)
             assert reflection_from_tessellation(t) == canonical
         assert compose([(0.3, h)]) == compose([(0.3, OrthogonalReflection(3, vectors))])
 
@@ -95,30 +94,24 @@ class TestReflectionConstruction:
 class TestApplyReflection:
     def test_singletons_fix_everything(self):
         g = path_graph(3)
-        t = Tessellation(tuple(uniform_polygon({v}) for v in range(3)), g)
+        t = Tessellation(tuple(uniform(v) for v in range(3)), g)
         h = reflection_from_tessellation(t)
         rng = np.random.default_rng(1)
-        psi = WalkState(random_state_array(rng, 3))
-        assert np.allclose(apply_reflection(h, psi).amplitudes, psi.amplitudes)
+        psi = random_state_array(rng, 3)
+        assert np.allclose(h.apply(psi), psi)
 
     def test_x_block_swaps(self):
         h0, _ = ring4_reflections()
-        out = apply_reflection(h0, basis_state(4, 0))
-        assert np.max(np.abs(out.amplitudes - [0, 1, 0, 0])) < 1e-12
+        out = h0.apply(basis_state(4, 0).amplitudes)
+        assert np.max(np.abs(out - [0, 1, 0, 0])) < 1e-12
 
     def test_polygon_vector_is_plus_one_eigenvector(self):
         t0, _ = line_tessellations(6, 1.2, 2.1, 0.4, 0.0)
         h = reflection_from_tessellation(t0)
-        p = t0.polygons[0]
+        vertices, amplitudes = t0.polygons[0]
         vec = np.zeros(6, dtype=complex)
-        vec[list(p.vertices)] = p.amplitudes
-        out = apply_reflection(h, WalkState(vec))
-        assert np.max(np.abs(out.amplitudes - vec)) < 1e-12
-
-    def test_dimension_mismatch(self):
-        h0, _ = ring4_reflections()
-        with pytest.raises(DimensionMismatch):
-            apply_reflection(h0, basis_state(6, 0))
+        vec[list(vertices)] = amplitudes
+        assert np.max(np.abs(h.apply(vec) - vec)) < 1e-12
 
     def test_involution_and_hermiticity_random(self):
         rng = np.random.default_rng(2)
@@ -129,9 +122,8 @@ class TestApplyReflection:
             assert np.max(np.abs(mat @ mat - np.eye(dim))) < 1e-12
             assert np.max(np.abs(mat - mat.conj().T)) < 1e-12
             for j in range(dim):
-                e = basis_state(dim, j)
-                twice = apply_reflection(h, apply_reflection(h, e))
-                assert np.max(np.abs(twice.amplitudes - e.amplitudes)) < 1e-12
+                e = basis_state(dim, j).amplitudes
+                assert np.max(np.abs(h.apply(h.apply(e)) - e)) < 1e-12
 
 
 class TestApplyExp:
@@ -146,7 +138,7 @@ class TestApplyExp:
         rng = np.random.default_rng(3)
         psi = WalkState(random_state_array(rng, 4))
         out = apply_exp(LocalUnitary(math.pi / 2, h0), psi)
-        expected = 1j * apply_reflection(h0, psi).amplitudes
+        expected = 1j * h0.apply(psi.amplitudes)
         assert np.max(np.abs(out.amplitudes - expected)) < 1e-12
 
     def test_quarter_pi_on_basis(self):
@@ -165,6 +157,11 @@ class TestApplyExp:
             back = apply_exp(LocalUnitary(-theta, h), apply_exp(LocalUnitary(theta, h), psi))
             assert np.max(np.abs(back.amplitudes - psi.amplitudes)) < 1e-12
 
+    def test_dimension_mismatch(self):
+        h0, _ = ring4_reflections()
+        with pytest.raises(DimensionMismatch):
+            apply_exp(LocalUnitary(0.3, h0), basis_state(6, 0))
+
 
 class TestGroverPhase:
     def test_zero_angle_identity(self):
@@ -178,7 +175,7 @@ class TestGroverPhase:
         rng = np.random.default_rng(5)
         psi = WalkState(random_state_array(rng, 4))
         out = grover_phase_apply(math.pi / 2, h0, psi)
-        expected = -apply_reflection(h0, psi).amplitudes
+        expected = -h0.apply(psi.amplitudes)
         assert np.max(np.abs(out.amplitudes - expected)) < 1e-12
 
     def test_matches_scaled_exponential(self):
@@ -477,6 +474,55 @@ class TestActiveSupport:
             uncovered = ~coefficients.any(axis=0)  # no partner term: scaled by c0 alone
             assert list(sites[uncovered]) == [0]
             assert c0[uncovered][0] == cmath.exp(-1j * u.factors[0].theta)  # alpha
+
+
+@st.composite
+def scattered_walks(draw):
+    """A walk of 2-3 factors on 10 to 10^5 sites (log-uniform), and 1-24 steps.
+
+    Each factor partitions a random half or more of the sites, in random
+    order, into polygons of 1-8 sites with a random unit vector each, and
+    leaves the rest uncovered.  So sizes up to STENCIL_CAP take padded stencil
+    rows and larger ones the rank-1 update, and since a polygon joins
+    scattered sites, the reach from one site soon passes the switch share.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = int(10 ** draw(st.floats(1, 5)))
+    factors = []
+    for _ in range(draw(st.integers(2, 3))):
+        sites = rng.permutation(n)[:int(rng.integers(max(1, n // 2), n + 1))]
+        sizes = rng.integers(1, 9, size=len(sites))
+        sizes = sizes[:np.searchsorted(np.cumsum(sizes), len(sites)) + 1]
+        sizes[-1] -= sizes.sum() - len(sites)
+        starts = np.cumsum(sizes) - sizes
+        amps = rng.standard_normal(len(sites)) + 1j * rng.standard_normal(len(sites))
+        amps[np.abs(amps) < 1e-3] = 1.0
+        amps /= np.repeat(np.sqrt(np.add.reduceat(np.abs(amps) ** 2, starts)), sizes)
+        check_polygon_arrays(sites, amps, starts, n)
+        factors.append((float(rng.uniform(-math.pi, math.pi)),
+                        OrthogonalReflection.from_arrays(n, sites, amps, starts)))
+    return compose(factors), draw(st.integers(1, 24)), rng
+
+
+class TestSegmentSumOracle:
+    """Both step paths against `conftest.segment_sum_exp`, which reads only the
+    polygon arrays, at up to 10^5 sites."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(walk=scattered_walks())
+    def test_evolutions_match_the_oracle(self, walk):
+        u, steps, rng = walk
+        n = u.dimension
+        event("above the cap" if any(np.diff(np.append(f.reflection.starts, len(
+            f.reflection.vertices))).max() > STENCIL_CAP for f in u.factors) else "rows only")
+        start = basis_state(n, int(rng.integers(n)))  # sparse, then the full path
+        got = evolve_final(u, start, steps).amplitudes
+        assert np.max(np.abs(got - segment_sum_evolve(u, start.amplitudes, steps))) <= \
+            drift_bound(steps)
+        psi = psi0 = random_state_array(rng, n)  # the full path without a support
+        for _ in range(steps):
+            psi = u.step_array(psi)
+        assert np.max(np.abs(psi - segment_sum_evolve(u, psi0, steps))) <= drift_bound(steps)
 
 
 class TestStencilCap:

@@ -195,6 +195,27 @@ class TestNormDrift:
         assert drift_bound(self.STEPS) > drift_bound(self.STEPS // 2) > NORM_TOL
 
 
+class TestTimeReversal:
+    """The same factors composed in reverse order with negated angles undo a run."""
+
+    @pytest.mark.parametrize("dense", [False, True], ids=["two-site", "dense"])
+    def test_reverse_run_returns_the_start(self, dense):
+        # a two-site start stays on the sparse path both ways; a dense one runs the full path
+        n, steps = 20_000, 400
+        t0, t1 = line_tessellations(n, 0.9, 2.1, 0.4, -1.3)
+        h0, h1 = reflection_from_tessellation(t0), reflection_from_tessellation(t1)
+        rng = np.random.default_rng(24)
+        if dense:
+            psi0 = random_state_array(rng, n)
+        else:
+            psi0 = np.zeros(n, dtype=np.complex128)
+            psi0[[n // 2, n // 2 + 1]] = random_state_array(rng, 2)
+        there = evolve_final(compose([(0.7, h0), (-1.2, h1)]), WalkState(psi0), steps)
+        back = evolve_final(compose([(1.2, h1), (-0.7, h0)]), there, steps)
+        assert np.linalg.norm(there.amplitudes - psi0) > 0.5  # the run went somewhere
+        assert np.max(np.abs(back.amplitudes - psi0)) <= drift_bound(2 * steps)
+
+
 class TestCheckNorm:
     """check_norm on 2^18-site states, a size at which BLAS dot runs threaded."""
 
