@@ -125,11 +125,11 @@ def size_blocks(starts: np.ndarray, vertices: np.ndarray) -> list:
 
 
 def flatten_polygons(pairs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flat (vertices, amplitudes, starts) arrays of (vertices, amplitudes) pairs."""
+    """Flat (vertices, amplitudes, starts) of pairs, for `check_polygon_arrays` to check."""
     pairs = tuple(pairs)
     if any(len(v) != len(a) for v, a in pairs):
         raise ValueError("one amplitude per vertex required")
-    return (_integers(list(chain.from_iterable(v for v, _ in pairs)), "polygon 'vertices'"),
+    return (np.array(list(chain.from_iterable(v for v, _ in pairs))),
             np.fromiter(chain.from_iterable(a for _, a in pairs), np.complex128),
             np.cumsum([0, *(len(v) for v, _ in pairs)], dtype=np.int64)[:-1])
 
@@ -162,15 +162,18 @@ def canonical_order(vertices: np.ndarray, amplitudes: np.ndarray, starts: np.nda
     return vertices[take], amplitudes[take], out_starts, order
 
 
-def check_polygon_arrays(vertices: np.ndarray, amplitudes: np.ndarray, starts: np.ndarray,
-                         dimension: int | None = None) -> None:
-    """The polygon rules, applied to every polygon of flat arrays at once.
+def check_polygon_arrays(vertices, amplitudes, starts, dimension: int | None = None) -> tuple:
+    """The polygon rules, applied to every polygon of flat arrays at once; returns the
+    arrays as int64 vertices, complex128 amplitudes and int64 starts.
 
     Each polygon needs at least one vertex, one amplitude per vertex, no
     repeated vertex, no negative vertex, no zero amplitude and a square-sum
     of 1 within NORM_TOL.  Given a dimension, also apply :func:`_check_partition`
     on that many vertices, without a graph.
     """
+    vertices = _integers(vertices, "polygon 'vertices'")
+    amplitudes = np.asarray(amplitudes, dtype=np.complex128)
+    starts = np.asarray(starts, dtype=np.int64)
     sizes = np.diff(np.append(starts, len(vertices)))
     if np.any(sizes <= 0) or (len(vertices) and (not len(starts) or starts[0] != 0)):
         raise EmptyPolygon("polygon must contain at least one vertex")
@@ -198,6 +201,7 @@ def check_polygon_arrays(vertices: np.ndarray, amplitudes: np.ndarray, starts: n
             raise NotNormalized(f"polygon amplitudes square-sum to {float(norm2[bad][0])!r}, not 1")
     if dimension is not None:
         _check_partition(dimension, vertices, starts)
+    return vertices, amplitudes, starts
 
 
 def _check_partition(n: int, vertices: np.ndarray, starts: np.ndarray, g: Graph | None = None):
@@ -301,10 +305,8 @@ class Tessellation(PolygonArrays):
     def from_arrays(cls, parent: Graph, vertices, amplitudes, starts) -> Tessellation:
         """Tessellation from flat arrays, each polygon checked by :func:`check_polygon_arrays`."""
         t = cls.__new__(cls)
-        t.__dict__.update(parent=parent, vertices=_integers(vertices, "polygon 'vertices'"),
-                          amplitudes=np.asarray(amplitudes, dtype=np.complex128),
-                          starts=np.asarray(starts, dtype=np.int64))
-        check_polygon_arrays(t.vertices, t.amplitudes, t.starts)
+        vertices, amplitudes, starts = check_polygon_arrays(vertices, amplitudes, starts)
+        t.__dict__.update(parent=parent, vertices=vertices, amplitudes=amplitudes, starts=starts)
         return t
 
     def __len__(self) -> int:

@@ -59,8 +59,8 @@ class OrthogonalReflection(PolygonArrays):
     function alpha I + beta P then costs m + 1 terms per site, at most
     STENCIL_CAP (sum over polygons of min(d, STENCIL_CAP) d when all have
     m + 1 sites), plus O(d) per larger polygon: O(n), and O(|V| + |E|) for a
-    graph's tessellation.  The active path that `ActiveSupport` drives costs
-    the same on the polygons it updates.
+    graph's tessellation.  The packed columns that `ActiveSupport` plans cost
+    the same per site they update.
     """
 
     dimension: int
@@ -71,13 +71,13 @@ class OrthogonalReflection(PolygonArrays):
 
     def __init__(self, dimension: int, pairs):
         """Checked constructor from (support indices, amplitudes) pairs."""
-        arrays = flatten_polygons(pairs)
-        check_polygon_arrays(*arrays, dimension)
-        self.__dict__.update(vars(OrthogonalReflection.from_arrays(dimension, *arrays)))
+        self.__dict__.update(vars(self.from_arrays(dimension, *flatten_polygons(pairs))))
 
     @classmethod
     def from_arrays(cls, dimension: int, vertices, amplitudes, starts) -> OrthogonalReflection:
-        """Reflection from flat arrays that already passed the tessellation checks."""
+        """Reflection from flat arrays, checked by :func:`~sqw.graphs.check_polygon_arrays`
+        on `dimension` vertices (polygon rules, range and overlap)."""
+        vertices, amplitudes, starts = check_polygon_arrays(vertices, amplitudes, starts, dimension)
         return cls._compile(dimension, vertices, amplitudes, starts, size_blocks(starts, vertices))
 
     @classmethod
@@ -101,8 +101,8 @@ class OrthogonalReflection(PolygonArrays):
         return h
 
     def _rows(self, alpha: complex, beta: complex) -> tuple:
-        """alpha I + beta P as stencil rows (c0, partners, coefficients):
-        out[s] = c0[s] psi[s] + sum_j coefficients[j, s] psi[partners[j, s]].
+        """alpha I + beta P as stencil rows (None, c0, partners, coefficients) on every
+        site: out[s] = c0[s] psi[s] + sum_j coefficients[j, s] psi[partners[j, s]].
 
         c0[s] = alpha + beta |a_s|^2 and coefficients[j, s] = beta a_s conj(a_g),
         g = partners[j, s], on polygons up to STENCIL_CAP sites; c0 is alpha and
@@ -124,7 +124,7 @@ class OrthogonalReflection(PolygonArrays):
         coefficients *= a
         coefficients *= beta
         coefficients[self._partners == np.arange(self.dimension)] = 0.0
-        return c0, self._partners, coefficients
+        return None, c0, self._partners, coefficients
 
     def mix(self, psi: np.ndarray, alpha: complex, beta: complex) -> np.ndarray:
         """alpha psi + beta P psi, P = sum_k |a_k><a_k|, on a raw array (1-D or columns).
@@ -133,7 +133,7 @@ class OrthogonalReflection(PolygonArrays):
         Compiles the rows for (alpha, beta) on each call; `LocalUnitary` keeps its own.
         """
         alpha, beta = complex(alpha), complex(beta)
-        return _mix(psi, self._rows(alpha, beta), self._big, beta)
+        return _mix(psi, (self._rows(alpha, beta), self._big), beta)
 
     def apply(self, psi: np.ndarray) -> np.ndarray:
         """H psi = 2 sum_k <a_k|psi> |a_k> - psi on a raw array (1-D or columns)."""
@@ -166,41 +166,40 @@ class LocalUnitary:
         """exp(i theta H) psi on a raw array (1-D or columns).
 
         The result goes to `out` (complex, shaped like psi, not psi) if given, else to a new
-        array.  `active` (from `ActiveSupport.plan`) limits the update to its packed
-        columns; `out` must then hold 0 at every other site.  Without `active`, the work
-        arrays are the ones kept in `scratch` (from `ActiveSupport`), if given.
+        array.  `active` (from `ActiveSupport.plan`) replaces the factor's rows and size
+        blocks with packed ones; `out` must then hold 0 at every site they leave out.  The
+        work arrays are the ones kept in `scratch` (from `ActiveSupport`), if given.
         """
-        return _mix(psi, self._rows, self.reflection._big, self._beta, out, active, scratch)
+        return _mix(psi, active or (self._rows, self.reflection._big), self._beta, out, scratch)
 
 
-def _mix(psi, rows, big, beta, out=None, active=None, scratch=None) -> np.ndarray:
-    """out = c0 psi + sum_j coefficients[j] psi[partners[j]] for stencil `rows`, then
-    out += beta <a|psi> a on each polygon of the `big` size blocks.
+def _mix(psi, update, beta, out=None, scratch=None) -> np.ndarray:
+    """out = c0 psi + sum_j coefficients[j] psi[partners[j]] on the sites of the stencil
+    rows (sites, c0, partners, coefficients), every site if sites is None, then
+    out += beta <a|psi> a on each polygon of the big size blocks: update = (rows, big).
 
-    Given `active`, the same on its packed stencil columns and big blocks.  Every
-    multiply writes to an array that is not one of its inputs: numpy 2.4.6 rounds an
-    in-place multiply of a one-element array without the fused multiply-add of its
-    vector loop (Intel Xeon with AVX-512 and FMA), and the active path may pack one
-    column.  So both paths round alike at any length, bit for bit.
+    Packed rows (columns for the given sites only) leave every other site of `out`
+    as it is.  Every multiply writes to an array that is not one of its inputs: numpy
+    2.4.6 rounds an in-place multiply of a one-element array without the fused
+    multiply-add of its vector loop (Intel Xeon with AVX-512 and FMA), and packed rows
+    may hold one column.  So packed and full rows round alike at any length, bit for bit.
     """
     if out is None:
         out = np.empty(psi.shape, dtype=np.complex128)
-    if active is None:
-        c0, partners, coefficients = rows
+    (sites, c0, partners, coefficients), big = update
+    x, gathered, product = _work_arrays((psi.shape,) * 3, scratch)
+    if sites is None:
         if psi.ndim > 1:  # one row entry per site, for every column
             c0, coefficients = c0[:, None], coefficients[:, :, None]
-        np.multiply(c0, psi, out=out)
-        if len(partners):
-            gathered, product = _work_arrays((psi.shape, psi.shape), scratch)
-            for g, c in zip(partners, coefficients):  # g is in range; "clip" skips the check
-                psi.take(g, axis=0, out=gathered, mode="clip")
-                out += np.multiply(c, gathered, out=product)
-    else:
-        (sites, c0, partners, coefficients), big = active
-        scratch = None  # packed columns change shape batch by batch
-        x = c0 * psi[sites]
-        for g, c in zip(partners, coefficients):
-            x += c * psi[g]
+        x = np.multiply(c0, psi, out=out)
+    else:  # packed columns, gathered into the work arrays cut to their count
+        x, gathered, product = x[:len(sites)], gathered[:len(sites)], product[:len(sites)]
+        np.multiply(c0, psi.take(sites, out=gathered, mode="clip"), out=x)
+        scratch = None  # packed big blocks change shape batch by batch
+    for g, c in zip(partners, coefficients):  # g is in range; "clip" skips the check
+        psi.take(g, axis=0, out=gathered, mode="clip")
+        x += np.multiply(c, gathered, out=product)
+    if sites is not None:
         out[sites] = x
     for grid, amp, conj in big:
         shape = amp.shape + psi.shape[1:]
@@ -252,10 +251,6 @@ class EvolutionOperator:
             support.flush(psi)
         return psi
 
-    def step(self, state: WalkState) -> WalkState:
-        _check_dim(self.dimension, state)
-        return WalkState(self.step_array(state.amplitudes))
-
 
 class ActiveSupport:
     """Two zeroed state buffers for one 1-D evolution, and the sites it can have reached.
@@ -263,22 +258,24 @@ class ActiveSupport:
     A site is reached once it is nonzero in the start state or lies in a
     polygon that a factor updated.  Every other site holds exactly 0 in the
     state and in both buffers, and a polygon whose sites are all 0 maps to 0.
-    So each factor updates only the sites of polygons that touch a reached
-    site, and its reached uncovered sites, as packed columns of its stencil
-    rows (and of its size blocks above STENCIL_CAP), with the full path's
-    arithmetic per site: the result is the full path's bit for bit (an exact
-    zero may differ in sign).  A factor costs O(support of the polygons it
-    updates), as the full path costs O(n).
+    So each factor updates only the reached sites, one packed column of its
+    stencil rows per site in one `sites` array shared by every factor (and
+    its polygons above STENCIL_CAP that touch them, as packed columns of its
+    size blocks), with the full path's arithmetic per site: the result is
+    the full path's bit for bit (an exact zero may differ in sign).  A factor
+    costs O(reached sites), as the full path costs O(n).
 
     The reached sites are tracked LEAD_STEPS steps ahead of the state, one
     batch of steps at a time, through each factor's partner rows at
-    O(newly reached sites); a factor's new sites are packed once per batch.
-    Tracking ahead only makes a factor update some polygons while their sites
-    still hold 0.  Tracking stops, and every later step runs the full path,
-    once one tracked step's growth kept up for LEAD_STEPS more steps would
-    carry the reached sites past ACTIVE_SHARE of the state: the sparse path
-    then has at most about a batch left, and on a graph whose reach grows
-    fast this ends the first batch after a few tracked steps.
+    O(newly reached sites); each factor packs the columns of a batch's new
+    sites once, into rows allocated at `limit` columns.  Tracking ahead only
+    makes a factor update some sites while they still hold 0, as a site does
+    until the walk reaches it.  Tracking stops, and every later step runs the
+    full path, once one tracked step's growth kept up for LEAD_STEPS more
+    steps would carry the reached sites past `limit`, ACTIVE_SHARE of the
+    state: so no batch packs more than `limit` sites, the sparse path then
+    has at most about a batch left, and on a graph whose reach grows fast
+    this ends the first batch after a few tracked steps.
 
     On the full path, every LEAD_STEPS steps, `flush` sets the subnormal
     components of the state to 0.
@@ -287,11 +284,12 @@ class ActiveSupport:
     def __init__(self, psi0: np.ndarray):
         # np.zeros, unlike zeros_like, leaves a large buffer's pages untouched until written
         self.buffers = (np.zeros(psi0.shape, psi0.dtype), np.zeros(psi0.shape, psi0.dtype))
-        self.scratch = {}  # the full path's work arrays by shape (_work_arrays)
+        self.scratch = {}  # the work arrays of both paths by shape (_work_arrays)
         self.limit = int(ACTIVE_SHARE * psi0.shape[0])
         start = np.flatnonzero(psi0)
-        self.reached = self.order = self._fronts = self._plan = None  # None: saturated
+        self.reached = self.order = self.sites = self._fronts = self._plan = None  # None: saturated
         self._ahead = 0  # steps the reached sites still cover
+        self._packed = 0  # reached sites packed so far
         self._full_steps = 0
         self._flush_work = None
         if len(start) <= self.limit:
@@ -299,23 +297,27 @@ class ActiveSupport:
             self.reached = bytearray(psi0.shape[0])
             for site in self.order:
                 self.reached[site] = 1
+            self.sites = np.empty(self.limit, dtype=np.intp)  # the packed ones, in that order
 
     def plan(self, factors):
-        """Per factor, the (packed stencil columns, packed big blocks) it updates in the
+        """Per factor, the (packed stencil rows, packed big blocks) it updates in the
         next step; None once the state is saturated."""
         if self.reached is None:
             return None
         if not self._ahead:
             if self._fronts is None:
-                self._fronts = [_Front(f) for f in factors]
+                self._fronts = [_Front(f, self.limit) for f in factors]
             for _ in range(LEAD_STEPS):
                 before = len(self.order)
                 for front in self._fronts:
                     front.advance(self.order, self.reached)
                 if len(self.order) + LEAD_STEPS * (len(self.order) - before) > self.limit:
-                    self.reached = self.order = self._fronts = self._plan = None
+                    self.reached = self.order = self.sites = self._fronts = self._plan = None
                     return None
-            self._plan = [front.pack() for front in self._fronts]
+            old, count = self._packed, len(self.order)
+            self.sites[old:count] = self.order[old:]
+            self._plan = [front.pack(self.sites[:count], old) for front in self._fronts]
+            self._packed = count
             self._ahead = LEAD_STEPS
         self._ahead -= 1
         return self._plan
@@ -344,87 +346,58 @@ class ActiveSupport:
 
 
 class _Front:
-    """The sites of one factor's polygons that touch reached sites, as packed columns.
+    """One factor's share of the reach tracking, and its rows packed for the reached sites.
 
-    A newly reached site takes its polygon: itself and its partners, read
-    from the partner rows, or on a polygon above STENCIL_CAP sites its
-    column of that size's site grid, found through an owner map that exists
-    only when the factor has such polygons.  Each taken site is one column
-    (its site, c0, partners and coefficients) and each taken big polygon one
-    column of its block (sites, amplitudes, conjugates), copied once per
-    batch into arrays that grow by doubling; the kernel reads the first
-    count columns.
+    A newly reached site takes its polygon: its partners, read from the
+    partner rows, or on a polygon above STENCIL_CAP sites its column of that
+    size's site grid, found through an owner map that exists only when the
+    factor has such polygons.  A taken big polygon's sites leave the owner
+    map; their partner rows name only themselves.  The packed rows hold a
+    column per reached site, filled once per batch for the batch's new sites,
+    and each big size block is cut to its taken columns once per batch.
     """
 
-    def __init__(self, f: LocalUnitary):
+    def __init__(self, f: LocalUnitary, limit: int):
         h = f.reflection
-        # column sources per group: the stencil rows (None: the column's own site),
-        # then each big size block
-        self.sources = [(None, *f._rows), *h._big]
+        self.rows = f._rows[1:]  # c0, partners and coefficients on every site
+        self.packed = [np.empty(a.shape[:-1] + (limit,), a.dtype) for a in self.rows]
         self.partners = [memoryview(row) for row in h._partners]
+        self.big = h._big
+        self.taken = [[] for _ in h._big]  # taken columns per big size block
         self.owner = None
         if h._big:
             owner = np.full(h.dimension, -1, dtype=np.int32)  # site -> column * blocks + block
             for b, (grid, _, _) in enumerate(h._big):
                 owner[grid] = np.arange(grid.shape[1], dtype=np.int32) * len(h._big) + b
             self.owner = memoryview(owner)
-        self.taken = bytearray(h.dimension)
-        self.fresh = [[] for _ in self.sources]  # columns taken since the last pack
-        self.packed = [tuple(np.empty(0, np.intp) if a is None else a[..., :0] for a in s)
-                       for s in self.sources]
-        self.count = [0] * len(self.sources)
         self.seen = 0
 
     def advance(self, order: list, reached: bytearray) -> None:
         """Take the polygons that touch sites reached since this factor last
         advanced, and mark their sites reached."""
-        taken, partners, owner, stencil = self.taken, self.partners, self.owner, self.fresh[0]
+        partners, owner = self.partners, self.owner
         for site in order[self.seen:]:
-            if taken[site]:
-                continue
             g = -1 if owner is None else owner[site]
             if g < 0:
-                polygon = [site, *[row[site] for row in partners]]
+                polygon = [row[site] for row in partners]
             else:
-                c, b = divmod(g, len(self.sources) - 1)
-                self.fresh[b + 1].append(c)
-                polygon = self.sources[b + 1][0][:, c].tolist()
+                c, b = divmod(g, len(self.big))
+                self.taken[b].append(c)
+                polygon = self.big[b][0][:, c].tolist()
+                for v in polygon:
+                    owner[v] = -1
             for v in polygon:
-                if not taken[v]:
-                    taken[v] = 1
-                    stencil.append(v)
-                    if not reached[v]:
-                        reached[v] = 1
-                        order.append(v)
+                if not reached[v]:
+                    reached[v] = 1
+                    order.append(v)
         self.seen = len(order)  # the sites this factor just added are its own
 
-    def pack(self):
-        """Append the columns taken since the last pack; the (stencil columns, big
-        blocks) to update."""
-        for i, cols in enumerate(self.fresh):
-            if cols:
-                cols = np.array(cols, dtype=np.intp)
-                new = tuple(cols if a is None else a[..., cols] for a in self.sources[i])
-                self.packed[i] = _appended(self.packed[i], self.count[i], new)
-                self.count[i] += len(cols)
-                self.fresh[i] = []
-        stencil, *big = (tuple(a[..., :k] for a in packed)
-                         for packed, k in zip(self.packed, self.count))
-        return stencil, [block for block in big if block[0].shape[-1]]
-
-
-def _appended(packed: tuple, count: int, new: tuple) -> tuple:
-    """`packed` (columns on the last axis, the first `count` in use) with the columns
-    of `new` after them; the arrays grow by doubling."""
-    k, m = count, new[0].shape[-1]
-    if k + m > packed[0].shape[-1]:
-        grown = tuple(np.empty(a.shape[:-1] + (2 * (k + m),), a.dtype) for a in new)
-        for old, wide in zip(packed, grown):
-            wide[..., :k] = old[..., :k]
-        packed = grown
-    for dst, src in zip(packed, new):
-        dst[..., k:k + m] = src
-    return packed
+    def pack(self, sites: np.ndarray, old: int) -> tuple:
+        """Fill the packed columns of sites[old:]; the (stencil rows, big blocks) to update."""
+        for packed, full in zip(self.packed, self.rows):
+            packed[..., old:len(sites)] = full[..., sites[old:]]
+        big = [tuple(a[:, ids] for a in block) for block, ids in zip(self.big, self.taken) if ids]
+        return (sites, *(a[..., :len(sites)] for a in self.packed)), big
 
 
 def _work_arrays(shapes: tuple, scratch: dict | None) -> list:

@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -89,6 +90,15 @@ class TestReflectionConstruction:
     def test_non_unit_vector_rejected(self):
         with pytest.raises(NotNormalized):
             OrthogonalReflection(2, (((0, 1), (1.0, 1.0)),))
+
+    @pytest.mark.parametrize("vertices,amplitudes,starts,error", [
+        ([0, 1, 1, 2], [0.6, 0.8, 0.6, 0.8], [0, 2], OverlappingPolygons),
+        ([0, 4], [0.6, 0.8], [0], OutOfRangeVertex),
+        ([0, 1], [3.0, 1.0], [0], NotNormalized),  # H|0> would read [17, 6, 0, 0]
+    ])
+    def test_from_arrays_checks_its_input(self, vertices, amplitudes, starts, error):
+        with pytest.raises(error):
+            OrthogonalReflection.from_arrays(4, vertices, amplitudes, starts)
 
 
 class TestApplyReflection:
@@ -201,7 +211,7 @@ class TestCompose:
         h0, _ = ring4_reflections()
         u = compose([(0.3, h0)])
         psi = basis_state(4, 0)
-        assert np.allclose(u.step(psi).amplitudes,
+        assert np.allclose(evolve_final(u, psi, 1).amplitudes,
                            apply_exp(LocalUnitary(0.3, h0), psi).amplitudes)
 
     def test_three_factors(self):
@@ -475,6 +485,51 @@ class TestActiveSupport:
             assert list(sites[uncovered]) == [0]
             assert c0[uncovered][0] == cmath.exp(-1j * u.factors[0].theta)  # alpha
 
+    def test_big_polygon_packed_once(self):
+        # 6-site polygons take the rank-1 update: a factor packs each one it takes as one
+        # column of its size block, however many of its sites are reached
+        n = 6000
+
+        def blocks(first):
+            return OrthogonalReflection.from_arrays(n, (np.arange(n) + first) % n,
+                                                    np.full(n, 1 / math.sqrt(6)),
+                                                    np.arange(0, n, 6))
+        u = compose([(0.6, blocks(0)), (0.6, blocks(3))])
+        psi = basis_state(n, 0).amplitudes
+        support = ActiveSupport(psi)
+        for _ in range(2 * LEAD_STEPS + 1):
+            psi = u.step_array(psi, support)
+        assert support.reached is not None
+        for (sites, *_), [(grid, _, _)] in support._plan:
+            assert len(set(grid[0].tolist())) == grid.shape[1]
+            assert set(grid.ravel().tolist()) <= set(sites.tolist())
+            assert grid.shape[1] > 2 * LEAD_STEPS
+
+    def test_steps_that_reuse_a_plan_allocate_nothing_per_column(self):
+        # a 20 000-site line from one site: once a batch packs over 1000 columns, the
+        # steps that reuse its plan gather into and scatter from kept work arrays
+        n = 20_000
+        t0, t1 = line_tessellations(n, 0.7, 1.1, 0.3, 0.9)
+        u = compose([(0.6, reflection_from_tessellation(t0)),
+                     (0.6, reflection_from_tessellation(t1))])
+        psi = basis_state(n, 0).amplitudes
+        support = ActiveSupport(psi)
+
+        def columns():
+            return len(support._plan[0][0][0]) if support._plan else 0
+        while columns() < 1000 or support._ahead != LEAD_STEPS - 1:
+            psi = u.step_array(psi, support)  # ends on the step that packed a batch
+        packed = columns()
+        tracemalloc.start()
+        try:
+            for _ in range(LEAD_STEPS - 2):
+                psi = u.step_array(psi, support)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert columns() == packed and support.reached is not None
+        assert peak < 16 * packed
+
 
 @st.composite
 def scattered_walks(draw):
@@ -541,7 +596,7 @@ class TestStencilCap:
         starts = np.concatenate([[0], np.arange(d, n)])
         h = OrthogonalReflection.from_arrays(n, vertices, amps, starts)
         u = LocalUnitary(theta, h)
-        held = [h._partners, *(a for block in h._big for a in block), *u._rows]
+        held = [h._partners, *(a for block in h._big for a in block), *u._rows[1:]]
         assert sum({id(a): a.size for a in held}.values()) <= 2 * n + 3 * d
 
         # |s> inside the polygon maps to e^{-i theta} |s> + 2i sin(theta) conj(a_s) |a>
