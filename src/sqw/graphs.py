@@ -71,19 +71,37 @@ class Graph:
         counts = np.bincount(self.edge_array.ravel(), minlength=self.vertex_count)
         return np.concatenate(([0], np.cumsum(counts))), arc_ends
 
+    @cached_property
+    def _firsts(self) -> np.ndarray:
+        """Row of the first edge (u, .) of each vertex u in the canonical rows, then E."""
+        firsts = np.zeros(self.vertex_count + 1, dtype=np.int64)
+        np.cumsum(np.bincount(self.edge_array[:, 0], minlength=self.vertex_count), out=firsts[1:])
+        return firsts
+
     def has_edges(self, u, v) -> np.ndarray:
-        """Elementwise edge test over arrays of endpoints; an endpoint outside g has none."""
+        """Elementwise edge test over arrays of endpoints; an endpoint outside g has none.
+
+        (lo, hi) is looked up in the first edge row of lo, then by binary search if not there.
+        """
         lo, hi = np.minimum(u, v), np.maximum(u, v)
-        codes, known = lo * self.vertex_count + hi, self.edge_codes
-        pos = np.minimum(np.searchsorted(known, codes), len(known) - 1)
-        found = known[pos] == codes if len(known) else np.zeros(codes.shape, bool)
-        return found & (lo >= 0) & (hi < self.vertex_count)
+        codes, known = np.ravel(lo * self.vertex_count), self.edge_codes  # 1-D, even for scalars
+        codes += np.ravel(hi)
+        found = np.zeros(codes.shape, bool)
+        if len(known):
+            found = known.take(self._firsts.take(np.ravel(lo), mode="clip"), mode="clip") == codes
+            miss = np.flatnonzero(~found)
+            missed = codes[miss]
+            found[miss] = known.take(np.searchsorted(known, missed), mode="clip") == missed
+        if codes.size and (np.min(lo) < 0 or np.max(hi) >= self.vertex_count):
+            found &= np.ravel((lo >= 0) & (hi < self.vertex_count))
+        return found.reshape(np.shape(lo))[()]  # a scalar for scalar endpoints
 
 
 def build_graph(vertex_count: int, edges, labels=None) -> Graph:
     """Normalize an edge list (or an (E, 2) array) into a :class:`Graph`.
 
-    Endpoints must be in range and distinct; duplicate edges collapse to one.
+    Endpoints must be in range and distinct; duplicate edges collapse to one.  The keys
+    u * n + v are sorted only if one pass finds they do not strictly ascend already.
     """
     if vertex_count < 0:
         raise ValueError(f"vertex_count must be non-negative, got {vertex_count}")
@@ -93,20 +111,27 @@ def build_graph(vertex_count: int, edges, labels=None) -> Graph:
         pairs = pairs.reshape(0, 2)
     if pairs.ndim != 2 or pairs.shape[1] != 2:
         raise ValueError("edges must be (u, v) vertex pairs")
-    u, v = pairs[:, 0], pairs[:, 1]
-    bad = (u == v) | (np.minimum(u, v) < 0) | (np.maximum(u, v) >= n)
-    if bad.any():
-        a, b = pairs[np.argmax(bad)].tolist()
+    rows = np.empty(pairs.shape, dtype=np.int64, order="F")  # (min, max); columns contiguous
+    lo, hi = np.minimum(*pairs.T, out=rows[:, 0]), np.maximum(*pairs.T, out=rows[:, 1])
+    if len(rows) and (lo.min() < 0 or hi.max() >= n or np.any(lo == hi)):
+        a, b = pairs[np.argmax((lo == hi) | (lo < 0) | (hi >= n))].tolist()
         if a == b:
             raise SelfLoop(a)
         raise OutOfRangeVertex(b if 0 <= a < n else a, n)
-    keys = np.sort(np.minimum(u, v) * n + np.maximum(u, v))
-    keys = keys[np.append(True, keys[1:] != keys[:-1])] if len(keys) else keys
+    keys = lo * n
+    keys += hi
+    if not np.all(keys[1:] > keys[:-1]):  # sort; np.unique would import numpy.ma
+        keys.sort()
+        keys = keys[np.append(True, keys[1:] != keys[:-1])]
+        rows = rows if len(keys) == len(rows) else np.empty((len(keys), 2), np.int64, order="F")
+        np.divmod(keys, max(n, 1), out=(rows[:, 0], rows[:, 1]))
     if labels is not None:
         labels = tuple(str(s) for s in _list(labels, "'labels'"))
         if len(labels) != vertex_count:
             raise ValueError("labels must have one entry per vertex")
-    return Graph(vertex_count, np.stack(np.divmod(keys, max(n, 1)), axis=1), labels)
+    g = Graph(vertex_count, rows, labels)
+    g.__dict__["edge_codes"] = keys  # the cached property, already at hand
+    return g
 
 
 def size_blocks(starts: np.ndarray, vertices: np.ndarray) -> list:
@@ -114,14 +139,29 @@ def size_blocks(starts: np.ndarray, vertices: np.ndarray) -> list:
 
     One (polygon ids, (P, d) positions into the flat arrays, (P, d) vertices)
     triple per distinct size d, in increasing size; rows follow the polygon order.
+    A size whose polygons are stored next to each other takes its vertices as a
+    view of the flat array (`block_entries` does the same for other flat arrays).
     """
-    sizes = np.diff(np.append(starts, len(vertices)))
+    sizes = np.diff(starts, append=len(vertices))
+    one_size = len(sizes) and sizes.min() == sizes.max()
     blocks = []
-    for d in np.flatnonzero(np.bincount(sizes)).tolist():
-        ids = np.flatnonzero(sizes == d)
-        rows = starts[ids, None] + np.arange(d)
-        blocks.append((ids, rows, vertices[rows]))
+    for d in [int(sizes[0])] if one_size else np.flatnonzero(np.bincount(sizes)).tolist():
+        ids = np.arange(len(sizes)) if one_size else np.flatnonzero(sizes == d)
+        if ids[-1] - ids[0] == len(ids) - 1:  # one run of polygons
+            rows = np.arange(starts[ids[0]], starts[ids[0]] + d * len(ids)).reshape(-1, d)
+        else:
+            rows = starts[ids, None] + np.arange(d)
+        blocks.append((ids, rows, block_entries(vertices, (ids, rows))))
     return blocks
+
+
+def block_entries(values: np.ndarray, block) -> np.ndarray:
+    """values[rows] for a `size_blocks` block (ids, rows, ...): a view of values
+    when the block's polygons are stored next to each other."""
+    ids, rows = block[:2]
+    if ids[-1] - ids[0] == len(ids) - 1:
+        return values[rows[0, 0]:rows[0, 0] + rows.size].reshape(rows.shape)
+    return values[rows]
 
 
 def flatten_polygons(pairs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -181,23 +221,30 @@ def check_polygon_arrays(vertices, amplitudes, starts, dimension: int | None = N
         raise ValueError("one amplitude per vertex required")
     # Only a vertex listed twice can repeat in a polygon.  One count over ~V hash slots
     # (the low bits of the V vertices) leaves only entries sharing a slot to sort.
-    slot = vertices & ((1 << len(vertices).bit_length()) - 1)
-    shared = np.flatnonzero(np.bincount(slot)[slot] > 1)
-    if len(shared):  # none when each vertex is listed once, as in a tessellation
+    low, high = (vertices.min(), vertices.max()) if len(vertices) else (0, 0)
+    mask = (1 << (len(vertices) - 1).bit_length()) - 1  # no slot array if the vertices fit
+    counts = np.bincount(vertices if 0 <= low and high <= mask else vertices & mask)
+    if np.any(counts > 1):  # not when each vertex is listed once, as in a tessellation
+        shared = np.flatnonzero(counts[vertices & mask] > 1)
         pairs = np.stack((np.searchsorted(starts, shared, side="right") - 1, vertices[shared]), 1)
         pairs, counts = np.unique(pairs, axis=0, return_counts=True)  # by polygon, then vertex
         if np.any(counts > 1):
             k = pairs[np.argmax(counts > 1), 0]
             polygon = sorted(vertices[starts[k]:starts[k] + sizes[k]].tolist())
             raise ValueError(f"duplicate vertex in polygon {tuple(polygon)}")
-    if np.any(vertices < 0):
+    if low < 0:
         raise OutOfRangeVertex(int(vertices[vertices < 0][0]), "any non-negative index")
     if np.any(amplitudes == 0):
         raise ZeroAmplitude(int(vertices[amplitudes == 0][0]))
-    if len(starts):
-        norm2 = np.add.reduceat(np.abs(amplitudes) ** 2, starts)
-        bad = ~(np.abs(norm2 - 1.0) <= NORM_TOL)  # NaN is bad too
-        if bad.any():
+    if len(starts):  # |a|^2 as re^2 + im^2, not through abs (a hypot)
+        parts = np.ascontiguousarray(amplitudes).view(np.float64)
+        if sizes.min() == sizes.max():  # one row of 2d parts per polygon
+            parts = parts.reshape(len(starts), -1)
+            norm2 = np.einsum("ij,ij->i", parts, parts)
+        else:
+            norm2 = np.add.reduceat(parts * parts, 2 * starts)
+        if not abs(norm2.min() - 1.0) <= NORM_TOL >= abs(norm2.max() - 1.0):  # nor if NaN
+            bad = ~(np.abs(norm2 - 1.0) <= NORM_TOL)
             raise NotNormalized(f"polygon amplitudes square-sum to {float(norm2[bad][0])!r}, not 1")
     if dimension is not None:
         _check_partition(dimension, vertices, starts)
@@ -215,7 +262,7 @@ def _check_partition(n: int, vertices: np.ndarray, starts: np.ndarray, g: Graph 
     the verdict does not depend on polygon order.  Given g, returns the clique rule's
     :func:`size_blocks`, which the reflection compile reuses.
     """
-    if np.any(vertices >= n):
+    if len(vertices) and vertices.max() >= n:
         raise OutOfRangeVertex(int(vertices[vertices >= n].min()), n)
     blocks = []
     if g is not None:
@@ -223,7 +270,8 @@ def _check_partition(n: int, vertices: np.ndarray, starts: np.ndarray, g: Graph 
         clique = np.ones(len(starts), dtype=bool)
         for ids, rows, pv in blocks:
             i, j = np.triu_indices(rows.shape[1], 1)
-            clique[ids] = np.all(g.has_edges(pv[:, i], pv[:, j]), axis=1)
+            # one row per vertex pair, so that all() reduces over whole rows
+            clique[ids] = np.all(g.has_edges(pv.T[i], pv.T[j]), axis=0)
         if not clique.all():
             # amplitudes play no part in the order: pass the vertices in their place
             ordered, _, ordered_starts, order = canonical_order(vertices, vertices, starts)
@@ -233,9 +281,9 @@ def _check_partition(n: int, vertices: np.ndarray, starts: np.ndarray, g: Graph 
             m = int(np.argmin(g.has_edges(poly[i], poly[j])))
             raise NotAClique(k, (int(poly[i[m]]), int(poly[j[m]])))
     counts = np.bincount(vertices, minlength=n)
-    if np.any(counts > 1):
+    if counts.max(initial=0) > 1:
         raise OverlappingPolygons(int(np.argmax(counts > 1)))
-    if g is not None and np.any(counts == 0):
+    if g is not None and counts.min(initial=1) == 0:
         raise UncoveredVertex(int(np.argmin(counts)))
     return blocks
 
@@ -364,8 +412,8 @@ def ring_graph(size: int) -> Graph:
     """Cycle of `size` vertices; the finite-ring stand-in for the line."""
     if size < 3:
         raise ValueError(f"ring needs at least 3 vertices, got {size}")
-    i = np.arange(size)
-    return build_graph(size, np.stack((i, (i + 1) % size), axis=1))
+    tail = np.lib.stride_tricks.sliding_window_view(np.arange(1, size), 2)  # (k, k + 1)
+    return build_graph(size, np.concatenate(([(0, 1), (0, size - 1)], tail)))  # canonical order
 
 
 def line_tessellations(ring_size: int, alpha: float, beta: float,
@@ -391,8 +439,9 @@ def line_tessellations(ring_size: int, alpha: float, beta: float,
     first = Tessellation.from_arrays(g, np.arange(ring_size), np.tile([a_even, a_odd], pairs),
                                      starts)
     # Pairs {1, 2}, {3, 4}, ..., {N-1, 0}, each listed odd site first.
-    second = Tessellation.from_arrays(g, (np.arange(ring_size) + 1) % ring_size,
-                                      np.tile([b_odd, b_even], pairs), starts)
+    shifted = np.arange(1, ring_size + 1)  # 1, 2, ..., N - 1, then 0
+    shifted[-1] = 0
+    second = Tessellation.from_arrays(g, shifted, np.tile([b_odd, b_even], pairs), starts)
     return first, second
 
 

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionCapExceeded, DimensionMismatch, EmptyFactorList
-from .graphs import PolygonArrays, Tessellation, check_polygon_arrays, flatten_polygons, \
-    size_blocks, validate_tessellation
+from .graphs import PolygonArrays, Tessellation, block_entries, check_polygon_arrays, \
+    flatten_polygons, size_blocks, validate_tessellation
 from .state import WalkState
 
 DENSE_CAP = 4096
@@ -40,6 +40,7 @@ ACTIVE_SHARE = 0.25
 # switch, the full path flushes subnormal amplitudes once per LEAD_STEPS steps.
 LEAD_STEPS = 8
 SMALLEST_NORMAL = float(np.finfo(np.float64).tiny)
+ROW_RUN = 8192  # polygons per run of a stencil-row compile: its temporaries stay in cache
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -55,12 +56,13 @@ class OrthogonalReflection(PolygonArrays):
     site, the (j+1)-th other site of its polygon, or the site itself where
     there is none.  There are m rows, m + 1 the largest polygon size up to
     STENCIL_CAP; each larger polygon keeps its column of a (d, P) site grid
-    per size d, with its amplitudes, for a rank-1 update.  On the full path a
-    function alpha I + beta P then costs m + 1 terms per site, at most
-    STENCIL_CAP (sum over polygons of min(d, STENCIL_CAP) d when all have
-    m + 1 sites), plus O(d) per larger polygon: O(n), and O(|V| + |E|) for a
-    graph's tessellation.  The packed columns that `ActiveSupport` plans cost
-    the same per site they update.
+    per size d, with its amplitudes, for a rank-1 update; each smaller size
+    keeps its (P, d) sites and amplitudes (views if stored together) for
+    `_rows`.  On the full path a function alpha I + beta P then costs m + 1
+    terms per site, at most STENCIL_CAP (sum over polygons of
+    min(d, STENCIL_CAP) d when all have m + 1 sites), plus O(d) per larger
+    polygon: O(n), and O(|V| + |E|) for a graph's tessellation.  The packed
+    columns that `ActiveSupport` plans cost the same per site they update.
     """
 
     dimension: int
@@ -86,18 +88,21 @@ class OrthogonalReflection(PolygonArrays):
         stencil = max((pv.shape[1] for _, _, pv in blocks if pv.shape[1] <= STENCIL_CAP),
                       default=1)
         partners = np.empty((stencil - 1, dimension), dtype=np.intp)
-        partners[:] = np.arange(dimension)
-        big = []  # (d, P) site grid, amplitudes and their conjugates per size d > STENCIL_CAP
-        for _, rows, pv in blocks:
+        if sum(pv.size for _, _, pv in blocks if pv.shape[1] == stencil) < dimension:
+            partners[:] = np.arange(dimension)  # a site without stencil - 1 partners pads
+        small, big = [], []  # per size d: (P, d) sites and amplitudes; big: (d, P) and conj
+        for block in blocks:
+            pv, amp = block[2], block_entries(amplitudes, block)
             if pv.shape[1] > STENCIL_CAP:
-                amp = np.ascontiguousarray(amplitudes[rows].T)
+                amp = np.ascontiguousarray(amp.T)
                 big.append((np.ascontiguousarray(pv.T, dtype=np.intp), amp, amp.conj()))
                 continue
-            for j in range(1, pv.shape[1]):
-                partners[j - 1, pv] = np.roll(pv, -j, axis=1)
+            small.append((pv, amp))
+            for j, i in np.ndindex(pv.shape[1] - 1, pv.shape[1]):  # column by column, no copy
+                partners[j, pv[:, i]] = pv[:, (i + j + 1) % pv.shape[1]]
         h = cls.__new__(cls)
         h.__dict__.update(dimension=dimension, vertices=vertices, amplitudes=amplitudes,
-                          starts=starts, _partners=partners, _big=big)
+                          starts=starts, _partners=partners, _small=small, _big=big)
         return h
 
     def _rows(self, alpha: complex, beta: complex) -> tuple:
@@ -107,23 +112,22 @@ class OrthogonalReflection(PolygonArrays):
         c0[s] = alpha + beta |a_s|^2 and coefficients[j, s] = beta a_s conj(a_g),
         g = partners[j, s], on polygons up to STENCIL_CAP sites; c0 is alpha and
         the coefficients 0 elsewhere (uncovered sites, padding, larger polygons).
+        Worked per size block, ROW_RUN polygons at a time, each multiply into a fresh
+        array (see `_mix`), so an entry rounds alike at any run length.
         """
-        # in place where it can be: fresh pages fault in, and on a 262 144-site line
-        # that costs more than the arithmetic
-        a = np.zeros(self.dimension, dtype=np.complex128)  # a_s by site
-        a[self.vertices] = self.amplitudes
-        for grid, _, _ in self._big:
-            a[grid] = 0.0
-        c0 = np.conjugate(a)
-        c0 *= a
-        c0.imag = 0.0  # |a_s|^2, without the rounding residue of x y - y x
-        c0 *= beta
-        c0 += alpha
-        coefficients = a.take(self._partners)
-        np.conjugate(coefficients, out=coefficients)
-        coefficients *= a
-        coefficients *= beta
-        coefficients[self._partners == np.arange(self.dimension)] = 0.0
+        c0 = np.full(self.dimension, (np.zeros(2, dtype=np.complex128) * beta + alpha)[0])
+        coefficients = np.zeros(self._partners.shape, dtype=np.complex128)
+        for pv, amp in self._small:
+            d = pv.shape[1]
+            for k in range(0, len(pv), ROW_RUN):
+                sites, a = pv[k:k + ROW_RUN], amp[k:k + ROW_RUN]
+                conj, product = np.conjugate(a), np.empty(a.shape, dtype=np.complex128)
+                for j in range(1, d):  # column i's partner j is column (i + j) mod d
+                    np.multiply(conj[:, (np.arange(d) + j) % d], a, out=product)
+                    coefficients[j - 1, sites] = np.multiply(product, beta)
+                np.multiply(conj, a, out=product)
+                product.imag = 0.0  # |a_s|^2, without the rounding residue of x y - y x
+                c0[sites] = np.add(np.multiply(product, beta, out=conj), alpha, out=conj)
         return None, c0, self._partners, coefficients
 
     def mix(self, psi: np.ndarray, alpha: complex, beta: complex) -> np.ndarray:
@@ -195,19 +199,20 @@ def _mix(psi, update, beta, out=None, scratch=None) -> np.ndarray:
     else:  # packed columns, gathered into the work arrays cut to their count
         x, gathered, product = x[:len(sites)], gathered[:len(sites)], product[:len(sites)]
         np.multiply(c0, psi.take(sites, out=gathered, mode="clip"), out=x)
-        scratch = None  # packed big blocks change shape batch by batch
     for g, c in zip(partners, coefficients):  # g is in range; "clip" skips the check
         psi.take(g, axis=0, out=gathered, mode="clip")
         x += np.multiply(c, gathered, out=product)
     if sites is not None:
         out[sites] = x
     for grid, amp, conj in big:
-        shape = amp.shape + psi.shape[1:]
-        x, overlap, scaled, product = _work_arrays((shape, shape[1:], shape[1:], shape), scratch)
+        shape = amp.shape + psi.shape[1:]  # one set per d and column count, however wide
+        x, overlap, scaled, product = _work_arrays((shape, shape[1:], shape[1:], shape), scratch,
+                                                   ("big", amp.shape[0], *psi.shape[1:]))
         psi.take(grid, axis=0, out=x, mode="clip")
         np.einsum("dp...,dp->p...", x, conj, out=overlap)
         np.multiply(overlap, beta, out=scaled)
-        np.multiply(scaled, amp.reshape(shape[:2] + (1,) * (psi.ndim - 1)), out=product)
+        np.copyto(x, scaled)  # spread over the rows here: a broadcast multiply allocates
+        np.multiply(x, amp.reshape(amp.shape + (1,) * (psi.ndim - 1)), out=product)
         out.take(grid, axis=0, out=x, mode="clip")
         x += product
         out[grid] = x
@@ -396,25 +401,28 @@ class _Front:
         """Fill the packed columns of sites[old:]; the (stencil rows, big blocks) to update."""
         for packed, full in zip(self.packed, self.rows):
             packed[..., old:len(sites)] = full[..., sites[old:]]
-        big = [tuple(a[:, ids] for a in block) for block, ids in zip(self.big, self.taken) if ids]
+        big = [tuple(a.take(ids, axis=1) for a in block)  # contiguous, unlike a[:, ids]
+               for block, ids in zip(self.big, self.taken) if ids]
         return (sites, *(a[..., :len(sites)] for a in self.packed)), big
 
 
-def _work_arrays(shapes: tuple, scratch: dict | None) -> list:
-    """Complex arrays of the given shapes, kept in `scratch` under those shapes.
+def _work_arrays(shapes: tuple, scratch: dict | None, key=None) -> list:
+    """Complex arrays of the given shapes, kept in `scratch` under `key` (default: the shapes).
 
     Fresh arrays on every factor can make glibc trim and regrow the heap top each
     time, at a page fault per page (2x the wall time of a 2000-step walk on an
     8012-site ring in some heap layouts); kept ones are allocated once per run.
+    Under a key of its own, the arrays are cut from the kept ones, which only a
+    larger request replaces: a packed size block widens batch by batch.
     """
-    work = None if scratch is None else scratch.get(shapes)
-    if work is None:
+    work = None if scratch is None else scratch.get(key or shapes)
+    if work is None or key and work[0].size < math.prod(shapes[0]):
         # a list: tuple() of a generator shrinks an oversized tuple, and the 3-tuples it
         # frees pile up on CPython's free list (~2000, 128 KiB) over a run
         work = [np.empty(s, np.complex128) for s in shapes]
         if scratch is not None:
-            scratch[shapes] = work
-    return work
+            scratch[key or shapes] = work
+    return [w.ravel()[:math.prod(s)].reshape(s) for w, s in zip(work, shapes)] if key else work
 
 
 def _check_dim(expected: int, state: WalkState) -> None:

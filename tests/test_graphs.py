@@ -34,7 +34,7 @@ from sqw.errors import (
     ZeroAmplitude,
 )
 
-from sqw.graphs import canonical_order, check_polygon_arrays
+from sqw.graphs import Graph, canonical_order, check_polygon_arrays, size_blocks
 
 from conftest import complete_graph, grid_graph, hub_fragment, path_graph, uniform
 
@@ -585,3 +585,109 @@ class TestValueEquality:
         t0, _ = line_tessellations(8, 1.0, 2.0)
         hash(t0)
         assert "edges" not in vars(t0.parent)  # no tuple per edge was built
+
+
+def reference_graph(n, edges):
+    """The Graph of an edge list from np.unique of its (min, max) keys."""
+    pairs = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    keys = np.unique(pairs.min(axis=1) * n + pairs.max(axis=1))
+    return Graph(n, np.stack(np.divmod(keys, max(n, 1)), axis=1)), keys
+
+
+@st.composite
+def listed_edges(draw):
+    """Distinct edges on 1-12 vertices, listed canonically, permuted, reversed or with
+    repeats, each edge either way round unless canonical."""
+    n = draw(st.integers(1, 12))
+    edges = sorted(draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                                .filter(lambda e: e[0] < e[1]), max_size=30)))
+    listing = draw(st.sampled_from(["canonical", "permuted", "reversed", "repeated"]))
+    if listing == "permuted":
+        edges = draw(st.permutations(edges))
+    elif listing == "reversed":
+        edges = edges[::-1]
+    elif listing == "repeated" and edges:
+        edges = draw(st.permutations(edges + draw(st.lists(st.sampled_from(edges), min_size=1))))
+    if listing != "canonical":
+        edges = [(v, u) if draw(st.booleans()) else (u, v) for u, v in edges]
+    return n, edges
+
+
+class TestGraphConstruction:
+    """`build_graph` keeps canonical rows as they are and sorts the rest; both give
+    the graph of the sorted unique keys."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=listed_edges())
+    def test_equals_sorted_unique_keys(self, case):
+        n, edges = case
+        want, keys = reference_graph(n, edges)
+        for given_as in (edges, np.array(edges, dtype=np.int64).reshape(-1, 2)):
+            g = build_graph(n, given_as)
+            assert g == want and g.edge_array.dtype == np.int64
+            assert g.edge_codes.tolist() == keys.tolist()
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=listed_edges(), queries=st.lists(
+        st.tuples(st.integers(-2, 13), st.integers(-2, 13)), min_size=1, max_size=20))
+    def test_has_edges_matches_the_edge_set(self, case, queries):
+        # a pair found at the first edge row of its lower end, one searched for, one
+        # outside the graph; given as scalars, one row and one column
+        n, edges = case
+        g = build_graph(n, edges)
+        known = {(min(a, b), max(a, b)) for a, b in edges}
+        want = [(min(u, v), max(u, v)) in known for u, v in queries]
+        u, v = np.array(queries).T
+        assert g.has_edges(u, v).tolist() == want
+        assert g.has_edges(u[:, None], v[:, None]).ravel().tolist() == want
+        assert [bool(g.has_edges(a, b)) for a, b in queries] == want
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 8, 101, 4096])
+    def test_ring_graph_is_the_graph_of_its_cycle(self, n):
+        cycle = [(i, (i + 1) % n) for i in range(n)]
+        assert ring_graph(n) == build_graph(n, cycle) == reference_graph(n, cycle)[0]
+        assert ring_graph(n).edge_codes.tolist() == reference_graph(n, cycle)[1].tolist()
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(0, 6), edges=st.lists(st.tuples(st.integers(-2, 8), st.integers(-2, 8)),
+                                               min_size=1, max_size=12))
+    def test_first_bad_row_is_named(self, n, edges):
+        bad = [(a, b) for a, b in edges if a == b or min(a, b) < 0 or max(a, b) >= n]
+        if not bad:
+            assert build_graph(n, edges) == reference_graph(n, edges)[0]
+            return
+        a, b = bad[0]
+        with pytest.raises(SelfLoop if a == b else OutOfRangeVertex) as err:
+            build_graph(n, edges)
+        assert err.value.vertex == (a if a == b or not 0 <= a < n else b)
+
+
+@st.composite
+def size_layouts(draw):
+    """Polygon sizes 1-8 stored in runs of equal size, scattered, or runs then scattered."""
+    sizes = draw(st.lists(st.integers(1, 8), min_size=1, max_size=40))
+    layout = draw(st.sampled_from(["runs", "scattered", "mixed"]))
+    if layout == "runs":
+        runs = draw(st.permutations(sorted(set(sizes))))
+        sizes = [d for d in runs for _ in range(sizes.count(d))]
+    elif layout == "mixed":
+        cut = draw(st.integers(0, len(sizes)))
+        sizes = sorted(sizes[:cut]) + draw(st.permutations(sizes[cut:]))
+    return sizes
+
+
+class TestSizeBlocks:
+    @settings(max_examples=300, deadline=None)
+    @given(sizes=size_layouts(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_equals_a_per_polygon_grouping(self, sizes, seed):
+        rng = np.random.default_rng(seed)
+        starts = np.cumsum([0, *sizes])[:-1]
+        vertices = rng.permutation(sum(sizes) + 5)[:sum(sizes)]
+        blocks = size_blocks(starts, vertices)
+        assert [pv.shape[1] for _, _, pv in blocks] == sorted(set(sizes))
+        for ids, rows, pv in blocks:
+            d = pv.shape[1]
+            want_ids = [k for k, size in enumerate(sizes) if size == d]
+            want_rows = [[starts[k] + c for c in range(d)] for k in want_ids]
+            assert ids.tolist() == want_ids and rows.tolist() == want_rows
+            assert pv.tolist() == vertices[want_rows].tolist()

@@ -530,6 +530,32 @@ class TestActiveSupport:
         assert columns() == packed and support.reached is not None
         assert peak < 16 * packed
 
+    def test_steps_that_reuse_a_plan_allocate_nothing_per_big_column(self):
+        # a 60 000-site ring cut into 6-site polygons, the second factor shifted by 3:
+        # every polygon takes the rank-1 update, whose packed size blocks widen batch by
+        # batch; the steps between two batches reuse the work arrays of the widest
+        n = 60_000
+
+        def blocks(first):
+            return OrthogonalReflection.from_arrays(n, (np.arange(n) + first) % n,
+                                                    np.full(n, 1 / math.sqrt(6)),
+                                                    np.arange(0, n, 6))
+        u = compose([(0.6, blocks(0)), (0.6, blocks(3))])
+        psi = basis_state(n, 0).amplitudes
+        support = ActiveSupport(psi)
+        while len(support.order) < 2000 or support._ahead != LEAD_STEPS - 1:
+            psi = u.step_array(psi, support)  # ends on the step that packed a batch
+        reached = len(support.order)
+        tracemalloc.start()
+        try:
+            for _ in range(LEAD_STEPS - 2):
+                psi = u.step_array(psi, support)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(support.order) == reached and support.reached is not None
+        assert peak < 16 * reached
+
 
 @st.composite
 def scattered_walks(draw):
@@ -607,3 +633,22 @@ class TestStencilCap:
         expected[polygon] = 2j * math.sin(theta) * np.conj(amps[k]) * amps[:d]
         expected[polygon[k]] += cmath.exp(-1j * theta)
         assert np.max(np.abs(u.apply(psi) - expected)) < 1e-12
+
+
+class TestConstructionMemory:
+    """Building, checking and compiling the line holds O(n) memory at its peak."""
+
+    def test_peak_is_linear_in_the_ring_size(self):
+        # kept: the ring's edge rows, codes and first rows (32 B per site), both
+        # tessellations (52 B), partner rows (16 B) and the stencil rows of both
+        # factors (64 B), 164 B in all; at the peak, the temporaries of one run of
+        # ROW_RUN polygons more (a few state-sized arrays at 2^14 sites, less above)
+        for n in (2 ** 14, 2 ** 16):
+            tracemalloc.start()
+            try:
+                t0, t1 = line_tessellations(n, 1.1, 0.7, 0.3, 0.9)
+                factors = [LocalUnitary(0.6, reflection_from_tessellation(t)) for t in (t0, t1)]
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert len(factors) == 2 and peak < 16 * (16 * n)
