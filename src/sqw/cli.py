@@ -93,7 +93,7 @@ def _merge_config(args) -> RunConfig:
         merged.setdefault("theta0", theta)
         merged.setdefault("theta1", theta)
     for key, value in merged.items():
-        if not hasattr(cfg, key):
+        if key not in vars(cfg):  # its fields, not every attribute (__doc__, __class__)
             raise ValueError(f"unknown config key {key!r}")
         if key in _ANGLE_KEYS:
             value = parse_angle(value)

@@ -54,7 +54,7 @@ class CoinedWalk:
     tessellations: tuple[Tessellation, Tessellation]  # (shift, coin): they induce the two above
 
     def __post_init__(self):
-        dim = 2 * len(self.graph.edge_array)
+        dim = 2 * len(self.graph.edge_codes)
         for refl in (self.coin_reflection, self.shift):
             if refl.dimension != dim:
                 raise DimensionMismatch(dim, refl.dimension)

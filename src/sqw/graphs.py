@@ -36,32 +36,33 @@ from .tolerances import NORM_TOL
 class Graph:
     """Simple undirected graph on vertices 0 .. vertex_count-1.
 
-    Edges are stored canonically as an (E, 2) integer array of (min, max)
-    rows in lexicographic order, with no duplicates and no self-loops; the
-    edge label of an edge is its row.  Construct through :func:`build_graph`.
+    Edges are stored canonically as their codes u * vertex_count + v, u < v,
+    ascending and without duplicates; the edge label of an edge is its index.
+    `edge_array` and `edges` are the same edges as (u, v) pairs, made on first
+    use.  Construct through :func:`build_graph`.
     """
 
     vertex_count: int
-    edge_array: np.ndarray
+    edge_codes: np.ndarray
     labels: tuple[str, ...] | None = None
 
     def __eq__(self, other):
         if not isinstance(other, Graph):
             return NotImplemented
         return (self.vertex_count == other.vertex_count and self.labels == other.labels
-                and np.array_equal(self.edge_array, other.edge_array))
+                and np.array_equal(self.edge_codes, other.edge_codes))
 
     def __hash__(self):
-        return hash((self.vertex_count, self.edge_array.tobytes(), self.labels))
+        return hash((self.vertex_count, self.edge_codes.tobytes(), self.labels))
+
+    @cached_property
+    def edge_array(self) -> np.ndarray:
+        """(E, 2) rows (u, v), u < v, in lexicographic order."""
+        return np.stack(np.divmod(self.edge_codes, max(self.vertex_count, 1)), axis=1)
 
     @cached_property
     def edges(self) -> tuple[tuple[int, int], ...]:
         return tuple(map(tuple, self.edge_array.tolist()))
-
-    @cached_property
-    def edge_codes(self) -> np.ndarray:
-        """u * vertex_count + v for each edge (u, v), ascending."""
-        return self.edge_array[:, 0] * self.vertex_count + self.edge_array[:, 1]
 
     @cached_property
     def _incidence(self) -> tuple[np.ndarray, np.ndarray]:
@@ -73,10 +74,10 @@ class Graph:
 
     @cached_property
     def _firsts(self) -> np.ndarray:
-        """Row of the first edge (u, .) of each vertex u in the canonical rows, then E."""
-        firsts = np.zeros(self.vertex_count + 1, dtype=np.int64)
-        np.cumsum(np.bincount(self.edge_array[:, 0], minlength=self.vertex_count), out=firsts[1:])
-        return firsts
+        """Index of the first edge (u, .) of each vertex u in the codes, then E."""
+        n = self.vertex_count
+        counts = np.bincount(self.edge_codes // max(n, 1), minlength=n)
+        return np.concatenate(([0], np.cumsum(counts)))
 
     def has_edges(self, u, v) -> np.ndarray:
         """Elementwise edge test over arrays of endpoints; an endpoint outside g has none.
@@ -111,27 +112,22 @@ def build_graph(vertex_count: int, edges, labels=None) -> Graph:
         pairs = pairs.reshape(0, 2)
     if pairs.ndim != 2 or pairs.shape[1] != 2:
         raise ValueError("edges must be (u, v) vertex pairs")
-    rows = np.empty(pairs.shape, dtype=np.int64, order="F")  # (min, max); columns contiguous
-    lo, hi = np.minimum(*pairs.T, out=rows[:, 0]), np.maximum(*pairs.T, out=rows[:, 1])
-    if len(rows) and (lo.min() < 0 or hi.max() >= n or np.any(lo == hi)):
+    lo, hi = np.minimum(*pairs.T), np.maximum(*pairs.T)
+    if len(pairs) and (lo.min() < 0 or hi.max() >= n or np.any(lo == hi)):
         a, b = pairs[np.argmax((lo == hi) | (lo < 0) | (hi >= n))].tolist()
         if a == b:
             raise SelfLoop(a)
         raise OutOfRangeVertex(b if 0 <= a < n else a, n)
-    keys = lo * n
+    keys = np.multiply(lo, n, out=lo)
     keys += hi
     if not np.all(keys[1:] > keys[:-1]):  # sort; np.unique would import numpy.ma
         keys.sort()
         keys = keys[np.append(True, keys[1:] != keys[:-1])]
-        rows = rows if len(keys) == len(rows) else np.empty((len(keys), 2), np.int64, order="F")
-        np.divmod(keys, max(n, 1), out=(rows[:, 0], rows[:, 1]))
     if labels is not None:
         labels = tuple(str(s) for s in _list(labels, "'labels'"))
         if len(labels) != vertex_count:
             raise ValueError("labels must have one entry per vertex")
-    g = Graph(vertex_count, rows, labels)
-    g.__dict__["edge_codes"] = keys  # the cached property, already at hand
-    return g
+    return Graph(vertex_count, keys, labels)
 
 
 def size_blocks(starts: np.ndarray, vertices: np.ndarray) -> list:

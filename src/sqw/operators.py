@@ -165,33 +165,31 @@ class LocalUnitary:
     def dimension(self) -> int:
         return self.reflection.dimension
 
-    def apply(self, psi: np.ndarray, out: np.ndarray | None = None, active=None,
-              scratch: dict | None = None) -> np.ndarray:
-        """exp(i theta H) psi on a raw array (1-D or columns).
-
-        The result goes to `out` (complex, shaped like psi, not psi) if given, else to a new
-        array.  `active` (from `ActiveSupport.plan`) replaces the factor's rows and size
-        blocks with packed ones; `out` must then hold 0 at every site they leave out.  The
-        work arrays are the ones kept in `scratch` (from `ActiveSupport`), if given.
-        """
-        return _mix(psi, active or (self._rows, self.reflection._big), self._beta, out, scratch)
+    def apply(self, psi: np.ndarray) -> np.ndarray:
+        """exp(i theta H) psi on a raw array (1-D or columns), into a new array."""
+        return _mix(psi, (self._rows, self.reflection._big), self._beta)
 
 
-def _mix(psi, update, beta, out=None, scratch=None) -> np.ndarray:
+def _mix(psi, update, beta, out=None, work=None) -> np.ndarray:
     """out = c0 psi + sum_j coefficients[j] psi[partners[j]] on the sites of the stencil
     rows (sites, c0, partners, coefficients), every site if sites is None, then
     out += beta <a|psi> a on each polygon of the big size blocks: update = (rows, big).
 
     Packed rows (columns for the given sites only) leave every other site of `out`
-    as it is.  Every multiply writes to an array that is not one of its inputs: numpy
-    2.4.6 rounds an in-place multiply of a one-element array without the fused
-    multiply-add of its vector loop (Intel Xeon with AVX-512 and FMA), and packed rows
-    may hold one column.  So packed and full rows round alike at any length, bit for bit.
+    as it is.  Every temporary is a view of `work`, three complex arrays shaped like
+    psi (fresh ones if not given): a (d, P) grid of disjoint polygons holds d P <= n
+    entries per column, and its overlaps 2 P <= n since d > STENCIL_CAP.  Every
+    multiply writes to an array that is not one of its inputs: numpy 2.4.6 rounds
+    an in-place multiply of a one-element array without the fused multiply-add of
+    its vector loop (Intel Xeon with AVX-512 and FMA), and packed rows may hold one
+    column.  So packed and full rows round alike at any length, bit for bit.
     """
     if out is None:
         out = np.empty(psi.shape, dtype=np.complex128)
+    if work is None:
+        work = [np.empty(psi.shape, dtype=np.complex128) for _ in range(3)]
     (sites, c0, partners, coefficients), big = update
-    x, gathered, product = _work_arrays((psi.shape,) * 3, scratch)
+    x, gathered, product = work
     if sites is None:
         if psi.ndim > 1:  # one row entry per site, for every column
             c0, coefficients = c0[:, None], coefficients[:, :, None]
@@ -205,9 +203,9 @@ def _mix(psi, update, beta, out=None, scratch=None) -> np.ndarray:
     if sites is not None:
         out[sites] = x
     for grid, amp, conj in big:
-        shape = amp.shape + psi.shape[1:]  # one set per d and column count, however wide
-        x, overlap, scaled, product = _work_arrays((shape, shape[1:], shape[1:], shape), scratch,
-                                                   ("big", amp.shape[0], *psi.shape[1:]))
+        shape = amp.shape + psi.shape[1:]
+        x, product = (w.reshape(-1)[:math.prod(shape)].reshape(shape) for w in work[:2])
+        overlap, scaled = work[2].reshape(-1)[:2 * math.prod(shape[1:])].reshape(2, *shape[1:])
         psi.take(grid, axis=0, out=x, mode="clip")
         np.einsum("dp...,dp->p...", x, conj, out=overlap)
         np.multiply(overlap, beta, out=scaled)
@@ -239,10 +237,10 @@ class EvolutionOperator:
     def step_array(self, psi: np.ndarray, support: ActiveSupport | None = None) -> np.ndarray:
         """One step on a raw array, each factor writing a new array on the full path.
 
-        Given `support`, made from the start state of a 1-D evolution, each factor
-        writes into the support buffer that is not its input and updates only the
-        polygons that touch reached sites, until the state saturates; after that,
-        `ActiveSupport.flush` clears subnormal parts once every LEAD_STEPS steps.
+        Given `support`, made from the start state of a 1-D evolution, each factor writes
+        into the support buffer that is not its input, using the support's work arrays, and
+        updates only the polygons that touch reached sites until the state saturates; after
+        that, `ActiveSupport.flush` clears subnormal parts once every LEAD_STEPS steps.
         """
         if support is None:
             for f in self.factors:
@@ -250,15 +248,15 @@ class EvolutionOperator:
             return psi
         plan = support.plan(self.factors)
         for i, f in enumerate(self.factors):
-            psi = f.apply(psi, support.buffers[psi is support.buffers[0]], plan and plan[i],
-                          support.scratch)
+            psi = _mix(psi, plan[i] if plan else (f._rows, f.reflection._big), f._beta,
+                       support.buffers[psi is support.buffers[0]], support.work)
         if plan is None:
             support.flush(psi)
         return psi
 
 
 class ActiveSupport:
-    """Two zeroed state buffers for one 1-D evolution, and the sites it can have reached.
+    """Two zeroed state buffers, three work arrays and the reached sites of one 1-D evolution.
 
     A site is reached once it is nonzero in the start state or lies in a
     polygon that a factor updated.  Every other site holds exactly 0 in the
@@ -283,20 +281,22 @@ class ActiveSupport:
     this ends the first batch after a few tracked steps.
 
     On the full path, every LEAD_STEPS steps, `flush` sets the subnormal
-    components of the state to 0.
+    components of the state to 0.  `work` holds every temporary of `_mix` and
+    `flush` for the run: fresh arrays on every factor can make glibc trim and
+    regrow the heap top each time, at a page fault per page (2x the wall time
+    of a 2000-step walk on an 8012-site ring in some heap layouts).
     """
 
     def __init__(self, psi0: np.ndarray):
         # np.zeros, unlike zeros_like, leaves a large buffer's pages untouched until written
         self.buffers = (np.zeros(psi0.shape, psi0.dtype), np.zeros(psi0.shape, psi0.dtype))
-        self.scratch = {}  # the work arrays of both paths by shape (_work_arrays)
+        self.work = [np.empty(psi0.shape, np.complex128) for _ in range(3)]
         self.limit = int(ACTIVE_SHARE * psi0.shape[0])
         start = np.flatnonzero(psi0)
         self.reached = self.order = self.sites = self._fronts = self._plan = None  # None: saturated
         self._ahead = 0  # steps the reached sites still cover
         self._packed = 0  # reached sites packed so far
         self._full_steps = 0
-        self._flush_work = None
         if len(start) <= self.limit:
             self.order = start.tolist()  # the reached sites, in the order reached
             self.reached = bytearray(psi0.shape[0])
@@ -343,9 +343,7 @@ class ActiveSupport:
         if self._full_steps % LEAD_STEPS:
             return
         parts = psi.view(np.float64)
-        if self._flush_work is None:
-            self._flush_work = (np.empty(parts.shape), np.empty(parts.shape, dtype=bool))
-        magnitude, below = self._flush_work
+        magnitude, below = self.work[0].view(np.float64), self.work[1].view(bool)[:parts.size]
         np.less(np.abs(parts, out=magnitude), SMALLEST_NORMAL, out=below)
         np.copyto(parts, 0.0, where=below)
 
@@ -404,25 +402,6 @@ class _Front:
         big = [tuple(a.take(ids, axis=1) for a in block)  # contiguous, unlike a[:, ids]
                for block, ids in zip(self.big, self.taken) if ids]
         return (sites, *(a[..., :len(sites)] for a in self.packed)), big
-
-
-def _work_arrays(shapes: tuple, scratch: dict | None, key=None) -> list:
-    """Complex arrays of the given shapes, kept in `scratch` under `key` (default: the shapes).
-
-    Fresh arrays on every factor can make glibc trim and regrow the heap top each
-    time, at a page fault per page (2x the wall time of a 2000-step walk on an
-    8012-site ring in some heap layouts); kept ones are allocated once per run.
-    Under a key of its own, the arrays are cut from the kept ones, which only a
-    larger request replaces: a packed size block widens batch by batch.
-    """
-    work = None if scratch is None else scratch.get(key or shapes)
-    if work is None or key and work[0].size < math.prod(shapes[0]):
-        # a list: tuple() of a generator shrinks an oversized tuple, and the 3-tuples it
-        # frees pile up on CPython's free list (~2000, 128 KiB) over a run
-        work = [np.empty(s, np.complex128) for s in shapes]
-        if scratch is not None:
-            scratch[key or shapes] = work
-    return [w.ravel()[:math.prod(s)].reshape(s) for w, s in zip(work, shapes)] if key else work
 
 
 def _check_dim(expected: int, state: WalkState) -> None:

@@ -173,14 +173,16 @@ def distribution_to_tsv(d: ProbabilityDistribution, drop_zeros: bool = False,
     columns, sorted by position.
 
     With drop_zeros, rows whose probability and extra values are all zero
-    are left out; only the rows kept are formatted.
+    are left out before the sort; only the rows kept are sorted and formatted.
     """
-    order = np.argsort(d.position_labels, kind="stable")
+    labels = d.position_labels
     columns = [d.probabilities, *(np.asarray(col, dtype=np.float64) for _, col in extra_columns)]
     if drop_zeros:
-        order = order[np.any([col[order] != 0.0 for col in columns], axis=0)]
+        keep = np.flatnonzero(np.any([col != 0.0 for col in columns], axis=0))
+        labels, columns = labels[keep], [col[keep] for col in columns]
+    order = np.argsort(labels, kind="stable")
     return tsv_table(["position", "probability", *(name for name, _ in extra_columns)],
-                     [d.position_labels[order], *(col[order] for col in columns)])
+                     [labels[order], *(col[order] for col in columns)])
 
 
 def tsv_table(header, columns) -> str:

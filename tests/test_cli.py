@@ -360,6 +360,15 @@ class TestMalformedConfigs:
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "x.tsv")]) == 1
         one_error_line(capsys, "unknown config key 'coin'")
 
+    @pytest.mark.parametrize("key", ["__doc__", "__init__", "__class__"])
+    def test_attribute_that_is_not_a_field_is_unknown(self, tmp_path, capsys, key):
+        # a RunConfig attribute outside its fields once passed the key check and then
+        # raised a KeyError traceback from the type table
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"theta": "pi/4", "steps": 2, key: "x"}))
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x.tsv")]) == 1
+        one_error_line(capsys, f"unknown config key {key!r}")
+
     @pytest.mark.parametrize("argv,config", [
         (["simulate", "--theta", "pi/0"], None),
         (["simulate", "--theta", "nan"], None),

@@ -15,6 +15,7 @@ from sqw import (
     from_document,
     grover_coined_walk,
     line_tessellations,
+    reflection_from_tessellation,
     ring_graph,
     to_document,
     union_covers_edges,
@@ -591,7 +592,7 @@ def reference_graph(n, edges):
     """The Graph of an edge list from np.unique of its (min, max) keys."""
     pairs = np.array(edges, dtype=np.int64).reshape(-1, 2)
     keys = np.unique(pairs.min(axis=1) * n + pairs.max(axis=1))
-    return Graph(n, np.stack(np.divmod(keys, max(n, 1)), axis=1)), keys
+    return Graph(n, keys), keys
 
 
 @st.composite
@@ -622,10 +623,21 @@ class TestGraphConstruction:
     def test_equals_sorted_unique_keys(self, case):
         n, edges = case
         want, keys = reference_graph(n, edges)
+        rows = np.stack(np.divmod(keys, max(n, 1)), axis=1)
+        firsts = np.searchsorted(keys // max(n, 1), np.arange(n + 1))
         for given_as in (edges, np.array(edges, dtype=np.int64).reshape(-1, 2)):
             g = build_graph(n, given_as)
             assert g == want and g.edge_array.dtype == np.int64
             assert g.edge_codes.tolist() == keys.tolist()
+            assert g.edge_array.tolist() == rows.tolist()
+            assert g.edges == tuple(map(tuple, rows.tolist()))
+            assert g._firsts.tolist() == firsts.tolist()
+
+    def test_a_graph_keeps_one_edge_array(self):
+        # the ring's graph is built and checked through its codes: no (E, 2) rows
+        t0, t1 = line_tessellations(64, 1.0, 2.0)
+        reflection_from_tessellation(t0), reflection_from_tessellation(t1)
+        assert "edge_codes" in vars(t0.parent) and "edge_array" not in vars(t0.parent)
 
     @settings(max_examples=200, deadline=None)
     @given(case=listed_edges(), queries=st.lists(

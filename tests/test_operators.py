@@ -557,6 +557,29 @@ class TestActiveSupport:
         assert peak < 16 * reached
 
 
+    def test_full_path_run_keeps_its_buffers_and_work_arrays_only(self):
+        # a dense start on a 60 000-site ring cut into 6-site polygons: every step runs
+        # the full path with the rank-1 update and the flush; the support's two buffers
+        # and three work arrays are 5 state sizes, and the start's nonzero sites half of one
+        n = 60_000
+
+        def blocks(first):
+            return OrthogonalReflection.from_arrays(n, (np.arange(n) + first) % n,
+                                                    np.full(n, 1 / math.sqrt(6)),
+                                                    np.arange(0, n, 6))
+        u = compose([(0.6, blocks(0)), (0.6, blocks(3))])
+        psi = random_state_array(np.random.default_rng(3), n)
+        tracemalloc.start()
+        try:
+            support = ActiveSupport(psi)
+            for _ in range(2 * LEAD_STEPS + 4):
+                psi = u.step_array(psi, support)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert support.reached is None
+        assert peak < 6 * 16 * n
+
 @st.composite
 def scattered_walks(draw):
     """A walk of 2-3 factors on 10 to 10^5 sites (log-uniform), and 1-24 steps.
