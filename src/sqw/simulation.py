@@ -177,12 +177,11 @@ def distribution_to_tsv(d: ProbabilityDistribution, drop_zeros: bool = False,
     """
     labels = d.position_labels
     columns = [d.probabilities, *(np.asarray(col, dtype=np.float64) for _, col in extra_columns)]
-    if drop_zeros:
-        keep = np.flatnonzero(np.any([col != 0.0 for col in columns], axis=0))
-        labels, columns = labels[keep], [col[keep] for col in columns]
-    order = np.argsort(labels, kind="stable")
+    rows = (np.flatnonzero(np.any([col != 0.0 for col in columns], axis=0)) if drop_zeros
+            else np.arange(len(labels)))
+    rows = rows[np.argsort(labels[rows], kind="stable")]
     return tsv_table(["position", "probability", *(name for name, _ in extra_columns)],
-                     [labels[order], *(col[order] for col in columns)])
+                     [labels[rows], *(col[rows] for col in columns)])
 
 
 def tsv_table(header, columns) -> str:
