@@ -82,7 +82,7 @@ class Graph:
     def has_edges(self, u, v) -> np.ndarray:
         """Elementwise edge test over arrays of endpoints; an endpoint outside g has none.
 
-        (lo, hi) is looked up in the first edge row of lo, then by binary search if not there.
+        (lo, hi) is looked up at the first edge of lo, then by binary search if not there.
         """
         lo, hi = np.minimum(u, v), np.maximum(u, v)
         codes, known = np.ravel(lo * self.vertex_count), self.edge_codes  # 1-D, even for scalars

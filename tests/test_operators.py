@@ -662,9 +662,9 @@ class TestConstructionMemory:
     """Building, checking and compiling the line holds O(n) memory at its peak."""
 
     def test_peak_is_linear_in_the_ring_size(self):
-        # kept: the ring's edge rows, codes and first rows (32 B per site), both
+        # kept: the ring's edge codes and first edges (16 B per site), both
         # tessellations (52 B), partner rows (16 B) and the stencil rows of both
-        # factors (64 B), 164 B in all; at the peak, the temporaries of one run of
+        # factors (64 B), 148 B in all; at the peak, the temporaries of one run of
         # ROW_RUN polygons more (a few state-sized arrays at 2^14 sites, less above)
         for n in (2 ** 14, 2 ** 16):
             tracemalloc.start()
