@@ -150,32 +150,24 @@ def _require_thetas(cfg: RunConfig) -> None:
         raise ValueError("set --theta, or both --theta0 and --theta1")
 
 
-def _run_line(cfg: RunConfig):
-    """Simulate the line model on its ring, failing once its front reaches the antipode.
+def _run(cfg: RunConfig):
+    """Evolve the configured walk: (position labels, initial (position, amplitude)
+    entries, final state).  Tessellation i takes theta0 if i is even, else theta1.
 
-    Returns the ring size, the initial (position, amplitude) entries and the
-    final state.  The ring defaults to 4 (steps + 1) + 8 sites.
+    The line model runs on a ring labelled -n/2 .. n/2 - 1, n = 4 (steps + 1) + 8 by
+    default, and fails once its front reaches the antipode.  The graph model reads
+    cfg.graph and labels each vertex by its index.
     """
-    n = cfg.ring_size if cfg.ring_size is not None else 4 * (cfg.steps + 1) + 8
-    t0, t1 = line_tessellations(n, cfg.alpha, cfg.beta, cfg.phi0, cfg.phi1)
-    op = compose([(cfg.theta0, reflection_from_tessellation(t0)),
-                  (cfg.theta1, reflection_from_tessellation(t1))])
-
-    def site(pos: int) -> int:
-        # the ring's labels are -n/2 .. n/2 - 1 (ring_labels); others would wrap silently
-        if not -(n // 2) <= pos < n // 2:
-            raise OutOfRangeVertex(pos, n)
-        return pos % n
-
-    psi0, entries = _parse_init(cfg.init, n, site)
-    return n, entries, evolve_final(op, psi0, cfg.steps, [WrapGuard(n)])
-
-
-def cmd_simulate(cfg: RunConfig) -> int:
-    _require_thetas(cfg)
     if cfg.model == "line":
-        n, _, final = _run_line(cfg)
-        labels = ring_labels(n)
+        n = cfg.ring_size if cfg.ring_size is not None else 4 * (cfg.steps + 1) + 8
+        tessellations = line_tessellations(n, cfg.alpha, cfg.beta, cfg.phi0, cfg.phi1)
+        label, observers = ring_labels, [WrapGuard(n)]
+
+        def site(pos: int) -> int:
+            # the ring's labels only; any other position would wrap silently
+            if not -(n // 2) <= pos < n // 2:
+                raise OutOfRangeVertex(pos, n)
+            return pos % n
     elif cfg.model == "graph":
         if not cfg.graph:
             raise ValueError("graph model needs --graph FILE")
@@ -183,15 +175,21 @@ def cmd_simulate(cfg: RunConfig) -> int:
             g, tessellations = from_document(json.load(fh))
         if len(tessellations) < 1:
             raise ValueError("graph file carries no tessellations")
-        angles = [cfg.theta0, cfg.theta1] * ((len(tessellations) + 1) // 2)
-        op = compose([(angles[i], reflection_from_tessellation(t))
-                      for i, t in enumerate(tessellations)])
         n = g.vertex_count
-        psi0, _ = _parse_init(cfg.init, n, lambda pos: pos)
-        final = evolve_final(op, psi0, cfg.steps)
-        labels = np.arange(n)
+        label, observers, site = np.arange, [], lambda pos: pos
     else:
         raise ValueError(f"unknown model {cfg.model!r} for simulate")
+    angles = [cfg.theta0, cfg.theta1] * len(tessellations)
+    op = compose([(a, reflection_from_tessellation(t)) for a, t in zip(angles, tessellations)])
+    psi0, entries = _parse_init(cfg.init, n, site)
+    final = evolve_final(op, psi0, cfg.steps, observers)
+    del op, psi0, tessellations  # freed before the n labels are made, as the peak comes later
+    return label(n), entries, final
+
+
+def cmd_simulate(cfg: RunConfig) -> int:
+    _require_thetas(cfg)
+    labels, _, final = _run(cfg)
     dist = distribution(final, labels)
     _write(cfg.out, distribution_to_tsv(dist, drop_zeros=True))
     summary = moments(dist, step=cfg.steps)
@@ -207,8 +205,7 @@ def cmd_analytic(cfg: RunConfig) -> int:
     if cfg.theta0 != cfg.theta1:
         raise ValueError("analytic mode needs a common theta (theta0 == theta1)")
     params = line_analytic.LineParams(cfg.theta0, cfg.alpha, cfg.beta, cfg.phi0, cfg.phi1)
-    n, entries, final = _run_line(cfg)
-    labels = ring_labels(n)
+    labels, entries, final = _run(cfg)
     analytic = line_analytic.wavefunction(params, cfg.steps, positions=labels, initial=entries)
     simulated = final.amplitudes
     deviation = np.abs(analytic - simulated)

@@ -127,13 +127,6 @@ class QuadratureNotConverged(WalkError):
         self.tol = tol
 
 
-class SingularIntegrand(WalkError):
-    def __init__(self, k):
-        super().__init__(f"integrand singular at k={k!r}: the eigenphase sine "
-                         "vanishes where the coefficient imaginary part does not")
-        self.k = k
-
-
 class DegenerateBlock(WalkError):
     pass
 

@@ -436,8 +436,15 @@ def compose(factors) -> EvolutionOperator:
 
 
 def dense_matrix(u: EvolutionOperator, cap: int = DENSE_CAP) -> np.ndarray:
-    """Materialize one step as a dense matrix; column j is step(|j>)."""
+    """Materialize one step as a dense matrix; column j is step(|j>).
+
+    Steps n // 16 identity columns at a time into the result, so the peak holds about
+    one n x n matrix, not the five of a single n-column step."""
     n = u.dimension
     if n > cap:
         raise DimensionCapExceeded(n, cap)
-    return u.step_array(np.eye(n, dtype=np.complex128))
+    width = max(1, n // 16)
+    out = np.empty((n, n), dtype=np.complex128)
+    for j in range(0, n, width):
+        out[:, j:j + width] = u.step_array(np.eye(n, min(width, n - j), -j, dtype=np.complex128))
+    return out

@@ -56,7 +56,8 @@ class MomentSummary:
     higher: tuple[float, ...] = ()
 
     def __post_init__(self):
-        if self.second_moment < self.mean ** 2 - 1e-9:
+        # relative slack: far from the origin both raw moments round at ~1e-16 of their size
+        if self.second_moment < self.mean ** 2 - 1e-9 * max(1.0, self.second_moment):
             raise ValueError("second moment below squared mean")
 
 
@@ -112,11 +113,8 @@ def evolve(u: EvolutionOperator, psi0: WalkState, steps: int) -> list[WalkState]
 
 
 def distribution(psi: WalkState, labeling) -> ProbabilityDistribution:
-    """|amplitude|^2 per vertex, tagged with the given position labels."""
-    labels = np.asarray(labeling, dtype=np.int64)
-    if labels.shape != (psi.dimension,):
-        raise LabelMismatch(f"expected {psi.dimension} labels, got shape {labels.shape}")
-    return ProbabilityDistribution(np.abs(psi.amplitudes) ** 2, labels)
+    """|amplitude|^2 per vertex, tagged with the given position labels, one per vertex."""
+    return ProbabilityDistribution(np.abs(psi.amplitudes) ** 2, labeling)
 
 
 def moments(d: ProbabilityDistribution, max_order: int = 2, step: int = 0) -> MomentSummary:

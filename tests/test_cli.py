@@ -114,6 +114,21 @@ class TestSimulate:
         assert main(["simulate", "--steps", "1", "--out", str(tmp_path / "x.tsv")]) == 1
         assert "theta" in capsys.readouterr().err
 
+    def test_identity_walk_far_from_the_origin(self, tmp_path, capsys):
+        # its raw moments are ~4e8 and round at ~1e-7: no false "second moment
+        # below squared mean"
+        amps = [0.99999999999, 4.4721359549e-06]
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"model": "line", "theta": 0, "steps": 1,
+                                   "ring_size": 40004,
+                                   "init": [[20000, amps[0], 0], [20001, amps[1], 0]]}))
+        out = tmp_path / "dist.tsv"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        probabilities = np.abs(np.array(amps, dtype=np.complex128)) ** 2
+        assert out.read_text() == ("position\tprobability\n20000\t%.17g\n20001\t%.17g\n"
+                                   % tuple(probabilities))
+
 
 class TestAnalytic:
     def test_origin_start_deviation_column(self, tmp_path, capsys):

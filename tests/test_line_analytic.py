@@ -406,6 +406,30 @@ class TestAsymptoticMoments:
         with pytest.raises(ValueError):
             asymptotic_odd_moment(uniform_params(PI / 4), 0, 10)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(-PI, PI),
+           st.floats(0.0, PI, exclude_min=True, exclude_max=True),
+           st.floats(0.0, PI, exclude_min=True, exclude_max=True),
+           st.floats(-PI, PI), st.floats(-PI, PI),
+           st.lists(st.floats(-PI, PI), min_size=1, max_size=64))
+    def test_integrand_is_the_block_ratio(self, theta, alpha, beta, phi0, phi1, ks):
+        # the drift integrand (2 Im a / sin lam)^2 read from _block_arrays against its
+        # direct form 4 Im(a)^2 / (Im(a)^2 + |b|^2), on the blocks _block_arrays does not
+        # call degenerate (sin lam > 1e-15) where Im(a) is 0 or Im(a)^2 is a normal
+        # number (a subnormal square keeps too few bits for the direct form)
+        p = LineParams(theta, alpha, beta, phi0, phi1)
+        a, b, _, sin_lam, _, ratio_a, _ = line_analytic._block_arrays(p, np.array(ks))
+        im2 = a.imag ** 2
+        denom = im2 + np.abs(b) ** 2
+        direct = np.divide(4.0 * im2, denom, out=np.zeros_like(denom), where=denom > 0)
+        regular = sin_lam > 1e-15
+        exact = regular & ((a.imag == 0.0) | (im2 >= np.finfo(np.float64).tiny))
+        np.testing.assert_allclose((2.0 * ratio_a[exact]) ** 2, direct[exact],
+                                   rtol=1e-14, atol=0)
+        assert not np.any(ratio_a[~regular])
+        # sin lam -> 0 with Im(a) away from 0 would need |a|^2 > 1 + 1e-9
+        assert not np.any((1.0 - a.real ** 2 < 1e-20) & (im2 > 1e-9))
+
 
 class TestClosedForm:
     def test_values(self):

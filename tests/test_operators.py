@@ -261,6 +261,22 @@ class TestDenseMatrix:
         with pytest.raises(DimensionCapExceeded):
             dense_matrix(compose([(0.1, h0)]), cap=2)
 
+    def test_peak_memory_is_about_one_matrix(self):
+        # dense_matrix steps column blocks into one result; one n-column step peaks at
+        # five n x n complex matrices (its input, output and three work arrays)
+        n = 1024
+        t0, t1 = line_tessellations(n, math.pi / 3, math.pi / 2, 0.2, -0.4)
+        u = compose([(0.4, reflection_from_tessellation(t0)),
+                     (-1.1, reflection_from_tessellation(t1))])
+        tracemalloc.start()
+        try:
+            m = dense_matrix(u)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 16 * n * n
+        assert np.array_equal(m, u.step_array(np.eye(n, dtype=np.complex128)))
+
 
 class TestNormPreservation:
     def test_step_preserves_norm(self):

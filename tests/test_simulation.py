@@ -3,8 +3,11 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sqw import (
+    MomentSummary,
     basis_state,
     closed_form_sigma2,
     compose,
@@ -287,6 +290,19 @@ class TestMoments:
         d = distribution(basis_state(2, 0), [0, 1])
         with pytest.raises(ValueError):
             moments(d, max_order=1)
+
+    def test_second_moment_below_squared_mean(self):
+        with pytest.raises(ValueError, match="second moment below squared mean"):
+            MomentSummary(1.0, 0.5, 0.0, 0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(10_000, 30_000), st.floats(0.0, 1e-6), st.booleans())
+    def test_near_point_mass_far_from_origin(self, x0, q, negative):
+        # raw moments of ~4e8 round at ~1e-7, far above an absolute slack of 1e-9
+        sign = -1 if negative else 1
+        d = ProbabilityDistribution(np.array([1.0 - q, q]), sign * np.array([x0, x0 + 1]))
+        m = moments(d)
+        assert m.sigma <= 1.0
 
 
 class TestWrapCheck:
