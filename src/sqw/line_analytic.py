@@ -95,7 +95,7 @@ def _block_arrays(p: LineParams, k: np.ndarray):
     im_a = a.imag
     sin_lam = np.sqrt(im_a ** 2 + np.abs(b) ** 2)
     lam = np.arctan2(sin_lam, a.real)
-    nz = sin_lam > 1e-15
+    nz = sin_lam > 0
     safe = np.where(nz, sin_lam, 1.0)
     ratio_a = np.where(nz, im_a / safe, 0.0)
     ratio_b = np.where(nz, b / safe, 0.0)

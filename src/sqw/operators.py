@@ -3,14 +3,15 @@
 A reflection induced by disjoint polygon vectors {|a_k>} is H = 2 P - I with
 P = sum_k |a_k><a_k|.  H is unitary, Hermitian and involutive, so the local
 unitary exp(i t H) is exactly cos(t) I + i sin(t) H = e^{-it} I + 2i sin(t) P:
-on a polygon of d sites a fixed d x d matrix.  Each local unitary is compiled
-once into site-major stencil rows, a self coefficient per site and one
-partner index and coefficient per other site of its polygon (polygons above
-STENCIL_CAP sites take a rank-1 update instead), so a factor costs at most
-STENCIL_CAP terms per site, sum over polygons of min(d, STENCIL_CAP) d on
-equal sizes: O(|V| + |E|) for a graph's tessellation.  One walk step applies
-an ordered list of such local unitaries.  An evolution from a sparse state
-updates only the polygons its amplitude can have reached (`ActiveSupport`).
+on a polygon of d sites a fixed d x d matrix.  A reflection keeps, for every
+site, the other sites of its polygon as partner rows (polygons above
+STENCIL_CAP sites take a rank-1 update instead).  A local unitary's stencil
+entries, a self coefficient per site and one coefficient per partner, are
+computed from the polygon amplitudes: for the sites a sparse evolution has
+reached (`ActiveSupport`), or for every site once, when the full path first
+needs them.  So a factor costs at most STENCIL_CAP terms per site, sum over
+polygons of min(d, STENCIL_CAP) d on equal sizes: O(|V| + |E|) for a graph's
+tessellation.  One walk step applies an ordered list of such local unitaries.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -40,7 +42,7 @@ ACTIVE_SHARE = 0.25
 # switch, the full path flushes subnormal amplitudes once per LEAD_STEPS steps.
 LEAD_STEPS = 8
 SMALLEST_NORMAL = float(np.finfo(np.float64).tiny)
-ROW_RUN = 8192  # polygons per run of a stencil-row compile: its temporaries stay in cache
+ROW_RUN = 8192  # sites per run of a stencil-entry compile: its temporaries stay in cache
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -54,15 +56,16 @@ class OrthogonalReflection(PolygonArrays):
 
     Compiled for the kernel in site order: row j of `_partners` holds, for each
     site, the (j+1)-th other site of its polygon, or the site itself where
-    there is none.  There are m rows, m + 1 the largest polygon size up to
-    STENCIL_CAP; each larger polygon keeps its column of a (d, P) site grid
-    per size d, with its amplitudes, for a rank-1 update; each smaller size
-    keeps its (P, d) sites and amplitudes (views if stored together) for
-    `_rows`.  On the full path a function alpha I + beta P then costs m + 1
-    terms per site, at most STENCIL_CAP (sum over polygons of
+    there is none, and `_slot` each site's position in the flat arrays, or -1
+    off the polygons of at most STENCIL_CAP sites.  There are m partner rows,
+    m + 1 the largest polygon size up to STENCIL_CAP; each larger polygon keeps
+    its column of a (d, P) site grid per size d, with its amplitudes, for a
+    rank-1 update.  On the full path a function alpha I + beta P then costs
+    m + 1 terms per site, at most STENCIL_CAP (sum over polygons of
     min(d, STENCIL_CAP) d when all have m + 1 sites), plus O(d) per larger
     polygon: O(n), and O(|V| + |E|) for a graph's tessellation.  The packed
-    columns that `ActiveSupport` plans cost the same per site they update.
+    columns that `ActiveSupport` plans cost the same per site they update, and
+    `_entries` computes them for those sites only.
     """
 
     dimension: int
@@ -88,46 +91,65 @@ class OrthogonalReflection(PolygonArrays):
         stencil = max((pv.shape[1] for _, _, pv in blocks if pv.shape[1] <= STENCIL_CAP),
                       default=1)
         partners = np.empty((stencil - 1, dimension), dtype=np.intp)
-        if sum(pv.size for _, _, pv in blocks if pv.shape[1] == stencil) < dimension:
+        padded = sum(pv.size for _, _, pv in blocks if pv.shape[1] == stencil) < dimension
+        if padded:
             partners[:] = np.arange(dimension)  # a site without stencil - 1 partners pads
-        small, big = [], []  # per size d: (P, d) sites and amplitudes; big: (d, P) and conj
+        slot = np.full(dimension, -1, dtype=np.int32)  # site -> flat position, stencil polygons
+        big = []  # per size d above STENCIL_CAP: (d, P) sites, amplitudes and conj
         for block in blocks:
-            pv, amp = block[2], block_entries(amplitudes, block)
+            pv = block[2]
             if pv.shape[1] > STENCIL_CAP:
-                amp = np.ascontiguousarray(amp.T)
+                amp = np.ascontiguousarray(block_entries(amplitudes, block).T)
                 big.append((np.ascontiguousarray(pv.T, dtype=np.intp), amp, amp.conj()))
                 continue
-            small.append((pv, amp))
+            slot[pv] = block[1]
             for j, i in np.ndindex(pv.shape[1] - 1, pv.shape[1]):  # column by column, no copy
                 partners[j, pv[:, i]] = pv[:, (i + j + 1) % pv.shape[1]]
         h = cls.__new__(cls)
         h.__dict__.update(dimension=dimension, vertices=vertices, amplitudes=amplitudes,
-                          starts=starts, _partners=partners, _small=small, _big=big)
+                          starts=starts, _partners=partners, _slot=slot, _big=big,
+                          _padded=padded)
         return h
+
+    def _entries(self, sites, alpha: complex, beta: complex, c0, coefficients) -> None:
+        """Write the stencil entries of alpha I + beta P at `sites` (every site if None)
+        into c0 and the columns of coefficients, ROW_RUN sites at a time.
+
+        c0[s] = alpha + beta |a_s|^2 and coefficients[j, s] = beta a_s conj(a_g),
+        g = partners[j, s], on polygons up to STENCIL_CAP sites, read through `_slot`;
+        c0 is alpha and the coefficients exactly 0 elsewhere (uncovered sites, padding,
+        larger polygons); where every site has m partners (`_padded` is False, as on a
+        ring), there is no such site.  Each multiply writes an array that is not one of
+        its inputs (see `_mix`), so an entry rounds alike at any run length and any
+        column: the packed entries of `_Front.pack` equal the full rows of `_rows` bit
+        for bit.
+        """
+        count = self.dimension if sites is None else len(sites)
+        for k in range(0, count, ROW_RUN):
+            at = np.arange(k, min(k + ROW_RUN, count)) if sites is None else sites[k:k + ROW_RUN]
+            slot = self._slot[at]
+            a = (self.amplitudes.take(slot, mode="clip")  # -1 reads entry 0; overwritten below
+                 if len(self.amplitudes) else np.zeros(len(at), np.complex128))
+            product = np.multiply(np.conjugate(a), a)
+            product.imag = 0.0  # |a_s|^2, without the rounding residue of x y - y x
+            c = c0[k:k + len(at)]
+            np.add(np.multiply(product, beta, out=c), alpha, out=c)
+            if self._padded:  # alpha off the stencil polygons, rounded as on a vector
+                np.putmask(c, slot < 0, (np.zeros(2, dtype=np.complex128) * beta + alpha)[0])
+            for partners, row in zip(self._partners, coefficients[:, k:k + len(at)]):
+                g = partners[at]
+                partner = self.amplitudes.take(self._slot[g], mode="clip")
+                np.multiply(np.conjugate(partner), a, out=product)
+                np.multiply(product, beta, out=row)
+                if self._padded:
+                    np.putmask(row, g == at, 0)  # padding names the site itself
 
     def _rows(self, alpha: complex, beta: complex) -> tuple:
         """alpha I + beta P as stencil rows (None, c0, partners, coefficients) on every
-        site: out[s] = c0[s] psi[s] + sum_j coefficients[j, s] psi[partners[j, s]].
-
-        c0[s] = alpha + beta |a_s|^2 and coefficients[j, s] = beta a_s conj(a_g),
-        g = partners[j, s], on polygons up to STENCIL_CAP sites; c0 is alpha and
-        the coefficients 0 elsewhere (uncovered sites, padding, larger polygons).
-        Worked per size block, ROW_RUN polygons at a time, each multiply into a fresh
-        array (see `_mix`), so an entry rounds alike at any run length.
-        """
-        c0 = np.full(self.dimension, (np.zeros(2, dtype=np.complex128) * beta + alpha)[0])
-        coefficients = np.zeros(self._partners.shape, dtype=np.complex128)
-        for pv, amp in self._small:
-            d = pv.shape[1]
-            for k in range(0, len(pv), ROW_RUN):
-                sites, a = pv[k:k + ROW_RUN], amp[k:k + ROW_RUN]
-                conj, product = np.conjugate(a), np.empty(a.shape, dtype=np.complex128)
-                for j in range(1, d):  # column i's partner j is column (i + j) mod d
-                    np.multiply(conj[:, (np.arange(d) + j) % d], a, out=product)
-                    coefficients[j - 1, sites] = np.multiply(product, beta)
-                np.multiply(conj, a, out=product)
-                product.imag = 0.0  # |a_s|^2, without the rounding residue of x y - y x
-                c0[sites] = np.add(np.multiply(product, beta, out=conj), alpha, out=conj)
+        site: out[s] = c0[s] psi[s] + sum_j coefficients[j, s] psi[partners[j, s]]."""
+        c0 = np.empty(self.dimension, dtype=np.complex128)
+        coefficients = np.empty(self._partners.shape, dtype=np.complex128)
+        self._entries(None, alpha, beta, c0, coefficients)
         return None, c0, self._partners, coefficients
 
     def mix(self, psi: np.ndarray, alpha: complex, beta: complex) -> np.ndarray:
@@ -148,18 +170,24 @@ class OrthogonalReflection(PolygonArrays):
 class LocalUnitary:
     """exp(i theta H) = e^{-i theta} I + 2i sin(theta) P for a reflection H = 2P - I.
 
-    Its stencil rows (`OrthogonalReflection._rows`) are compiled once, at
-    construction; theta never changes.
+    It keeps alpha = e^{-i theta} and beta = 2i sin(theta); theta never changes.
+    Its full stencil rows (`OrthogonalReflection._rows`) are compiled once, on
+    first use by the full path: `apply`, a step without a support, an evolution
+    from a dense start or after saturation, `dense_matrix`.  An evolution that
+    stays sparse never compiles them; `_Front.pack` computes the entries of the
+    reached sites alone.
     """
 
     theta: float
     reflection: OrthogonalReflection
 
     def __post_init__(self):
-        beta = 2j * math.sin(self.theta)
-        object.__setattr__(self, "_beta", beta)
-        object.__setattr__(self, "_rows",
-                           self.reflection._rows(cmath.exp(-1j * self.theta), beta))
+        object.__setattr__(self, "_alpha", cmath.exp(-1j * self.theta))
+        object.__setattr__(self, "_beta", 2j * math.sin(self.theta))
+
+    @cached_property
+    def _rows(self) -> tuple:
+        return self.reflection._rows(self._alpha, self._beta)
 
     @property
     def dimension(self) -> int:
@@ -261,16 +289,17 @@ class ActiveSupport:
     A site is reached once it is nonzero in the start state or lies in a
     polygon that a factor updated.  Every other site holds exactly 0 in the
     state and in both buffers, and a polygon whose sites are all 0 maps to 0.
-    So each factor updates only the reached sites, one packed column of its
-    stencil rows per site in one `sites` array shared by every factor (and
+    So each factor updates only the reached sites, one packed column of
+    stencil entries per site in one `sites` array shared by every factor (and
     its polygons above STENCIL_CAP that touch them, as packed columns of its
     size blocks), with the full path's arithmetic per site: the result is
     the full path's bit for bit (an exact zero may differ in sign).  A factor
-    costs O(reached sites), as the full path costs O(n).
+    costs O(reached sites), as the full path costs O(n), and so does its
+    entry compile: a sparse run never builds a factor's full rows.
 
     The reached sites are tracked LEAD_STEPS steps ahead of the state, one
     batch of steps at a time, through each factor's partner rows at
-    O(newly reached sites); each factor packs the columns of a batch's new
+    O(newly reached sites); each factor computes the entries of a batch's new
     sites once, into rows allocated at `limit` columns.  Tracking ahead only
     makes a factor update some sites while they still hold 0, as a site does
     until the walk reaches it.  Tracking stops, and every later step runs the
@@ -349,21 +378,24 @@ class ActiveSupport:
 
 
 class _Front:
-    """One factor's share of the reach tracking, and its rows packed for the reached sites.
+    """One factor's share of the reach tracking, and its stencil entries for the reached sites.
 
     A newly reached site takes its polygon: its partners, read from the
     partner rows, or on a polygon above STENCIL_CAP sites its column of that
     size's site grid, found through an owner map that exists only when the
     factor has such polygons.  A taken big polygon's sites leave the owner
     map; their partner rows name only themselves.  The packed rows hold a
-    column per reached site, filled once per batch for the batch's new sites,
-    and each big size block is cut to its taken columns once per batch.
+    column per reached site, computed once per batch for the batch's new sites
+    (`OrthogonalReflection._entries`), so the factor's full rows are never
+    built; each big size block is cut to its taken columns once per batch.
     """
 
     def __init__(self, f: LocalUnitary, limit: int):
         h = f.reflection
-        self.rows = f._rows[1:]  # c0, partners and coefficients on every site
-        self.packed = [np.empty(a.shape[:-1] + (limit,), a.dtype) for a in self.rows]
+        self.factor = f
+        m = len(h._partners)
+        self.packed = (np.empty(limit, np.complex128), np.empty((m, limit), np.intp),
+                       np.empty((m, limit), np.complex128))  # c0, partners, coefficients
         self.partners = [memoryview(row) for row in h._partners]
         self.big = h._big
         self.taken = [[] for _ in h._big]  # taken columns per big size block
@@ -396,12 +428,14 @@ class _Front:
         self.seen = len(order)  # the sites this factor just added are its own
 
     def pack(self, sites: np.ndarray, old: int) -> tuple:
-        """Fill the packed columns of sites[old:]; the (stencil rows, big blocks) to update."""
-        for packed, full in zip(self.packed, self.rows):
-            packed[..., old:len(sites)] = full[..., sites[old:]]
+        """Compute the packed columns of sites[old:]; the (stencil rows, big blocks) to update."""
+        f = self.factor
+        c0, partners, coefficients = (a[..., :len(sites)] for a in self.packed)
+        partners[:, old:] = f.reflection._partners[:, sites[old:]]
+        f.reflection._entries(sites[old:], f._alpha, f._beta, c0[old:], coefficients[:, old:])
         big = [tuple(a.take(ids, axis=1) for a in block)  # contiguous, unlike a[:, ids]
                for block, ids in zip(self.big, self.taken) if ids]
-        return (sites, *(a[..., :len(sites)] for a in self.packed)), big
+        return (sites, c0, partners, coefficients), big
 
 
 def _check_dim(expected: int, state: WalkState) -> None:

@@ -30,8 +30,18 @@ class ProbabilityDistribution:
     position_labels: np.ndarray
 
     def __post_init__(self):
-        p = np.array(self.probabilities, dtype=np.float64)
-        labels = np.array(self.position_labels, dtype=np.int64)
+        self._freeze(np.array(self.probabilities, dtype=np.float64), self.position_labels)
+
+    @classmethod
+    def _own(cls, p: np.ndarray, labels) -> ProbabilityDistribution:
+        """Wrap `p`, a fresh float64 vector nothing else will write, without a copy; it
+        becomes read-only.  The labels are copied, as the constructor copies both."""
+        d = object.__new__(cls)
+        d._freeze(p, labels)
+        return d
+
+    def _freeze(self, p: np.ndarray, labels) -> None:
+        labels = np.array(labels, dtype=np.int64)
         if p.shape != labels.shape or p.ndim != 1:
             raise LabelMismatch("need one integer label per probability")
         if np.any(p < 0):
@@ -64,17 +74,19 @@ class MomentSummary:
 def ring_labels(size: int) -> np.ndarray:
     """Signed line coordinates for ring indices: i for i < N/2, else i - N."""
     i = np.arange(size, dtype=np.int64)
-    return np.where(i < size // 2, i, i - size)
+    i[size // 2:] -= size
+    return i
 
 
 def evolve_final(u: EvolutionOperator, psi0: WalkState, steps: int, observers=()) -> WalkState:
     """U^steps psi0: the one evolution loop, on raw arrays, storing no trajectory.
 
-    Each factor applies its compiled stencil rows (`operators.LocalUnitary`).
-    It updates only the polygons that touch sites the amplitude can have
-    reached (`operators.ActiveSupport`), at O(support of those polygons),
-    until the reached sites near `operators.ACTIVE_SHARE` of the state; from
-    then on every factor runs the full path, at O(n) for polygons of at most
+    Each factor updates only the polygons that touch sites the amplitude can
+    have reached (`operators.ActiveSupport`), with stencil entries computed for
+    those sites alone, at O(support of those polygons), until the reached
+    sites near `operators.ACTIVE_SHARE` of the state; from then on every factor
+    runs the full path on its full stencil rows, compiled once on first use
+    (`operators.LocalUnitary`), at O(n) for polygons of at most
     `operators.STENCIL_CAP` sites, and every `operators.LEAD_STEPS` steps the
     subnormal parts of the state are set to 0.  Both paths give the same
     amplitudes bit for bit (an exact zero may differ in sign).
@@ -113,8 +125,12 @@ def evolve(u: EvolutionOperator, psi0: WalkState, steps: int) -> list[WalkState]
 
 
 def distribution(psi: WalkState, labeling) -> ProbabilityDistribution:
-    """|amplitude|^2 per vertex, tagged with the given position labels, one per vertex."""
-    return ProbabilityDistribution(np.abs(psi.amplitudes) ** 2, labeling)
+    """|amplitude|^2 per vertex, tagged with the given position labels, one per vertex.
+
+    Squares |amplitude| in place (the bits of ** 2) and hands that one array to the
+    distribution, which copies only the labels."""
+    p = np.abs(psi.amplitudes)
+    return ProbabilityDistribution._own(np.square(p, out=p), labeling)
 
 
 def moments(d: ProbabilityDistribution, max_order: int = 2, step: int = 0) -> MomentSummary:

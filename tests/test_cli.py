@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -633,3 +634,26 @@ class TestEachInputCheckedOnce:
         TestNoPolygonOnIoPaths().test_validate(tmp_path, capsys)  # two invalid, one valid
         assert len({id(t) for _, t in validations}) == len(validations) == 3
         assert len(groupings) == 3
+
+
+class TestMemoryBudget:
+    """A CLI run holds memory linear in its input, bounded by a stated multiple."""
+
+    @pytest.mark.parametrize("n", [2 ** 16, 2 ** 18])
+    def test_line_simulate_peak_in_state_sizes(self, n, tmp_path, capsys):
+        # 32 steps from two sites stay sparse.  Kept through the loop: the ring's graph
+        # (1 state size), two tessellations (3.25), partner rows and site slots (1.5),
+        # the start state, two buffers and three work arrays (6) and the packed rows,
+        # allocated at a quarter of the sites (1.25): 13.2 state sizes measured at both
+        # sizes, no stencil row of n entries; the output half (distribution, TSV and
+        # moments) peaks at ~3 state sizes, after the loop's arrays are freed
+        tracemalloc.start()
+        try:
+            assert main(["simulate", "--theta", "pi/4", "--alpha", "pi/3", "--beta", "pi/3",
+                         "--steps", "32", "--ring-size", str(n), "--init", "superpos:-1,2",
+                         "--out", str(tmp_path / "line.tsv")]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert "total_probability" in capsys.readouterr().out
+        assert peak < 14 * (16 * n)

@@ -414,9 +414,9 @@ class TestAsymptoticMoments:
            st.lists(st.floats(-PI, PI), min_size=1, max_size=64))
     def test_integrand_is_the_block_ratio(self, theta, alpha, beta, phi0, phi1, ks):
         # the drift integrand (2 Im a / sin lam)^2 read from _block_arrays against its
-        # direct form 4 Im(a)^2 / (Im(a)^2 + |b|^2), on the blocks _block_arrays does not
-        # call degenerate (sin lam > 1e-15) where Im(a) is 0 or Im(a)^2 is a normal
-        # number (a subnormal square keeps too few bits for the direct form)
+        # direct form 4 Im(a)^2 / (Im(a)^2 + |b|^2), on the blocks with sin lam > 1e-15
+        # where Im(a) is 0 or Im(a)^2 is a normal number (a subnormal square keeps too
+        # few bits for the direct form); _block_arrays calls only sin lam = 0 degenerate
         p = LineParams(theta, alpha, beta, phi0, phi1)
         a, b, _, sin_lam, _, ratio_a, _ = line_analytic._block_arrays(p, np.array(ks))
         im2 = a.imag ** 2
@@ -426,9 +426,16 @@ class TestAsymptoticMoments:
         exact = regular & ((a.imag == 0.0) | (im2 >= np.finfo(np.float64).tiny))
         np.testing.assert_allclose((2.0 * ratio_a[exact]) ** 2, direct[exact],
                                    rtol=1e-14, atol=0)
-        assert not np.any(ratio_a[~regular])
+        assert not np.any(ratio_a[sin_lam == 0])
         # sin lam -> 0 with Im(a) away from 0 would need |a|^2 > 1 + 1e-9
         assert not np.any((1.0 - a.real ** 2 < 1e-20) & (im2 > 1e-9))
+
+    @pytest.mark.parametrize("theta", [1e-15, PI - 8.9e-16])
+    def test_near_degenerate_theta_converges(self, theta):
+        # |sin theta| ~ 1e-15 puts sin lam near rounding on every block; those blocks
+        # keep their ratios, so the integrand stays smooth and the quadrature converges
+        got = asymptotic_odd_moment(LineParams(theta, 1.0, 2.0), 1, 100)
+        assert got == pytest.approx(95.6449, abs=5e-5)
 
 
 class TestClosedForm:

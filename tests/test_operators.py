@@ -18,6 +18,7 @@ from sqw import (
     grover_phase_apply,
     line_tessellations,
     reflection_from_tessellation,
+    superposition_state,
 )
 from sqw.errors import (
     DimensionCapExceeded,
@@ -576,7 +577,8 @@ class TestActiveSupport:
     def test_full_path_run_keeps_its_buffers_and_work_arrays_only(self):
         # a dense start on a 60 000-site ring cut into 6-site polygons: every step runs
         # the full path with the rank-1 update and the flush; the support's two buffers
-        # and three work arrays are 5 state sizes, and the start's nonzero sites half of one
+        # and three work arrays are 5 state sizes, and the start's nonzero sites half of
+        # one.  The factors' full rows, compiled on first full-path use, are compiled first
         n = 60_000
 
         def blocks(first):
@@ -585,6 +587,8 @@ class TestActiveSupport:
                                                     np.arange(0, n, 6))
         u = compose([(0.6, blocks(0)), (0.6, blocks(3))])
         psi = random_state_array(np.random.default_rng(3), n)
+        for f in u.factors:
+            f._rows
         tracemalloc.start()
         try:
             support = ActiveSupport(psi)
@@ -674,14 +678,63 @@ class TestStencilCap:
         assert np.max(np.abs(u.apply(psi) - expected)) < 1e-12
 
 
+class TestLazyRows:
+    """A factor compiles its full stencil rows once, when the full path first needs them."""
+
+    def test_sparse_run_compiles_no_full_rows(self):
+        # 32 steps from two sites on a 2^16-site line reach a few hundred sites: each
+        # factor computes the entries of those sites alone, and the run equals the full path
+        n = 2 ** 16
+        t0, t1 = line_tessellations(n, 1.1, 0.7, 0.3, 0.9)
+        u = compose([(0.6, reflection_from_tessellation(t)) for t in (t0, t1)])
+        start = superposition_state(n, [(0, 0.6), (n - 1, 0.8j)])
+        got = evolve_final(u, start, 32).amplitudes
+        assert not any("_rows" in vars(f) for f in u.factors)
+        psi = start.amplitudes
+        for _ in range(32):
+            psi = u.step_array(psi)
+        assert np.array_equal(got, psi)
+
+    @settings(max_examples=40, deadline=None)
+    @given(walk=scattered_walks(), count=st.integers(1, 40))
+    def test_packed_entries_are_full_row_columns(self, walk, count):
+        # byte for byte, the sign of a zero included, for any few sites in any order
+        u, _, rng = walk
+        for f in u.factors:
+            h = f.reflection
+            sites = rng.choice(h.dimension, size=min(count, h.dimension), replace=False)
+            c0 = np.empty(len(sites), dtype=np.complex128)
+            coefficients = np.empty((len(h._partners), len(sites)), dtype=np.complex128)
+            h._entries(sites, f._alpha, f._beta, c0, coefficients)
+            _, full_c0, _, full_coefficients = f._rows
+            assert c0.tobytes() == full_c0[sites].tobytes()
+            assert coefficients.tobytes() == full_coefficients[:, sites].tobytes()
+
+    def test_saturated_run_compiles_each_factor_once(self, monkeypatch):
+        # a 400-site line from one site saturates after a few batches; the full path
+        # then compiles each factor's rows on its first step and reuses them after
+        compiled = []
+        rows = OrthogonalReflection._rows
+        monkeypatch.setattr(OrthogonalReflection, "_rows",
+                            lambda h, *ab: compiled.append(h) or rows(h, *ab))
+        t0, t1 = line_tessellations(400, 0.7, 1.1, 0.3, 0.9)
+        u = compose([(0.6, reflection_from_tessellation(t0)),
+                     (0.6, reflection_from_tessellation(t1))])
+        evolve_final(u, basis_state(400, 5), 60)
+        assert [id(h) for h in compiled] == [id(f.reflection) for f in u.factors]
+        evolve_final(u, basis_state(400, 7), 60)
+        assert len(compiled) == 2
+
+
 class TestConstructionMemory:
     """Building, checking and compiling the line holds O(n) memory at its peak."""
 
     def test_peak_is_linear_in_the_ring_size(self):
         # kept: the ring's edge codes and first edges (16 B per site), both
-        # tessellations (52 B), partner rows (16 B) and the stencil rows of both
-        # factors (64 B), 148 B in all; at the peak, the temporaries of one run of
-        # ROW_RUN polygons more (a few state-sized arrays at 2^14 sites, less above)
+        # tessellations (52 B), and both factors' partner rows (16 B) and site slots
+        # (8 B), 92 B in all (5.75 state sizes); the stencil rows wait for the full
+        # path.  At the peak, construction's temporaries more: 7.6 state sizes
+        # measured at both sizes
         for n in (2 ** 14, 2 ** 16):
             tracemalloc.start()
             try:
@@ -690,4 +743,5 @@ class TestConstructionMemory:
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert len(factors) == 2 and peak < 16 * (16 * n)
+            assert len(factors) == 2 and peak < 8 * (16 * n)
+            assert not any("_rows" in vars(f) for f in factors)
