@@ -172,18 +172,19 @@ def _run(cfg: RunConfig):
         if not cfg.graph:
             raise ValueError("graph model needs --graph FILE")
         with open(cfg.graph, encoding="utf-8") as fh:
-            g, tessellations = from_document(json.load(fh))
+            tessellations = from_document(json.load(fh))[1]  # their parent is the graph
         if len(tessellations) < 1:
             raise ValueError("graph file carries no tessellations")
-        n = g.vertex_count
+        n = tessellations[0].parent.vertex_count
         label, observers, site = np.arange, [], lambda pos: pos
     else:
         raise ValueError(f"unknown model {cfg.model!r} for simulate")
     angles = [cfg.theta0, cfg.theta1] * len(tessellations)
     op = compose([(a, reflection_from_tessellation(t)) for a, t in zip(angles, tessellations)])
+    del tessellations  # and with them the graph: the loop reads only the reflections
     psi0, entries = _parse_init(cfg.init, n, site)
     final = evolve_final(op, psi0, cfg.steps, observers)
-    del op, psi0, tessellations  # freed before the n labels are made, as the peak comes later
+    del op, psi0  # freed before the n labels are made, as the peak comes later
     return label(n), entries, final
 
 
@@ -209,7 +210,7 @@ def cmd_analytic(cfg: RunConfig) -> int:
     analytic = line_analytic.wavefunction(params, cfg.steps, positions=labels, initial=entries)
     simulated = final.amplitudes
     deviation = np.abs(analytic - simulated)
-    dist = distribution(WalkState(analytic), labels)
+    dist = distribution(WalkState._own(analytic, None), labels)  # wavefunction checked it
     sim_prob = np.abs(simulated) ** 2
     text = distribution_to_tsv(dist, drop_zeros=True,
                                extra_columns=[("probability_sim", sim_prob),

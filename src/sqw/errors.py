@@ -4,23 +4,33 @@ from __future__ import annotations
 
 
 class WalkError(Exception):
-    """Base class for all sqw errors."""
+    """Base class for all sqw errors.
+
+    A subclass that names `_fields` takes one argument per field, keeps each as
+    the attribute of that name and formats `_message` with them; any other
+    takes its message, as Exception does.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init__(self, *args):
+        if not self._fields:
+            super().__init__(*args)
+            return
+        values = dict(zip(self._fields, args, strict=True))
+        super().__init__(self._message.format(**values))
+        self.__dict__.update(values)
 
 
 # --- graph / tessellation construction ---------------------------------------
 
 
 class OutOfRangeVertex(WalkError):
-    def __init__(self, vertex, limit):
-        super().__init__(f"vertex {vertex} out of range for {limit} vertices")
-        self.vertex = vertex
-        self.limit = limit
+    _fields, _message = ("vertex", "limit"), "vertex {vertex} out of range for {limit} vertices"
 
 
 class SelfLoop(WalkError):
-    def __init__(self, vertex):
-        super().__init__(f"self-loop on vertex {vertex} is not allowed")
-        self.vertex = vertex
+    _fields, _message = ("vertex",), "self-loop on vertex {vertex} is not allowed"
 
 
 class EmptyPolygon(WalkError):
@@ -32,61 +42,44 @@ class NotNormalized(WalkError):
 
 
 class ZeroAmplitude(WalkError):
-    def __init__(self, vertex):
-        super().__init__(f"amplitude on vertex {vertex} is zero; polygon vectors "
-                         "must be nonzero on their whole support")
-        self.vertex = vertex
+    _fields = ("vertex",)
+    _message = ("amplitude on vertex {vertex} is zero; polygon vectors "
+                "must be nonzero on their whole support")
 
 
 class NotAClique(WalkError):
-    def __init__(self, polygon_index, missing_edge):
-        u, v = missing_edge
-        super().__init__(f"polygon {polygon_index} is not a clique: "
-                         f"vertices {u} and {v} are not adjacent")
-        self.polygon_index = polygon_index
-        self.missing_edge = missing_edge
+    _fields = ("polygon_index", "missing_edge")
+    _message = ("polygon {polygon_index} is not a clique: "
+                "vertices {missing_edge[0]} and {missing_edge[1]} are not adjacent")
 
 
 class OverlappingPolygons(WalkError):
-    def __init__(self, vertex):
-        super().__init__(f"vertex {vertex} belongs to more than one polygon")
-        self.vertex = vertex
+    _fields, _message = ("vertex",), "vertex {vertex} belongs to more than one polygon"
 
 
 class UncoveredVertex(WalkError):
-    def __init__(self, vertex):
-        super().__init__(f"vertex {vertex} is not covered by any polygon")
-        self.vertex = vertex
+    _fields, _message = ("vertex",), "vertex {vertex} is not covered by any polygon"
 
 
 class OddRingSize(WalkError):
-    def __init__(self, size):
-        super().__init__(f"ring size must be an even integer >= 4, got {size}")
-        self.size = size
+    _fields, _message = ("size",), "ring size must be an even integer >= 4, got {size}"
 
 
 class DegenerateAngle(WalkError):
-    def __init__(self, name, value):
-        super().__init__(f"angle {name}={value} must lie strictly inside (0, pi) "
-                         "so both pair amplitudes are nonzero")
-        self.name = name
-        self.value = value
+    _fields = ("name", "value")
+    _message = ("angle {name}={value} must lie strictly inside (0, pi) "
+                "so both pair amplitudes are nonzero")
 
 
 class IsolatedVertex(WalkError):
-    def __init__(self, vertex):
-        super().__init__(f"vertex {vertex} is isolated (degree 0)")
-        self.vertex = vertex
+    _fields, _message = ("vertex",), "vertex {vertex} is isolated (degree 0)"
 
 
 # --- operators ----------------------------------------------------------------
 
 
 class DimensionMismatch(WalkError):
-    def __init__(self, expected, got):
-        super().__init__(f"dimension mismatch: expected {expected}, got {got}")
-        self.expected = expected
-        self.got = got
+    _fields, _message = ("expected", "got"), "dimension mismatch: expected {expected}, got {got}"
 
 
 class EmptyFactorList(WalkError):
@@ -94,10 +87,8 @@ class EmptyFactorList(WalkError):
 
 
 class DimensionCapExceeded(WalkError):
-    def __init__(self, dimension, cap):
-        super().__init__(f"dense matrix of dimension {dimension} exceeds cap {cap}")
-        self.dimension = dimension
-        self.cap = cap
+    _fields = ("dimension", "cap")
+    _message = "dense matrix of dimension {dimension} exceeds cap {cap}"
 
 
 # --- simulation ---------------------------------------------------------------
@@ -108,23 +99,18 @@ class LabelMismatch(WalkError):
 
 
 class WavefrontWrapped(WalkError):
-    def __init__(self, step, mass):
-        super().__init__(f"wavefront reached the antipodal guard band at step {step} "
-                         f"(probability {mass:.3e}); enlarge the ring")
-        self.step = step
-        self.mass = mass
+    _fields = ("step", "mass")
+    _message = ("wavefront reached the antipodal guard band at step {step} "
+                "(probability {mass:.3e}); enlarge the ring")
 
 
 # --- line analytics -----------------------------------------------------------
 
 
 class QuadratureNotConverged(WalkError):
-    def __init__(self, nodes, deviation, tol):
-        super().__init__(f"quadrature not converged at {nodes} nodes: successive "
-                         f"refinements differ by {deviation:.3e} > {tol:.0e}")
-        self.nodes = nodes
-        self.deviation = deviation
-        self.tol = tol
+    _fields = ("nodes", "deviation", "tol")
+    _message = ("quadrature not converged at {nodes} nodes: successive "
+                "refinements differ by {deviation:.3e} > {tol:.0e}")
 
 
 class DegenerateBlock(WalkError):

@@ -203,9 +203,9 @@ def check_polygon_arrays(vertices, amplitudes, starts, dimension: int | None = N
     arrays as int64 vertices, complex128 amplitudes and int64 starts.
 
     Each polygon needs at least one vertex, one amplitude per vertex, no
-    repeated vertex, no negative vertex, no zero amplitude and a square-sum
-    of 1 within NORM_TOL.  Given a dimension, also apply :func:`_check_partition`
-    on that many vertices, without a graph.
+    repeated vertex, no negative vertex, no zero amplitude and a norm within
+    NORM_TOL of 1, as a state has.  Given a dimension, also apply
+    :func:`_check_partition` on that many vertices, without a graph.
     """
     vertices = _integers(vertices, "polygon 'vertices'")
     amplitudes = np.asarray(amplitudes, dtype=np.complex128)
@@ -239,8 +239,9 @@ def check_polygon_arrays(vertices, amplitudes, starts, dimension: int | None = N
             norm2 = np.einsum("ij,ij->i", parts, parts)
         else:
             norm2 = np.add.reduceat(parts * parts, 2 * starts)
-        if not abs(norm2.min() - 1.0) <= NORM_TOL >= abs(norm2.max() - 1.0):  # nor if NaN
-            bad = ~(np.abs(norm2 - 1.0) <= NORM_TOL)
+        # |norm - 1| <= NORM_TOL as `state.check_norm` reads it; sqrt is monotone; NaN fails
+        if not abs(math.sqrt(norm2.min()) - 1.0) <= NORM_TOL >= abs(math.sqrt(norm2.max()) - 1.0):
+            bad = ~(np.abs(np.sqrt(norm2) - 1.0) <= NORM_TOL)
             raise NotNormalized(f"polygon amplitudes square-sum to {float(norm2[bad][0])!r}, not 1")
     if dimension is not None:
         _check_partition(dimension, vertices, starts)

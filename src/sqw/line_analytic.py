@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DegenerateBlock, DomainError, QuadratureNotConverged
 from .simulation import ring_labels, tsv_table
-from .state import check_norm
+from .state import check_norm, summed_entries
 
 QUAD_START_NODES = 512
 QUAD_MAX_NODES = 1 << 18
@@ -136,11 +136,6 @@ def block_eigenvectors(block: ReducedBlock, eps: float = EPS_DEGENERATE):
 # --- wavefunction -------------------------------------------------------------
 
 
-def _split_initial(initial):
-    entries = [(int(s), complex(c)) for s, c in initial]
-    check_norm(np.array([c for _, c in entries], dtype=np.complex128))
-    return entries
-
 def _brackets(p, k, t, entries):
     """Momentum-space coefficients of U^t applied to the initial state.
 
@@ -186,23 +181,24 @@ def wavefunction(p: LineParams, t: int, positions=None, *,
     used is the smallest power of two that does.  The final norm is checked
     against QUAD_FAIL_TOL (NotNormalized beyond it).
 
-    `initial` lists (position, amplitude) pairs of a unit-norm state;
+    `initial` lists (position, amplitude) pairs; the state is what they sum
+    to (`state.summed_entries`), and its norm is checked within NORM_TOL first.
     `positions` selects which amplitudes to return (default: every position
     that can carry amplitude, or every ring site in ring mode).
     """
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
-    entries = _split_initial(initial)
+    entries = summed_entries(initial)
+    check_norm(np.array(list(entries.values()), dtype=np.complex128))
     if ring_size is None:
-        sources = [s for s, _ in entries]
-        full = np.arange(min(sources) - 2 * t - 1, max(sources) + 2 * t + 2, dtype=np.int64)
+        full = np.arange(min(entries) - 2 * t - 1, max(entries) + 2 * t + 2, dtype=np.int64)
         n = 1 << (len(full) - 1).bit_length()  # a power of two: no slow prime-length FFT
     else:
         if ring_size < 4 or ring_size % 2:
             raise ValueError(f"ring_size must be an even integer >= 4, got {ring_size}")
         n = ring_size
         full = ring_labels(n)
-    even, odd = _brackets(p, 2.0 * math.pi * np.arange(n // 2) / n, t, entries)
+    even, odd = _brackets(p, 2.0 * math.pi * np.arange(n // 2) / n, t, entries.items())
     amps = _transform(even, odd, full, n)
     check_norm(amps, QUAD_FAIL_TOL)
 

@@ -300,14 +300,14 @@ class ActiveSupport:
     The reached sites are tracked LEAD_STEPS steps ahead of the state, one
     batch of steps at a time, through each factor's partner rows at
     O(newly reached sites); each factor computes the entries of a batch's new
-    sites once, into rows allocated at `limit` columns.  Tracking ahead only
-    makes a factor update some sites while they still hold 0, as a site does
-    until the walk reaches it.  Tracking stops, and every later step runs the
-    full path, once one tracked step's growth kept up for LEAD_STEPS more
-    steps would carry the reached sites past `limit`, ACTIVE_SHARE of the
-    state: so no batch packs more than `limit` sites, the sparse path then
-    has at most about a batch left, and on a graph whose reach grows fast
-    this ends the first batch after a few tracked steps.
+    sites once, into packed rows grown by `_room` as the packed sites are.
+    Tracking ahead only makes a factor update some sites while they still
+    hold 0, as a site does until the walk reaches it.  Tracking stops, and
+    every later step runs the full path, once one tracked step's growth kept
+    up for LEAD_STEPS more steps would carry the reached sites past `limit`,
+    ACTIVE_SHARE of the state: so no batch packs more than `limit` sites, the
+    sparse path then has at most about a batch left, and on a graph whose
+    reach grows fast this ends the first batch after a few tracked steps.
 
     On the full path, every LEAD_STEPS steps, `flush` sets the subnormal
     components of the state to 0.  `work` holds every temporary of `_mix` and
@@ -331,7 +331,7 @@ class ActiveSupport:
             self.reached = bytearray(psi0.shape[0])
             for site in self.order:
                 self.reached[site] = 1
-            self.sites = np.empty(self.limit, dtype=np.intp)  # the packed ones, in that order
+            self.sites = np.empty(0, dtype=np.intp)  # the packed ones, in that order
 
     def plan(self, factors):
         """Per factor, the (packed stencil rows, packed big blocks) it updates in the
@@ -340,7 +340,7 @@ class ActiveSupport:
             return None
         if not self._ahead:
             if self._fronts is None:
-                self._fronts = [_Front(f, self.limit) for f in factors]
+                self._fronts = [_Front(f) for f in factors]
             for _ in range(LEAD_STEPS):
                 before = len(self.order)
                 for front in self._fronts:
@@ -349,8 +349,9 @@ class ActiveSupport:
                     self.reached = self.order = self.sites = self._fronts = self._plan = None
                     return None
             old, count = self._packed, len(self.order)
+            self.sites = _room(self.sites, count, old, self.limit)
             self.sites[old:count] = self.order[old:]
-            self._plan = [front.pack(self.sites[:count], old) for front in self._fronts]
+            self._plan = [front.pack(self.sites[:count], old, self.limit) for front in self._fronts]
             self._packed = count
             self._ahead = LEAD_STEPS
         self._ahead -= 1
@@ -390,12 +391,12 @@ class _Front:
     built; each big size block is cut to its taken columns once per batch.
     """
 
-    def __init__(self, f: LocalUnitary, limit: int):
+    def __init__(self, f: LocalUnitary):
         h = f.reflection
         self.factor = f
         m = len(h._partners)
-        self.packed = (np.empty(limit, np.complex128), np.empty((m, limit), np.intp),
-                       np.empty((m, limit), np.complex128))  # c0, partners, coefficients
+        self.packed = (np.empty(0, np.complex128), np.empty((m, 0), np.intp),
+                       np.empty((m, 0), np.complex128))  # c0, partners, coefficients
         self.partners = [memoryview(row) for row in h._partners]
         self.big = h._big
         self.taken = [[] for _ in h._big]  # taken columns per big size block
@@ -427,15 +428,25 @@ class _Front:
                     order.append(v)
         self.seen = len(order)  # the sites this factor just added are its own
 
-    def pack(self, sites: np.ndarray, old: int) -> tuple:
+    def pack(self, sites: np.ndarray, old: int, limit: int) -> tuple:
         """Compute the packed columns of sites[old:]; the (stencil rows, big blocks) to update."""
         f = self.factor
+        self.packed = tuple(_room(a, len(sites), old, limit) for a in self.packed)
         c0, partners, coefficients = (a[..., :len(sites)] for a in self.packed)
         partners[:, old:] = f.reflection._partners[:, sites[old:]]
         f.reflection._entries(sites[old:], f._alpha, f._beta, c0[old:], coefficients[:, old:])
         big = [tuple(a.take(ids, axis=1) for a in block)  # contiguous, unlike a[:, ids]
                for block, ids in zip(self.big, self.taken) if ids]
         return (sites, c0, partners, coefficients), big
+
+
+def _room(a: np.ndarray, count: int, keep: int, limit: int) -> np.ndarray:
+    """`a` if it holds `count` columns, else its first `keep` columns in a wider array."""
+    if count <= a.shape[-1]:
+        return a
+    grown = np.empty(a.shape[:-1] + (min(limit, max(count, 2 * a.shape[-1])),), a.dtype)
+    grown[..., :keep] = a[..., :keep]
+    return grown
 
 
 def _check_dim(expected: int, state: WalkState) -> None:

@@ -31,11 +31,16 @@ class ProbabilityDistribution:
 
     def __post_init__(self):
         self._freeze(np.array(self.probabilities, dtype=np.float64), self.position_labels)
+        if np.any(self.probabilities < 0):
+            raise ValueError("probabilities must be non-negative")
+        total = float(self.probabilities.sum())
+        if abs(total - 1.0) > PROB_TOL:
+            raise ValueError(f"probabilities sum to {total!r}, not 1")
 
     @classmethod
     def _own(cls, p: np.ndarray, labels) -> ProbabilityDistribution:
-        """Wrap `p`, a fresh float64 vector nothing else will write, without a copy; it
-        becomes read-only.  The labels are copied, as the constructor copies both."""
+        """Wrap `p`, a fresh float64 vector nothing else will write, without a copy or a sum
+        check; it becomes read-only.  The labels are copied, as the constructor copies both."""
         d = object.__new__(cls)
         d._freeze(p, labels)
         return d
@@ -44,11 +49,6 @@ class ProbabilityDistribution:
         labels = np.array(labels, dtype=np.int64)
         if p.shape != labels.shape or p.ndim != 1:
             raise LabelMismatch("need one integer label per probability")
-        if np.any(p < 0):
-            raise ValueError("probabilities must be non-negative")
-        total = float(p.sum())
-        if abs(total - 1.0) > PROB_TOL:
-            raise ValueError(f"probabilities sum to {total!r}, not 1")
         p.setflags(write=False)
         labels.setflags(write=False)
         object.__setattr__(self, "probabilities", p)
@@ -95,10 +95,9 @@ def evolve_final(u: EvolutionOperator, psi0: WalkState, steps: int, observers=()
     every step; psi is the raw amplitude array, which it must not modify.
     After step 0 it is one of two buffers the loop reuses, so the next step
     overwrites it: an observer that keeps a state copies it (as `evolve` does).
-    The input state was checked at construction; states made by the loop are
-    not re-checked on every step.  The final norm is checked once against
-    `tolerances.drift_bound(steps)` and raises NotNormalized beyond it.  The
-    final state holds the last loop buffer itself, made read-only, not a copy.
+    Only the final norm is checked, against `tolerances.drift_bound(steps)`
+    (NotNormalized beyond it); the final state holds the last loop buffer
+    itself, made read-only, not a copy.
     """
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
@@ -120,7 +119,7 @@ def evolve(u: EvolutionOperator, psi0: WalkState, steps: int) -> list[WalkState]
     """Trajectory [psi0, U psi0, ..., U^steps psi0]; holds steps + 1 states."""
     trajectory = []
     evolve_final(u, psi0, steps, [lambda step, psi: trajectory.append(
-        WalkState.unchecked(psi) if step else psi0)])
+        WalkState._own(psi.copy(), None) if step else psi0)])
     return trajectory
 
 
@@ -128,7 +127,8 @@ def distribution(psi: WalkState, labeling) -> ProbabilityDistribution:
     """|amplitude|^2 per vertex, tagged with the given position labels, one per vertex.
 
     Squares |amplitude| in place (the bits of ** 2) and hands that one array to the
-    distribution, which copies only the labels."""
+    distribution, which copies only the labels and checks no sum: a state's norm is
+    checked where the state is made."""
     p = np.abs(psi.amplitudes)
     return ProbabilityDistribution._own(np.square(p, out=p), labeling)
 

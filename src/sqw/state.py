@@ -1,4 +1,4 @@
-"""Pure state vectors over the vertex basis."""
+"""Pure state vectors over the vertex basis; `tolerances` says where a norm is checked."""
 
 from __future__ import annotations
 
@@ -36,11 +36,6 @@ class WalkState:
                            _frozen(np.array(self.amplitudes, dtype=np.complex128), NORM_TOL))
 
     @classmethod
-    def unchecked(cls, amplitudes) -> WalkState:
-        """Wrap a copy of a vector whose norm the caller bounds itself (see `tolerances`)."""
-        return cls._own(np.array(amplitudes, dtype=np.complex128), None)
-
-    @classmethod
     def _own(cls, arr: np.ndarray, tol: float | None) -> WalkState:
         """Wrap `arr`, a fresh complex128 vector nothing else will write, without a copy;
         it becomes read-only.  Its norm is checked within `tol`, unless tol is None."""
@@ -67,11 +62,20 @@ def basis_state(dimension: int, index: int) -> WalkState:
     return superposition_state(dimension, [(index, 1.0)])
 
 
+def summed_entries(entries) -> dict:
+    """{position: amplitude} of the state that (position, amplitude) entries sum to, in
+    order of first appearance, each sum taken in entry order; the caller checks its norm."""
+    sums = {}
+    for position, amplitude in entries:
+        sums[position] = sums.get(position, 0j) + amplitude
+    return sums
+
+
 def superposition_state(dimension: int, entries) -> WalkState:
-    """State from sparse (index, amplitude) pairs; must already be normalized."""
+    """The state sparse (index, amplitude) pairs sum to (`summed_entries`), normalized."""
     arr = np.zeros(dimension, dtype=np.complex128)
-    for index, amplitude in entries:
+    for index, amplitude in summed_entries(entries).items():
         if not 0 <= index < dimension:
             raise OutOfRangeVertex(index, dimension)
-        arr[index] += amplitude
+        arr[index] = amplitude
     return WalkState._own(arr, NORM_TOL)

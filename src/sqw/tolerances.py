@@ -1,9 +1,10 @@
 """Numerical tolerances shared by the whole package.
 
 NORM_TOL bounds |norm - 1| for every vector that is *given*: polygon
-amplitudes, reflection vectors and input states.  States *produced* by the
-evolution loop are not re-checked against it on every step; the loop checks
-the final norm once against `drift_bound(steps)`.
+amplitudes, reflection vectors and input states (what their entries sum to).
+A state's norm is checked once, where the state is made: against NORM_TOL by
+`WalkState` and `superposition_state`, `drift_bound(steps)` by `evolve_final`
+(final state only) and QUAD_FAIL_TOL by `line_analytic.wavefunction`.
 """
 
 from __future__ import annotations

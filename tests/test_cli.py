@@ -8,7 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from sqw import grover_coined_walk, to_document
 from sqw.cli import main, parse_angle
+
+from conftest import grid_graph
 
 PI = math.pi
 
@@ -162,6 +165,20 @@ class TestAnalytic:
         assert mass[24] == pytest.approx(0.5, abs=1e-10)
         assert mass[-23] == pytest.approx(0.5, abs=1e-10)
         assert max(float(r[3]) for r in rows) <= 1e-8
+
+
+    def test_repeated_positions_sum_as_in_simulate(self, tmp_path, capsys):
+        # the amplitudes at 0 cancel, so both subcommands run the state |2>
+        config = tmp_path / "cancel.json"
+        config.write_text(json.dumps({"model": "line", "theta": "pi/4", "steps": 3,
+                                      "init": [[0, 0.6, 0], [0, -0.6, 0], [2, 1, 0]]}))
+        assert main(["analytic", "--config", str(config), "--out", str(tmp_path / "a.tsv")]) == 0
+        assert float(capsys.readouterr().out.splitlines()[0].split("\t")[1]) <= 1e-12
+        assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "s.tsv")]) == 0
+        _, analytic = read_tsv(tmp_path / "a.tsv")
+        _, simulated = read_tsv(tmp_path / "s.tsv")
+        assert simulated
+        assert [(r[0], r[2]) for r in analytic if float(r[2])] == [tuple(r) for r in simulated]
 
 
 class TestSigmaSurface:
@@ -639,14 +656,32 @@ class TestEachInputCheckedOnce:
 class TestMemoryBudget:
     """A CLI run holds memory linear in its input, bounded by a stated multiple."""
 
+    @staticmethod
+    def peak(argv) -> int:
+        """The tracemalloc peak of one CLI call, which must exit 0."""
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @staticmethod
+    def expanded_grid(m, path) -> int:
+        """Write the clique-expanded m x m grid with its Grover walk's two tessellations,
+        as `embed` makes it, to path; return its vertex count, the arcs of the grid."""
+        cw = grover_coined_walk(grid_graph(m))
+        path.write_text(json.dumps(to_document(cw.expansion.expanded, cw.tessellations)))
+        return cw.expansion.arc_count
+
     @pytest.mark.parametrize("n", [2 ** 16, 2 ** 18])
     def test_line_simulate_peak_in_state_sizes(self, n, tmp_path, capsys):
-        # 32 steps from two sites stay sparse.  Kept through the loop: the ring's graph
-        # (1 state size), two tessellations (3.25), partner rows and site slots (1.5),
-        # the start state, two buffers and three work arrays (6) and the packed rows,
-        # allocated at a quarter of the sites (1.25): 13.2 state sizes measured at both
-        # sizes, no stencil row of n entries; the output half (distribution, TSV and
-        # moments) peaks at ~3 state sizes, after the loop's arrays are freed
+        # 32 steps from two sites stay sparse.  Kept through the loop: the reflections'
+        # polygon arrays (3.25 state sizes), partner rows and site slots (1.5), the start
+        # state, two buffers and three work arrays (6), and packed rows sized to the ~130
+        # reached sites: 11.06 and 10.83 state sizes measured, no stencil row of n
+        # entries.  The ring's graph and the tessellations are freed before the loop; the
+        # output half (distribution, TSV and moments) peaks at ~3 state sizes after it
         tracemalloc.start()
         try:
             assert main(["simulate", "--theta", "pi/4", "--alpha", "pi/3", "--beta", "pi/3",
@@ -656,4 +691,54 @@ class TestMemoryBudget:
         finally:
             tracemalloc.stop()
         assert "total_probability" in capsys.readouterr().out
-        assert peak < 14 * (16 * n)
+        assert peak < 12 * (16 * n)
+
+    @pytest.mark.parametrize("n", [2 ** 16, 2 ** 18])
+    def test_line_analytic_peak_in_state_sizes(self, n, tmp_path):
+        # the walk of test_line_simulate_peak_in_state_sizes sets the peak in its loop;
+        # after it, the momentum sum (32 steps: 256 momenta) and the n-entry output
+        # columns hold less: 10.90 and 10.83 state sizes measured
+        peak = self.peak(["analytic", "--theta", "pi/4", "--alpha", "pi/3", "--beta", "pi/3",
+                          "--steps", "32", "--ring-size", str(n), "--init", "superpos:-1,2",
+                          "--out", str(tmp_path / "line.tsv")])
+        assert peak < 12 * (16 * n)
+
+    @pytest.mark.parametrize("count", [201, 402])
+    def test_sigma_surface_peak_in_table_sizes(self, count, tmp_path):
+        # a table of count^2 float64 cells; its TSV text, ~60 bytes a row built as one
+        # string from a list of row strings, sets the peak: 24.85 and 24.81 table sizes
+        # measured
+        peak = self.peak(["sigma-surface", "--theta-count", str(count), "--alpha-count",
+                          str(count), "--out", str(tmp_path / "surface.tsv")])
+        assert peak < 27 * (8 * count ** 2)
+
+    @pytest.mark.parametrize("m", [24, 48])
+    def test_embed_peak_in_arc_sizes(self, m, tmp_path):
+        # the m x m grid's 4m(m - 1) arcs.  Writing the expanded document as indented
+        # JSON sets the peak: the document's lists (~64 arc-array sizes of 16 bytes an
+        # arc), the pure-Python encoder's chunks and the text (~24) reach ~205 of the
+        # 248.0 and 231.5 measured
+        g = grid_graph(m)
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(dict(to_document(g), coin={"type": "grover"})))
+        arcs = 2 * len(g.edge_array)
+        peak = self.peak(["embed", "--graph", str(path), "--out", str(tmp_path / "embed.json")])
+        assert peak < 275 * (16 * arcs)
+
+    @pytest.mark.parametrize("m", [32, 64])
+    def test_validate_peak_in_arc_sizes(self, m, tmp_path):
+        # the parsed document, Python lists of ints (~60 arc-array sizes of 16 bytes an
+        # arc), and its text (~7) set the peak: 67.2 and 68.0 measured
+        arcs = self.expanded_grid(m, tmp_path / "expanded.json")
+        peak = self.peak(["validate", "--graph", str(tmp_path / "expanded.json")])
+        assert peak < 75 * (16 * arcs)
+
+    @pytest.mark.parametrize("m", [32, 64])
+    def test_graph_simulate_peak_in_state_sizes(self, m, tmp_path):
+        # a state holds one amplitude per arc; as in validate, the parsed document sets
+        # the peak: 67.5 and 68.1 state sizes measured
+        arcs = self.expanded_grid(m, tmp_path / "expanded.json")
+        peak = self.peak(["simulate", "--model", "graph", "--graph",
+                          str(tmp_path / "expanded.json"), "--theta", "pi/3", "--steps", "64",
+                          "--init", "basis:0", "--out", str(tmp_path / "graph.tsv")])
+        assert peak < 75 * (16 * arcs)

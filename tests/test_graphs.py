@@ -37,7 +37,10 @@ from sqw.errors import (
 
 from sqw.graphs import Graph, canonical_order, check_polygon_arrays, size_blocks
 
-from conftest import complete_graph, grid_graph, hub_fragment, path_graph, uniform
+from sqw.tolerances import NORM_TOL
+
+from conftest import complete_graph, grid_graph, hub_fragment, path_graph, random_state_array, \
+    uniform
 
 
 def degrees(g):
@@ -117,6 +120,20 @@ class TestPolygons:
                       lambda: OrthogonalReflection(3, [((0.5,), (1.0,))])):
             with pytest.raises(ValueError, match="'vertices' must be integers"):
                 build()
+
+    @pytest.mark.parametrize("sizes", [(3, 3), (3, 1)])  # equal sizes, mixed sizes
+    def test_tolerance_edges(self, sizes):
+        # the bound a state has (test_simulation.py, TestCheckNorm.test_tolerance_edges):
+        # |norm - 1| <= NORM_TOL, here on the first polygon of two
+        rng = np.random.default_rng(4)
+        first, second = (random_state_array(rng, d) for d in sizes)
+        vertices, starts = np.arange(sum(sizes)), [0, sizes[0]]
+        for inside in (1 - 0.5 * NORM_TOL, 1 + 0.5 * NORM_TOL):
+            check_polygon_arrays(vertices, np.concatenate([first * inside, second]), starts)
+        message = r"^polygon amplitudes square-sum to \S+, not 1$"
+        for outside in (1 - 2 * NORM_TOL, 1 + 2 * NORM_TOL):
+            with pytest.raises(NotNormalized, match=message):
+                check_polygon_arrays(vertices, np.concatenate([first * outside, second]), starts)
 
     def test_nan_amplitude_rejected(self):
         with pytest.raises(NotNormalized):

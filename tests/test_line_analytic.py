@@ -30,7 +30,7 @@ from sqw import (
     wavefunction,
 )
 from sqw import line_analytic
-from sqw.errors import DegenerateBlock, DomainError
+from sqw.errors import DegenerateBlock, DomainError, NotNormalized
 from sqw.tolerances import drift_bound
 
 from conftest import direct_momentum_sum
@@ -192,6 +192,22 @@ class TestWavefunction:
         traj = evolve(line_operator(n, p), psi0, t)
         psi = wavefunction(p, t, positions=ring_labels(n), initial=init)
         assert np.max(np.abs(psi - traj[-1].amplitudes)) < 1e-8
+
+    def test_repeated_positions_are_summed(self, monkeypatch):
+        # an initial state is the state its entries sum to, as for superposition_state
+        p = LineParams(1.2, 0.9, 2.1, 0.7, -0.3)
+        repeated = [(3, 0.25), (-2, 0.2j), (3, 0.35), (0, 0.64), (-2, 0.28j)]
+        summed = [(3, 0j + 0.25 + 0.35), (-2, 0j + 0.2j + 0.28j), (0, 0j + 0.64)]
+        for kw in ({}, {"ring_size": 64}):
+            assert np.array_equal(wavefunction(p, 9, initial=repeated, **kw),
+                                  wavefunction(p, 9, initial=summed, **kw))
+
+        def no_transform(*args):
+            raise AssertionError("an invalid initial state reached the momentum sum")
+
+        monkeypatch.setattr(line_analytic, "_transform", no_transform)
+        with pytest.raises(NotNormalized, match="^state norm is "):  # 1.4: 0.6 + 0.8 at 0
+            wavefunction(p, 9, initial=((0, 0.6), (0, 0.8)))
 
     def test_odd_start(self):
         n, t = 128, 20
