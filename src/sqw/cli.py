@@ -21,9 +21,9 @@ import numpy as np
 from . import line_analytic
 from .coined import certify_equivalence, coined_walk_from_descriptor
 from .errors import OutOfRangeVertex, WalkError
-from .graphs import _uncovered_edges, from_document, line_tessellations, to_document, \
+from .graphs import _line_polygons, _uncovered_edges, from_document, to_document, \
     validate_tessellation
-from .operators import compose, reflection_from_tessellation
+from .operators import OrthogonalReflection, compose, reflection_from_tessellation
 from .simulation import WalkState, WrapGuard, distribution, distribution_to_tsv, \
     evolve_final, moments, ring_labels, superposition_state
 
@@ -152,15 +152,19 @@ def _require_thetas(cfg: RunConfig) -> None:
 
 def _run(cfg: RunConfig):
     """Evolve the configured walk: (position labels, initial (position, amplitude)
-    entries, final state).  Tessellation i takes theta0 if i is even, else theta1.
+    entries, final state).  Reflection i takes theta0 if i is even, else theta1.
 
     The line model runs on a ring labelled -n/2 .. n/2 - 1, n = 4 (steps + 1) + 8 by
-    default, and fails once its front reaches the antipode.  The graph model reads
-    cfg.graph and labels each vertex by its index.
+    default, and fails once its front reaches the antipode.  Its two reflections are
+    compiled from the pairs of `line_tessellations` with no graph: their range and
+    overlap are checked, and the ring's cliques and coverage hold by construction.
+    The graph model reads cfg.graph, validates each tessellation against its graph,
+    and labels each vertex by its index.
     """
     if cfg.model == "line":
         n = cfg.ring_size if cfg.ring_size is not None else 4 * (cfg.steps + 1) + 8
-        tessellations = line_tessellations(n, cfg.alpha, cfg.beta, cfg.phi0, cfg.phi1)
+        reflections = [OrthogonalReflection.from_arrays(n, *p)
+                       for p in _line_polygons(n, cfg.alpha, cfg.beta, cfg.phi0, cfg.phi1)]
         label, observers = ring_labels, [WrapGuard(n)]
 
         def site(pos: int) -> int:
@@ -172,19 +176,18 @@ def _run(cfg: RunConfig):
         if not cfg.graph:
             raise ValueError("graph model needs --graph FILE")
         with open(cfg.graph, encoding="utf-8") as fh:
-            tessellations = from_document(json.load(fh))[1]  # their parent is the graph
-        if len(tessellations) < 1:
+            reflections = [reflection_from_tessellation(t)
+                           for t in from_document(json.load(fh))[1]]
+        if len(reflections) < 1:
             raise ValueError("graph file carries no tessellations")
-        n = tessellations[0].parent.vertex_count
+        n = reflections[0].dimension
         label, observers, site = np.arange, [], lambda pos: pos
     else:
         raise ValueError(f"unknown model {cfg.model!r} for simulate")
-    angles = [cfg.theta0, cfg.theta1] * len(tessellations)
-    op = compose([(a, reflection_from_tessellation(t)) for a, t in zip(angles, tessellations)])
-    del tessellations  # and with them the graph: the loop reads only the reflections
+    op = compose(zip([cfg.theta0, cfg.theta1] * len(reflections), reflections))
     psi0, entries = _parse_init(cfg.init, n, site)
     final = evolve_final(op, psi0, cfg.steps, observers)
-    del op, psi0  # freed before the n labels are made, as the peak comes later
+    del op, psi0, reflections  # freed before the n labels are made, as the peak comes later
     return label(n), entries, final
 
 

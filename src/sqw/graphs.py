@@ -72,27 +72,17 @@ class Graph:
         counts = np.bincount(self.edge_array.ravel(), minlength=self.vertex_count)
         return np.concatenate(([0], np.cumsum(counts))), arc_ends
 
-    @cached_property
-    def _firsts(self) -> np.ndarray:
-        """Index of the first edge (u, .) of each vertex u in the codes, then E."""
-        n = self.vertex_count
-        counts = np.bincount(self.edge_codes // max(n, 1), minlength=n)
-        return np.concatenate(([0], np.cumsum(counts)))
-
     def has_edges(self, u, v) -> np.ndarray:
         """Elementwise edge test over arrays of endpoints; an endpoint outside g has none.
 
-        (lo, hi) is looked up at the first edge of lo, then by binary search if not there.
+        Each code lo * n + hi is looked up by one binary search in the sorted codes.
         """
         lo, hi = np.minimum(u, v), np.maximum(u, v)
         codes, known = np.ravel(lo * self.vertex_count), self.edge_codes  # 1-D, even for scalars
         codes += np.ravel(hi)
         found = np.zeros(codes.shape, bool)
         if len(known):
-            found = known.take(self._firsts.take(np.ravel(lo), mode="clip"), mode="clip") == codes
-            miss = np.flatnonzero(~found)
-            missed = codes[miss]
-            found[miss] = known.take(np.searchsorted(known, missed), mode="clip") == missed
+            found = known.take(np.searchsorted(known, codes), mode="clip") == codes
         if codes.size and (np.min(lo) < 0 or np.max(hi) >= self.vertex_count):
             found &= np.ravel((lo >= 0) & (hi < self.vertex_count))
         return found.reshape(np.shape(lo))[()]  # a scalar for scalar endpoints
@@ -421,25 +411,30 @@ def line_tessellations(ring_size: int, alpha: float, beta: float,
     the second pairs {2x+1, 2x+2 mod N} with (cos b/2, e^{i phi1} sin b/2).
     Together they cover every ring edge.
     """
+    polygons = _line_polygons(ring_size, alpha, beta, phi0, phi1)
+    g = ring_graph(ring_size)
+    return tuple(Tessellation.from_arrays(g, *p) for p in polygons)
+
+
+def _line_polygons(ring_size: int, alpha: float, beta: float, phi0: float, phi1: float):
+    """The flat (vertices, amplitudes, starts) of the two `line_tessellations`; the ring
+    size and angles are checked here, the polygon rules by the constructor they go to."""
     if ring_size < 4 or ring_size % 2 != 0:
         raise OddRingSize(ring_size)
     for name, angle in (("alpha", alpha), ("beta", beta)):
         if not 0.0 < angle < math.pi:
             raise DegenerateAngle(name, angle)
-    g = ring_graph(ring_size)
     a_even = complex(math.cos(alpha / 2))
     a_odd = complex(math.cos(phi0), math.sin(phi0)) * math.sin(alpha / 2)
     b_odd = complex(math.cos(beta / 2))
     b_even = complex(math.cos(phi1), math.sin(phi1)) * math.sin(beta / 2)
     pairs = ring_size // 2
     starts = np.arange(0, ring_size, 2)
-    first = Tessellation.from_arrays(g, np.arange(ring_size), np.tile([a_even, a_odd], pairs),
-                                     starts)
     # Pairs {1, 2}, {3, 4}, ..., {N-1, 0}, each listed odd site first.
     shifted = np.arange(1, ring_size + 1)  # 1, 2, ..., N - 1, then 0
     shifted[-1] = 0
-    second = Tessellation.from_arrays(g, shifted, np.tile([b_odd, b_even], pairs), starts)
-    return first, second
+    return ((np.arange(ring_size), np.tile([a_even, a_odd], pairs), starts),
+            (shifted, np.tile([b_odd, b_even], pairs), starts))
 
 
 @dataclass(frozen=True)

@@ -640,6 +640,16 @@ class TestEachInputCheckedOnce:
                      "--out", str(tmp_path / "line.tsv")]) == 0
         assert len(groupings) == 2
 
+    @pytest.mark.parametrize("command", ["simulate", "analytic"])
+    def test_line_builds_no_graph(self, command, tmp_path, monkeypatch):
+        # the ring's pairs compile straight into reflections: its cliques and
+        # coverage hold by construction
+        graphs = count_calls(monkeypatch, "build_graph")
+        validations = count_calls(monkeypatch, "validate_tessellation")
+        assert main([command, "--theta", "pi/4", "--steps", "20", "--init", "basis:0",
+                     "--out", str(tmp_path / "line.tsv")]) == 0
+        assert graphs == [] and validations == []
+
     def test_graph_simulate(self, tmp_path, monkeypatch):
         groupings = count_calls(monkeypatch, "size_blocks")
         TestNoPolygonOnIoPaths().test_graph_simulate(tmp_path)  # two tessellations
@@ -680,8 +690,8 @@ class TestMemoryBudget:
         # polygon arrays (3.25 state sizes), partner rows and site slots (1.5), the start
         # state, two buffers and three work arrays (6), and packed rows sized to the ~130
         # reached sites: 11.06 and 10.83 state sizes measured, no stencil row of n
-        # entries.  The ring's graph and the tessellations are freed before the loop; the
-        # output half (distribution, TSV and moments) peaks at ~3 state sizes after it
+        # entries.  The line builds no graph and no tessellation; the output half
+        # (distribution, TSV and moments) peaks at ~3 state sizes after the loop
         tracemalloc.start()
         try:
             assert main(["simulate", "--theta", "pi/4", "--alpha", "pi/3", "--beta", "pi/3",

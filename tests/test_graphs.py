@@ -32,10 +32,11 @@ from sqw.errors import (
     OverlappingPolygons,
     SelfLoop,
     UncoveredVertex,
+    WalkError,
     ZeroAmplitude,
 )
 
-from sqw.graphs import Graph, canonical_order, check_polygon_arrays, size_blocks
+from sqw.graphs import Graph, _line_polygons, canonical_order, check_polygon_arrays, size_blocks
 
 from sqw.tolerances import NORM_TOL
 
@@ -380,6 +381,14 @@ class TestGraphArrays:
         assert degrees(g) == [2] * 5
 
 
+def outcome(make):
+    """make(), or the (type, message) of the WalkError it raises."""
+    try:
+        return make()
+    except WalkError as err:
+        return type(err), str(err)
+
+
 class TestLineTessellations:
     def test_uniform_case(self):
         t0, t1 = line_tessellations(4, math.pi / 2, math.pi / 2)
@@ -429,6 +438,33 @@ class TestLineTessellations:
                 line_tessellations(4, bad, 1.0)
             with pytest.raises(DegenerateAngle):
                 line_tessellations(4, 1.0, bad)
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(2, 32).map(lambda k: 2 * k),
+           alpha=st.floats(0.0, math.pi, exclude_min=True, exclude_max=True),
+           beta=st.floats(0.0, math.pi, exclude_min=True, exclude_max=True),
+           phi0=st.floats(allow_nan=False, allow_infinity=False),
+           phi1=st.floats(allow_nan=False, allow_infinity=False))
+    def test_arrays_compile_as_the_tessellations(self, n, alpha, beta, phi0, phi1):
+        # the CLI compiles the line's pairs with no graph; the library through the ring
+        direct = outcome(lambda: [OrthogonalReflection.from_arrays(n, *p)
+                                  for p in _line_polygons(n, alpha, beta, phi0, phi1)])
+        via = outcome(lambda: [reflection_from_tessellation(t)
+                               for t in line_tessellations(n, alpha, beta, phi0, phi1)])
+        assert direct == via  # both lists, or both the same error (a 0 amplitude, say)
+        if isinstance(direct, list):
+            for h, k in zip(direct, via):
+                for name in ("vertices", "amplitudes", "starts", "_partners", "_slot"):
+                    assert np.array_equal(getattr(h, name), getattr(k, name))
+
+    @pytest.mark.parametrize("n,alpha,beta", [
+        (5, 1.0, 1.0), (2, 1.0, 1.0), (4, 0.0, 1.0), (4, 1.0, math.pi), (4, math.nan, 1.0),
+        (3, 0.0, 1.0)])
+    def test_arrays_raise_as_the_tessellations(self, n, alpha, beta):
+        direct = outcome(lambda: _line_polygons(n, alpha, beta, 0.0, 0.0))
+        via = outcome(lambda: line_tessellations(n, alpha, beta))
+        assert isinstance(direct, tuple) and direct[0] in (OddRingSize, DegenerateAngle)
+        assert direct == via
 
 
 class TestCliqueExpansion:
@@ -641,14 +677,12 @@ class TestGraphConstruction:
         n, edges = case
         want, keys = reference_graph(n, edges)
         rows = np.stack(np.divmod(keys, max(n, 1)), axis=1)
-        firsts = np.searchsorted(keys // max(n, 1), np.arange(n + 1))
         for given_as in (edges, np.array(edges, dtype=np.int64).reshape(-1, 2)):
             g = build_graph(n, given_as)
             assert g == want and g.edge_array.dtype == np.int64
             assert g.edge_codes.tolist() == keys.tolist()
             assert g.edge_array.tolist() == rows.tolist()
             assert g.edges == tuple(map(tuple, rows.tolist()))
-            assert g._firsts.tolist() == firsts.tolist()
 
     def test_a_graph_keeps_one_edge_array(self):
         # the ring's graph is built and checked through its codes: no (E, 2) rows
@@ -660,8 +694,8 @@ class TestGraphConstruction:
     @given(case=listed_edges(), queries=st.lists(
         st.tuples(st.integers(-2, 13), st.integers(-2, 13)), min_size=1, max_size=20))
     def test_has_edges_matches_the_edge_set(self, case, queries):
-        # a pair found at the first edge row of its lower end, one searched for, one
-        # outside the graph; given as scalars, one row and one column
+        # pairs in the graph, pairs not in it and pairs outside it; given as scalars,
+        # one row and one column
         n, edges = case
         g = build_graph(n, edges)
         known = {(min(a, b), max(a, b)) for a, b in edges}
