@@ -9,12 +9,15 @@ as plain numbers; exact parsing keeps reproduction runs free of decimal drift.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import numbers
 import re
 import sys
 from dataclasses import dataclass
+from itertools import chain
+from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
@@ -137,12 +140,13 @@ def _is_init_entry(entry) -> bool:
             and all(isinstance(x, numbers.Real) and not isinstance(x, bool) for x in entry))
 
 
-def _write(path: str, text: str) -> None:
+def _write(path: str, *texts: str) -> None:
+    """Write the texts one after another to path, or to stdout if path is "-"."""
     if path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(texts)
     else:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(texts)
 
 
 def _require_thetas(cfg: RunConfig) -> None:
@@ -255,9 +259,69 @@ def cmd_embed(args) -> int:
         "steps_checked": report.steps_checked,
         "arcs": [[v, j] for v, j in report.bijection_used.arcs],
     }
-    _write(args.out, json.dumps(out, indent=2) + "\n")
+    _write(args.out, *_embed_texts(out))
     print(f"max_state_deviation\t{report.max_state_deviation:.17g}")
     return 0
+
+
+def _embed_texts(doc: dict) -> list[str]:
+    """`json.dumps(doc, indent=2) + "\\n"` of an embed document (`to_document`'s dict
+    plus "report") in pieces, to be written one after another: joined, they would
+    be a second copy of the text.
+
+    Each uniform part (edges, labels, a tessellation's polygons, the report's arcs)
+    is one %-template filled by one % call: ints by %d, floats by %r
+    (`float.__repr__`, which json writes for a finite float), strings quoted by
+    json's own encoder and filled in by %s, so a template holds no text of the
+    document.  Polygon amplitudes are finite, as the polygon rules bound their
+    norm, so no NaN or Infinity reaches a template; every other value (the
+    report's deviation among them) is written by `json.dumps`.
+    """
+    return [*_object(doc, ""), "\n"]
+
+
+def _embed_value(key: str, value, indent: str) -> str:
+    """The text of `value`, found at `key` of an embed document, its later lines at `indent`."""
+    inner = indent + "  "
+    if key in ("edges", "arcs"):
+        pair = _array(["%d"] * 2, inner)
+        return _array([pair] * len(value), indent) % tuple(chain.from_iterable(value))
+    if key == "labels":
+        return _array(["%s"] * len(value), indent) % tuple(map(_quote, value))
+    if key == "tessellations":
+        return _array(["".join(_object(t, inner)) for t in value], indent)
+    if key == "polygons":
+        sizes = [len(p["vertices"]) for p in value]
+        template = {d: _polygon_template(d, inner + "  ") for d in set(sizes)}
+        return _array(list(map(template.get, sizes)), indent) % tuple(
+            chain.from_iterable(chain(p["vertices"], *p["amplitudes"]) for p in value))
+    if key == "report":
+        return "".join(_object(value, indent))
+    return json.dumps(value, indent=2).replace("\n", "\n" + indent)
+
+
+def _object(doc: dict, indent: str) -> list[str]:
+    """An indented JSON object of an embed document, as texts to join."""
+    inner = indent + "  "
+    pieces = []
+    for key, value in doc.items():
+        pieces += (",\n" if pieces else "{\n", inner, _quote(key), ": ",
+                   _embed_value(key, value, inner))
+    return pieces + [f"\n{indent}}}"] if pieces else ["{}"]
+
+
+def _array(items: list, indent: str) -> str:
+    """An indented JSON list of `items`, each a text whose later lines carry their indent."""
+    inner = indent + "  "
+    separator = ",\n" + inner
+    return f"[\n{inner}{separator.join(items)}\n{indent}]" if items else "[]"
+
+
+def _polygon_template(size: int, indent: str) -> str:
+    """The template of one polygon object of `size` vertices, its keys at `indent`."""
+    pair = _array(["%r"] * 2, indent + "  ")
+    return (f'{{\n{indent}"vertices": {_array(["%d"] * size, indent)},\n'
+            f'{indent}"amplitudes": {_array([pair] * size, indent)}\n{indent[:-2]}}}')
 
 
 def cmd_validate(args) -> int:
@@ -283,6 +347,8 @@ def cmd_validate(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # Each handler is looked up when it runs, not when the parser is built: `main`
+    # reuses one parser, and a handler patched after that still takes effect.
     parser = argparse.ArgumentParser(
         prog="sqw",
         description="Staggered quantum walks driven by exponentials of "
@@ -318,24 +384,30 @@ def build_parser() -> argparse.ArgumentParser:
     p_surf.add_argument("--alpha-max", default="pi")
     p_surf.add_argument("--alpha-count", type=int, default=101)
     p_surf.add_argument("--out", default="-")
-    p_surf.set_defaults(func=cmd_sigma_surface)
+    p_surf.set_defaults(func=lambda a: cmd_sigma_surface(a))
 
     p_embed = sub.add_parser("embed", help="convert a coined walk and certify it")
     p_embed.add_argument("--graph", required=True)
     p_embed.add_argument("--coin", help="coin descriptor: inline JSON or a path")
     p_embed.add_argument("--steps", type=int, default=16)
     p_embed.add_argument("--out", default="-")
-    p_embed.set_defaults(func=cmd_embed)
+    p_embed.set_defaults(func=lambda a: cmd_embed(a))
 
     p_val = sub.add_parser("validate", help="check tessellations and edge coverage")
     p_val.add_argument("--graph", required=True)
-    p_val.set_defaults(func=cmd_validate)
+    p_val.set_defaults(func=lambda a: cmd_validate(a))
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process; building it takes about a millisecond."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (WalkError, ValueError, OSError, json.JSONDecodeError) as exc:

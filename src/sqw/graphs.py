@@ -9,10 +9,11 @@ edge a polygon is a (vertices, amplitudes) pair; inside, polygons are flat array
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
+from itertools import chain, compress, repeat
 
 import numpy as np
 
@@ -538,9 +539,12 @@ def _field(doc, key: str, what: str):
         raise ValueError(f"{what} needs a {key!r} key") from None
 
 
+_LIST = (list, tuple)  # the types a document list may have
+
+
 def _list(value, what: str):
     """value if it is a list (or tuple), else a ValueError naming `what`."""
-    if not isinstance(value, (list, tuple)):
+    if not isinstance(value, _LIST):
         raise ValueError(f"{what} must be a list, got {type(value).__name__}")
     return value
 
@@ -557,25 +561,49 @@ def parse_polygons(docs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Flat (vertices, amplitudes, starts) arrays of polygon documents.
 
     Each document is {"vertices": [...], "amplitudes": [[re, im], ...]}; absent
-    amplitudes default to the uniform superposition.
+    amplitudes default to the uniform superposition 1/sqrt(size).  The lists are
+    read whole, not polygon by polygon; a malformed document raises the error of
+    the first offending polygon, as :func:`_check_polygon_docs` finds it.
     """
-    vertices, amplitudes, sizes = [], [], []
-    for pdoc in _list(docs, "tessellation 'polygons'"):
-        verts = _list(_field(pdoc, "vertices", "polygon"), "polygon 'vertices'")
-        amps = _list(pdoc["amplitudes"], "polygon 'amplitudes'") if "amplitudes" in pdoc \
-            else [[1.0 / math.sqrt(max(len(verts), 1)), 0.0]] * len(verts)
-        if len(amps) != len(verts):
-            raise ValueError("one amplitude per vertex required")
-        vertices += verts
-        amplitudes += amps
-        sizes.append(len(verts))
-    message = "polygon 'amplitudes' must be [re, im] pairs of numbers"
+    docs = _list(docs, "tessellation 'polygons'")
     try:
-        pairs = np.asarray(amplitudes) if amplitudes else np.zeros((0, 2))
-    except ValueError:  # ragged entries
-        raise ValueError(message) from None
-    if pairs.dtype.kind not in "iuf" or pairs.shape != (len(vertices), 2):
-        raise ValueError(message)
-    return (_integers(vertices, "polygon 'vertices'"),
-            pairs.astype(np.float64).view(np.complex128).ravel(),
-            np.cumsum([0, *sizes], dtype=np.int64)[:-1])
+        vertex_lists = [pdoc["vertices"] for pdoc in docs]
+        carries = [*map(operator.contains, docs, repeat("amplitudes"))]
+        given = [pdoc["amplitudes"] for pdoc in compress(docs, carries)]
+        well_formed = all(map(isinstance, chain(vertex_lists, given), repeat(_LIST))) \
+            and [*map(len, given)] == [*map(len, compress(vertex_lists, carries))]
+    except (KeyError, TypeError):
+        well_formed = False
+    if not well_formed:
+        _check_polygon_docs(docs)
+    sizes = np.fromiter(map(len, vertex_lists), np.int64, len(vertex_lists))
+    # 1.0 / sqrt(size) as math computes it: both operations are correctly rounded
+    amplitudes = np.repeat(1.0 / np.sqrt(np.maximum(sizes, 1)), sizes).astype(np.complex128)
+    pairs = list(chain.from_iterable(given))
+    if pairs:
+        count = len(pairs)
+        if count < len(amplitudes):
+            # one uniform pair stands for all: numpy then infers the dtype the whole list
+            # of pairs has (a bool part beside a float part reads as a float)
+            pairs.append([1.0, 0.0])
+        message = "polygon 'amplitudes' must be [re, im] pairs of numbers"
+        try:
+            pairs = np.asarray(pairs)
+        except ValueError:  # ragged entries
+            raise ValueError(message) from None
+        if pairs.dtype.kind not in "iuf" or pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise ValueError(message)
+        amplitudes[np.repeat(carries, sizes)] = \
+            pairs[:count].astype(np.float64).view(np.complex128).ravel()
+    return (_integers(list(chain.from_iterable(vertex_lists)), "polygon 'vertices'"),
+            amplitudes, np.cumsum(sizes) - sizes)
+
+
+def _check_polygon_docs(docs) -> None:
+    """Raise the error of the first polygon document without a 'vertices' list, or with an
+    'amplitudes' entry that is not a list of one amplitude per vertex."""
+    for pdoc in docs:
+        vertices = _list(_field(pdoc, "vertices", "polygon"), "polygon 'vertices'")
+        if "amplitudes" in pdoc and \
+                len(_list(pdoc["amplitudes"], "polygon 'amplitudes'")) != len(vertices):
+            raise ValueError("one amplitude per vertex required")

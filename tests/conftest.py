@@ -8,6 +8,7 @@ import math
 import numpy as np
 
 from sqw import OrthogonalReflection, build_graph
+from sqw.graphs import _field, _integers, _list
 
 
 def path_graph(n):
@@ -136,3 +137,28 @@ def direct_momentum_sum(k, weight, even, odd, positions) -> np.ndarray:
         phases = np.exp(-1j * np.outer(block, k))
         out[lo:lo + 256] = weight * np.where(block % 2 == 0, phases @ even, phases @ odd)
     return out
+
+
+def reference_parse_polygons(docs):
+    """Independent oracle of `graphs.parse_polygons`: the polygon documents read one at a
+    time, each checked in turn, then the collected lists turned into arrays."""
+    vertices, amplitudes, sizes = [], [], []
+    for pdoc in _list(docs, "tessellation 'polygons'"):
+        verts = _list(_field(pdoc, "vertices", "polygon"), "polygon 'vertices'")
+        amps = _list(pdoc["amplitudes"], "polygon 'amplitudes'") if "amplitudes" in pdoc \
+            else [[1.0 / math.sqrt(max(len(verts), 1)), 0.0]] * len(verts)
+        if len(amps) != len(verts):
+            raise ValueError("one amplitude per vertex required")
+        vertices += verts
+        amplitudes += amps
+        sizes.append(len(verts))
+    message = "polygon 'amplitudes' must be [re, im] pairs of numbers"
+    try:
+        pairs = np.asarray(amplitudes) if amplitudes else np.zeros((0, 2))
+    except ValueError:  # ragged entries
+        raise ValueError(message) from None
+    if pairs.dtype.kind not in "iuf" or pairs.shape != (len(vertices), 2):
+        raise ValueError(message)
+    return (_integers(vertices, "polygon 'vertices'"),
+            pairs.astype(np.float64).view(np.complex128).ravel(),
+            np.cumsum([0, *sizes], dtype=np.int64)[:-1])

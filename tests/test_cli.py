@@ -2,13 +2,17 @@ import json
 import math
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from sqw import grover_coined_walk, to_document
+from sqw import build_graph, cli, clique_expansion, grover_coined_walk, to_document
 from sqw.cli import main, parse_angle
 
 from conftest import grid_graph
@@ -290,6 +294,122 @@ class TestEmbedCoins:
         err = capsys.readouterr().err
         assert err.startswith("error: vertex 99 out of range")
         assert err.count("\n") == 1 and "Traceback" not in err
+
+
+# amplitude parts a coin can carry that a writer could get wrong
+SPECIAL_PARTS = [-0.0, 5e-324, 0.1 + 0.2]
+
+
+@st.composite
+def embed_inputs(draw):
+    """A graph document on 2-6 vertices with no isolated vertex, a coin descriptor and
+    0-3 steps.  The coin is the Grover coin, or a reflection coin whose polygons split
+    each vertex's arcs at random; a polygon carries no amplitudes (uniform) or parts
+    drawn from SPECIAL_PARTS and random parts scaled to a unit norm."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(2, 6))
+    edges = {(int(rng.integers(v)), v) for v in range(1, n)}  # every vertex touches one
+    for _ in range(draw(st.integers(0, n * (n - 1) // 2))):
+        edges.add(tuple(sorted(rng.choice(n, 2, replace=False).tolist())))
+    graph = {"vertices": n, "edges": [list(e) for e in sorted(edges)]}
+    theta, steps = draw(st.floats(-PI, PI)), draw(st.integers(0, 3))
+    if draw(st.booleans()):
+        return graph, {"type": "grover", "theta": theta}, steps
+    offsets = clique_expansion(build_graph(n, edges)).offsets
+    polygons = []
+    for v in range(n):
+        arcs = rng.permutation(np.arange(offsets[v], offsets[v + 1]))
+        cuts = rng.choice(np.arange(1, len(arcs)), int(rng.integers(len(arcs))), replace=False)
+        for part in np.split(arcs, np.sort(cuts)):
+            polygons.append({"vertices": part.tolist()})
+            if draw(st.booleans()):
+                continue
+            parts = rng.standard_normal((len(part), 2)) + 0.5
+            special = np.zeros(parts.shape, dtype=bool)
+            for row, value in enumerate(draw(st.lists(st.sampled_from([None, *SPECIAL_PARTS]),
+                                                      min_size=len(part), max_size=len(part)))):
+                if value is not None:  # one part of the entry; the other stays nonzero
+                    column = int(rng.integers(2))
+                    parts[row, column], special[row, column] = value, True
+            parts[~special] *= math.sqrt(1 - np.sum(parts[special] ** 2)) \
+                / np.linalg.norm(parts[~special])
+            polygons[-1]["amplitudes"] = parts.tolist()
+    return graph, {"type": "reflection", "theta": theta, "polygons": polygons}, steps
+
+
+class TestEmbedWriter:
+    """`embed` writes its document as `json.dumps(doc, indent=2)` would, from templates."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(inputs=embed_inputs())
+    def test_file_is_json_dumps_of_the_document(self, inputs):
+        graph, coin, steps = inputs
+        expected, write = [], cli._embed_texts
+
+        def spy(doc):
+            expected.append(json.dumps(doc, indent=2) + "\n")
+            return write(doc)
+
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(cli, "_embed_texts", spy):
+            gpath, out = Path(tmp) / "g.json", Path(tmp) / "embed.json"
+            gpath.write_text(json.dumps(graph))
+            with mock.patch("sys.stdout"):
+                assert main(["embed", "--graph", str(gpath), "--coin", json.dumps(coin),
+                             "--steps", str(steps), "--out", str(out)]) == 0
+            assert out.read_text() == expected[0]
+
+    @settings(max_examples=150, deadline=None)
+    @given(parts=st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                                    st.sampled_from([*SPECIAL_PARTS, 1e308, -1e308])),
+                          min_size=32, max_size=32),  # 2 tessellations x 8 arcs x 2
+           deviation=st.floats(), labels=st.lists(st.text(), min_size=8, max_size=8))
+    @example(parts=[1e308, -0.0, 5e-324, 0.1 + 0.2] * 8, deviation=math.nan,
+             labels=["%d", "%s%%", '"', "\\", "\n", "\u00e9", "\ud83d", ""])
+    @example(parts=[1.0] * 32, deviation=math.inf, labels=["0,0"] * 8)
+    def test_writer_is_json_dumps(self, parts, deviation, labels):
+        # any finite float in a template, any float as the report's deviation (NaN and
+        # Infinity are written by json.dumps), and any label text, % included
+        cw = grover_coined_walk(build_graph(4, [(0, 1), (0, 2), (1, 2), (2, 3)]))
+        doc = to_document(cw.expansion.expanded, cw.tessellations)
+        values = iter(parts)
+        for t in doc["tessellations"]:
+            for polygon in t["polygons"]:
+                polygon["amplitudes"] = [[next(values), next(values)] for _ in polygon["vertices"]]
+        doc["labels"] = labels
+        doc["report"] = {"max_state_deviation": deviation, "steps_checked": 3,
+                         "arcs": [[v, j] for v, j in cw.expansion.arcs]}
+        assert "".join(cli._embed_texts(doc)) == json.dumps(doc, indent=2) + "\n"
+
+
+class TestOneParser:
+    """`main` builds its parser once per process and looks each handler up per call."""
+
+    @staticmethod
+    def surface(tmp_path):
+        return ["sigma-surface", "--theta-count", "2", "--alpha-count", "2",
+                "--out", str(tmp_path / "surface.tsv")]
+
+    def test_two_calls_build_one_parser(self, tmp_path, monkeypatch):
+        built, build = [], cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+        cli._parser.cache_clear()
+        assert main(self.surface(tmp_path)) == 0
+        assert main(self.surface(tmp_path)) == 0
+        assert len(built) == 1
+
+    @pytest.mark.parametrize("argv", [["simulate", "--steps", "two"], ["--help"], ["fly"], [],
+                                      ["embed", "--steps", "3"]])
+    def test_an_exit_leaves_the_next_call_working(self, argv, tmp_path, capsys):
+        with pytest.raises(SystemExit):
+            main(argv)
+        assert main(self.surface(tmp_path)) == 0
+        assert main(["embed", "--graph", str(tmp_path / "missing.json")]) == 1
+        assert "missing.json" in capsys.readouterr().err
+
+    def test_a_handler_patched_later_runs(self, tmp_path, monkeypatch):
+        assert main(self.surface(tmp_path)) == 0
+        monkeypatch.setattr(cli, "cmd_validate", lambda args: 7)
+        assert main(["validate", "--graph", "unused.json"]) == 7
 
 
 def one_error_line(capsys, field):
@@ -724,16 +844,16 @@ class TestMemoryBudget:
 
     @pytest.mark.parametrize("m", [24, 48])
     def test_embed_peak_in_arc_sizes(self, m, tmp_path):
-        # the m x m grid's 4m(m - 1) arcs.  Writing the expanded document as indented
-        # JSON sets the peak: the document's lists (~64 arc-array sizes of 16 bytes an
-        # arc), the pure-Python encoder's chunks and the text (~24) reach ~205 of the
-        # 248.0 and 231.5 measured
+        # the m x m grid's 4m(m - 1) arcs.  Writing the expanded document sets the peak:
+        # its lists (~64 arc-array sizes of 16 bytes an arc) stay alive while the
+        # template writer fills one part after another (the text is ~24), at most ~53
+        # above the lists; 166.3 and 142.9 measured, the first in a fresh process
         g = grid_graph(m)
         path = tmp_path / "grid.json"
         path.write_text(json.dumps(dict(to_document(g), coin={"type": "grover"})))
         arcs = 2 * len(g.edge_array)
         peak = self.peak(["embed", "--graph", str(path), "--out", str(tmp_path / "embed.json")])
-        assert peak < 275 * (16 * arcs)
+        assert peak < 185 * (16 * arcs)
 
     @pytest.mark.parametrize("m", [32, 64])
     def test_validate_peak_in_arc_sizes(self, m, tmp_path):

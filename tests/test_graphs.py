@@ -36,12 +36,13 @@ from sqw.errors import (
     ZeroAmplitude,
 )
 
-from sqw.graphs import Graph, _line_polygons, canonical_order, check_polygon_arrays, size_blocks
+from sqw.graphs import Graph, _line_polygons, canonical_order, check_polygon_arrays, \
+    parse_polygons, size_blocks
 
 from sqw.tolerances import NORM_TOL
 
 from conftest import complete_graph, grid_graph, hub_fragment, path_graph, random_state_array, \
-    uniform
+    reference_parse_polygons, uniform
 
 
 def degrees(g):
@@ -310,6 +311,10 @@ class TestFlatTessellation:
         ([0, 0], [0.6, 0.8], [0], ValueError),
         ([-1], [1.0], [0], OutOfRangeVertex),
         ([0, 1], [math.nan, 1.0], [0], NotNormalized),
+        # no part is infinite or NaN, so `embed` can write every amplitude part by %r
+        ([0, 1], [complex(math.inf, 0.6), 0.8], [0], NotNormalized),
+        ([0, 1], [complex(0.6, -math.inf), 0.8], [0], NotNormalized),
+        ([0, 1], [complex(0.6, math.nan), 0.8], [0], NotNormalized),
     ])
     def test_from_arrays_checks_like_polygon(self, vertices, amplitudes, starts, error):
         with pytest.raises(error):
@@ -562,6 +567,101 @@ class TestDocumentFormat:
                "tessellations": [{"polygons": [{"vertices": [0, 1]}]}]}
         _, (t,) = from_document(doc)
         assert np.allclose(t.polygons[0][1], 1 / math.sqrt(2))
+
+
+def parsed(parse, docs):
+    """parse(docs) as (dtype, bytes) per array, or the (type, message) of what it raises."""
+    try:
+        return [(a.dtype, a.shape, a.tobytes()) for a in parse(docs)]
+    except Exception as err:  # the reference's own errors, whatever their type
+        return type(err), str(err)
+
+
+# parts json can hold, and ints and bools, which numpy promotes with floats
+amplitude_parts = st.one_of(st.floats(), st.integers(-2 ** 63, 2 ** 63 - 1), st.booleans(),
+                            st.sampled_from([-0.0, 5e-324, 0.1 + 0.2, 1e308]))
+
+
+@st.composite
+def polygon_documents(draw):
+    """0-6 polygon documents of 0-5 vertex ids; all, none or some carry "amplitudes"."""
+    carry = draw(st.sampled_from(["all", "none", "some"]))
+    docs = []
+    for vertices in draw(st.lists(st.lists(st.integers(0, 2 ** 40), max_size=5), max_size=6)):
+        docs.append({"vertices": vertices})
+        if carry == "all" or carry == "some" and draw(st.booleans()):
+            pair = st.lists(amplitude_parts, min_size=2, max_size=2)
+            docs[-1]["amplitudes"] = draw(st.lists(pair, min_size=len(vertices),
+                                                   max_size=len(vertices)))
+    return docs
+
+
+MALFORMED_POLYGONS = [
+    {}, [0, 1], "p", None, {"vertices": 1}, {"vertices": "01"}, {"vertices": [0.5]},
+    {"vertices": [[0, 1]]}, {"vertices": [0, 1], "amplitudes": 0.7},
+    {"vertices": [0], "amplitudes": None}, {"vertices": [0, 1], "amplitudes": [[1, 0]]},
+    {"vertices": [0], "amplitudes": [0.6]}, {"vertices": [0], "amplitudes": [["0.6", 0]]},
+    {"vertices": [0], "amplitudes": [[1, 0, 0]]}, {"vertices": [0], "amplitudes": [[[1], [0]]]},
+    {"vertices": [0], "amplitudes": [[2 ** 70, 0]]}, {"vertices": [0], "amplitudes": [[1j, 0]]},
+    {"vertices": [0], "amplitudes": [[True, False]]}, {"vertices": [], "amplitudes": [[1, 0]]},
+]
+
+PAIRS = "polygon 'amplitudes' must be [re, im] pairs of numbers"
+
+
+class TestParsePolygons:
+    """`parse_polygons` reads the lists whole and matches the one-polygon-at-a-time oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(docs=polygon_documents())
+    @example(docs=[])
+    @example(docs=[{"vertices": [0, 1, 2]}, {"vertices": [3]}, {"vertices": []}])
+    @example(docs=[{"vertices": [0]}, {"vertices": [1], "amplitudes": [[True, False]]}])
+    def test_arrays_match_the_oracle_bit_for_bit(self, docs):
+        assert parsed(parse_polygons, docs) == parsed(reference_parse_polygons, docs)
+
+    @settings(max_examples=300, deadline=None)
+    @given(docs=st.lists(st.one_of(polygon_documents().filter(len).map(lambda d: d[0]),
+                                   st.sampled_from(MALFORMED_POLYGONS)), max_size=5))
+    def test_malformed_lists_fail_as_the_oracle_does(self, docs):
+        assert parsed(parse_polygons, docs) == parsed(reference_parse_polygons, docs)
+
+    @pytest.mark.parametrize("docs,message", [
+        ({}, "tessellation 'polygons' must be a list, got dict"),
+        ([{}], "polygon needs a 'vertices' key"),
+        ([[0, 1]], "polygon needs a 'vertices' key"),
+        ([{"vertices": 1}], "polygon 'vertices' must be a list, got int"),
+        ([{"vertices": [0, 1], "amplitudes": 0.7}],
+         "polygon 'amplitudes' must be a list, got float"),
+        ([{"vertices": [0], "amplitudes": None}],
+         "polygon 'amplitudes' must be a list, got NoneType"),
+        ([{"vertices": [0, 1], "amplitudes": [[1, 0]]}], "one amplitude per vertex required"),
+        ([{"vertices": [0, 1], "amplitudes": [0.6, 0.8]}], PAIRS),
+        ([{"vertices": [0, 1], "amplitudes": [["0.6", 0], [0.8, 0]]}], PAIRS),
+        ([{"vertices": [0, 1], "amplitudes": [[1, 0], [0]]}], PAIRS),
+        ([{"vertices": [0]}, {"vertices": [1], "amplitudes": [[0.6, 0.8, 0]]}], PAIRS),
+        ([{"vertices": [0], "amplitudes": [[True, False]]}], PAIRS),
+        ([{"vertices": [0.5]}], "polygon 'vertices' must be integers"),
+        # two bad polygons in one list: the first one's error wins
+        ([{"vertices": [0], "amplitudes": 3}, {}], "polygon 'amplitudes' must be a list, got int"),
+        ([{}, {"vertices": 1}], "polygon needs a 'vertices' key"),
+        ([{"vertices": [0, 1], "amplitudes": [[1, 0]]}, {"vertices": 2}],
+         "one amplitude per vertex required"),
+        ([{"vertices": [0]}, {"vertices": 2}, {"vertices": [1], "amplitudes": 5}],
+         "polygon 'vertices' must be a list, got int"),
+        # every polygon is read before the amplitude pairs, and those before the ids
+        ([{"vertices": [0.5]}, {"vertices": [1], "amplitudes": [["x", 0]]}], PAIRS),
+    ])
+    def test_error_messages(self, docs, message):
+        for parse in (parse_polygons, reference_parse_polygons):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                parse(docs)
+
+    def test_uniform_amplitudes_are_one_over_sqrt_size(self):
+        sizes = range(1, 70)
+        _, amplitudes, starts = parse_polygons([{"vertices": list(range(d))} for d in sizes])
+        assert amplitudes[starts].real.tolist() == [1.0 / math.sqrt(d) for d in sizes]
+        assert amplitudes.imag.tobytes() == bytes(8 * len(amplitudes))  # +0.0 throughout
 
 
 def flat(polygons):
