@@ -16,15 +16,13 @@ import numbers
 import re
 import sys
 from dataclasses import dataclass
-from itertools import chain
-from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
 from . import line_analytic
 from .coined import certify_equivalence, coined_walk_from_descriptor
 from .errors import OutOfRangeVertex, WalkError
-from .graphs import _line_polygons, _uncovered_edges, from_document, to_document, \
+from .graphs import _line_polygons, _uncovered_edges, document_texts, from_document, \
     validate_tessellation
 from .operators import OrthogonalReflection, compose, reflection_from_tessellation
 from .simulation import WalkState, WrapGuard, distribution, distribution_to_tsv, \
@@ -253,75 +251,13 @@ def cmd_embed(args) -> int:
         + 1j * rng.standard_normal(cw.expansion.arc_count)
     psi0 = WalkState(raw / np.linalg.norm(raw))
     report = certify_equivalence(cw, args.steps, psi0)
-    out = to_document(cw.expansion.expanded, cw.tessellations)
-    out["report"] = {
+    _write(args.out, *document_texts(cw.expansion.expanded, cw.tessellations, report={
         "max_state_deviation": report.max_state_deviation,
         "steps_checked": report.steps_checked,
-        "arcs": [[v, j] for v, j in report.bijection_used.arcs],
-    }
-    _write(args.out, *_embed_texts(out))
+        "arcs": np.array(report.bijection_used.arcs),
+    }))
     print(f"max_state_deviation\t{report.max_state_deviation:.17g}")
     return 0
-
-
-def _embed_texts(doc: dict) -> list[str]:
-    """`json.dumps(doc, indent=2) + "\\n"` of an embed document (`to_document`'s dict
-    plus "report") in pieces, to be written one after another: joined, they would
-    be a second copy of the text.
-
-    Each uniform part (edges, labels, a tessellation's polygons, the report's arcs)
-    is one %-template filled by one % call: ints by %d, floats by %r
-    (`float.__repr__`, which json writes for a finite float), strings quoted by
-    json's own encoder and filled in by %s, so a template holds no text of the
-    document.  Polygon amplitudes are finite, as the polygon rules bound their
-    norm, so no NaN or Infinity reaches a template; every other value (the
-    report's deviation among them) is written by `json.dumps`.
-    """
-    return [*_object(doc, ""), "\n"]
-
-
-def _embed_value(key: str, value, indent: str) -> str:
-    """The text of `value`, found at `key` of an embed document, its later lines at `indent`."""
-    inner = indent + "  "
-    if key in ("edges", "arcs"):
-        pair = _array(["%d"] * 2, inner)
-        return _array([pair] * len(value), indent) % tuple(chain.from_iterable(value))
-    if key == "labels":
-        return _array(["%s"] * len(value), indent) % tuple(map(_quote, value))
-    if key == "tessellations":
-        return _array(["".join(_object(t, inner)) for t in value], indent)
-    if key == "polygons":
-        sizes = [len(p["vertices"]) for p in value]
-        template = {d: _polygon_template(d, inner + "  ") for d in set(sizes)}
-        return _array(list(map(template.get, sizes)), indent) % tuple(
-            chain.from_iterable(chain(p["vertices"], *p["amplitudes"]) for p in value))
-    if key == "report":
-        return "".join(_object(value, indent))
-    return json.dumps(value, indent=2).replace("\n", "\n" + indent)
-
-
-def _object(doc: dict, indent: str) -> list[str]:
-    """An indented JSON object of an embed document, as texts to join."""
-    inner = indent + "  "
-    pieces = []
-    for key, value in doc.items():
-        pieces += (",\n" if pieces else "{\n", inner, _quote(key), ": ",
-                   _embed_value(key, value, inner))
-    return pieces + [f"\n{indent}}}"] if pieces else ["{}"]
-
-
-def _array(items: list, indent: str) -> str:
-    """An indented JSON list of `items`, each a text whose later lines carry their indent."""
-    inner = indent + "  "
-    separator = ",\n" + inner
-    return f"[\n{inner}{separator.join(items)}\n{indent}]" if items else "[]"
-
-
-def _polygon_template(size: int, indent: str) -> str:
-    """The template of one polygon object of `size` vertices, its keys at `indent`."""
-    pair = _array(["%r"] * 2, indent + "  ")
-    return (f'{{\n{indent}"vertices": {_array(["%d"] * size, indent)},\n'
-            f'{indent}"amplitudes": {_array([pair] * size, indent)}\n{indent[:-2]}}}')
 
 
 def cmd_validate(args) -> int:
@@ -337,10 +273,9 @@ def cmd_validate(args) -> int:
         else:
             findings.append({"index": i, "valid": True})
             valid.append(t)
-    uncovered = sorted(_uncovered_edges(g, valid))
     report = {
         "tessellations": findings,
-        "uncovered_edges": [[u, v] for u, v in uncovered],
+        "uncovered_edges": _uncovered_edges(g, valid).tolist(),
     }
     print(json.dumps(report, indent=2))
     return 0

@@ -8,12 +8,13 @@ edge a polygon is a (vertices, amplitudes) pair; inside, polygons are flat array
 
 from __future__ import annotations
 
+import json
 import math
 import operator
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, compress, repeat
+from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
@@ -304,28 +305,14 @@ class PolygonArrays:
                      (amplitudes + 0.0).tobytes(), starts.tobytes()))
 
 
-class _CanonicalPairs(Sequence):
-    """Read-only (vertex tuple, amplitude tuple) pairs of a tessellation in canonical
-    order.  len() reads the stored arrays; the pairs are built on the first item read."""
-
-    def __init__(self, t: Tessellation):
-        self._t = t
-
-    def __len__(self) -> int:
-        return len(self._t)
-
-    def __getitem__(self, k):
-        return self._t._pairs[k]
-
-
 @dataclass(frozen=True, init=False, eq=False)
 class Tessellation(PolygonArrays):
     """A list of polygons partitioning the vertices of a parent graph.
 
     Built from (vertices, amplitudes) pairs, as :class:`~sqw.operators.OrthogonalReflection`
     is, or from flat arrays, and stored flat (see :class:`PolygonArrays`) in the order
-    given.  `polygons` is the API-edge view: the pairs in canonical order, so
-    ``Tessellation(t.polygons, t.parent) == t``.
+    given.  `polygons` is the API-edge view: a tuple of the pairs in canonical order,
+    made on first use, so ``Tessellation(t.polygons, t.parent) == t``.
     """
 
     parent: Graph
@@ -348,16 +335,12 @@ class Tessellation(PolygonArrays):
     def __len__(self) -> int:
         return len(self.starts)
 
-    @property
-    def polygons(self) -> Sequence[tuple[tuple[int, ...], tuple[complex, ...]]]:
-        return _CanonicalPairs(self)
-
     @cached_property
-    def _pairs(self) -> list:
+    def polygons(self) -> tuple[tuple[tuple[int, ...], tuple[complex, ...]], ...]:
         vertices, amplitudes, starts, _ = self.canonical
         verts, amps = vertices.tolist(), amplitudes.tolist()
         bounds = [*starts.tolist(), len(verts)]
-        return [(tuple(verts[i:j]), tuple(amps[i:j])) for i, j in zip(bounds, bounds[1:])]
+        return tuple((tuple(verts[i:j]), tuple(amps[i:j])) for i, j in zip(bounds, bounds[1:]))
 
     @cached_property
     def _polygon_ids(self) -> np.ndarray:
@@ -382,18 +365,19 @@ def union_covers_edges(g: Graph, tessellations) -> set[tuple[int, int]]:
     tessellations = list(tessellations)
     for t in tessellations:
         validate_tessellation(g, t)
-    return _uncovered_edges(g, tessellations)
+    return set(map(tuple, _uncovered_edges(g, tessellations).tolist()))
 
 
-def _uncovered_edges(g: Graph, tessellations) -> set[tuple[int, int]]:
-    """:func:`union_covers_edges` of tessellations already valid on g."""
+def _uncovered_edges(g: Graph, tessellations) -> np.ndarray:
+    """The (k, 2) rows of `g.edge_array` that :func:`union_covers_edges` finds, in edge
+    order, for tessellations already valid on g."""
     u, v = g.edge_array.T
     covered = np.zeros(len(u), dtype=bool)
     for t in tessellations:
         owner = np.empty(g.vertex_count, dtype=np.int64)
         owner[t.vertices] = t._polygon_ids  # valid: each vertex in exactly one polygon
         covered |= owner[u] == owner[v]
-    return set(map(tuple, g.edge_array[~covered].tolist()))
+    return g.edge_array[~covered]
 
 
 def ring_graph(size: int) -> Graph:
@@ -494,26 +478,81 @@ def clique_expansion(g: Graph) -> ExpansionMap:
 # --- JSON document format -----------------------------------------------------
 
 
-def to_document(g: Graph, tessellations=()) -> dict:
-    """Serialize a graph plus tessellations to the JSON document schema.
+def document_texts(g: Graph, tessellations=(), **extra) -> list[str]:
+    """`json.dumps(doc, indent=2) + "\\n"` of the document of g and its tessellations
+    followed by the `extra` keys, in pieces to be written one after another (joined,
+    they would be a second copy of the text).  Polygons are written in canonical order
+    (see :func:`canonical_order`).
 
-    Polygons are written in canonical order (see :func:`canonical_order`).
+    The text is written straight from the arrays.  Each uniform part (the edges, a
+    tessellation's polygons, an extra (k, 2) int array) is one %-template filled by one
+    % call: ints by %d, amplitude parts by %r (`float.__repr__`, which json writes for
+    a finite float; the polygon rules keep them finite).  Labels and keys are quoted by
+    json's own encoder and never pass through %.  An extra dict is written as an object
+    of such values, and any other extra value by `json.dumps`.
     """
-    doc = {
-        "vertices": g.vertex_count,
-        "edges": g.edge_array.tolist(),
-    }
+    items = {"vertices": str(g.vertex_count), "edges": _pairs(g.edge_array, "  ")}
     if g.labels is not None:
-        doc["labels"] = list(g.labels)
+        items["labels"] = _array(list(map(_quote, g.labels)), "  ")
     if tessellations:
-        doc["tessellations"] = []
-    for t in tessellations:
-        vertices, amplitudes, starts, _ = t.canonical
-        verts, amps = vertices.tolist(), np.stack((amplitudes.real, amplitudes.imag), 1).tolist()
-        bounds = [*starts.tolist(), len(verts)]
-        doc["tessellations"].append({"polygons": [
-            {"vertices": verts[i:j], "amplitudes": amps[i:j]} for i, j in zip(bounds, bounds[1:])]})
-    return doc
+        items["tessellations"] = _array([_polygons(t, "    ") for t in tessellations], "  ")
+    items.update((key, _value(value, "  ")) for key, value in extra.items())
+    return [*_object(items, ""), "\n"]
+
+
+def to_document(g: Graph, tessellations=()) -> dict:
+    """The JSON document of a graph plus tessellations, as :func:`document_texts` writes it."""
+    return json.loads("".join(document_texts(g, tessellations)))
+
+
+def _object(items: dict, indent: str) -> list[str]:
+    """An indented JSON object of key -> value text items, as texts to join."""
+    inner = indent + "  "
+    pieces = []
+    for key, text in items.items():
+        pieces += (",\n" if pieces else "{\n", inner, _quote(key), ": ", text)
+    return [*pieces, f"\n{indent}}}"] if pieces else ["{}"]
+
+
+def _array(items: list, indent: str) -> str:
+    """An indented JSON list of `items`, each a text whose later lines carry their indent."""
+    inner = indent + "  "
+    separator = ",\n" + inner
+    return f"[\n{inner}{separator.join(items)}\n{indent}]" if items else "[]"
+
+
+def _value(value, indent: str) -> str:
+    """The text of an extra value of :func:`document_texts`, its later lines at `indent`."""
+    if isinstance(value, dict):
+        return "".join(_object({k: _value(v, indent + "  ") for k, v in value.items()}, indent))
+    if isinstance(value, np.ndarray):
+        return _pairs(value, indent)
+    return json.dumps(value, indent=2).replace("\n", "\n" + indent)
+
+
+def _pairs(rows: np.ndarray, indent: str) -> str:
+    """(k, 2) int rows as an indented JSON list of [a, b] lists."""
+    pair = _array(["%d"] * 2, indent + "  ")
+    return _array([pair] * len(rows), indent) % tuple(rows.ravel().tolist())
+
+
+def _polygons(t: Tessellation, indent: str) -> str:
+    """The object {"polygons": [...]} of t at `indent`: a template per polygon size, joined
+    in canonical order and filled by one % call with each polygon's d vertices, then its
+    2d amplitude parts."""
+    vertices, amplitudes, starts, _ = t.canonical
+    sizes = np.diff(starts, append=len(vertices))
+    inner = indent + "    "  # of each polygon object
+    pair = _array(["%r"] * 2, inner + "    ")
+    by_size = {d: "".join(_object({"vertices": _array(["%d"] * d, inner + "  "),
+                                   "amplitudes": _array([pair] * d, inner + "  ")}, inner))
+               for d in set(sizes.tolist())}
+    template = "".join(_object(
+        {"polygons": _array(list(map(by_size.get, sizes.tolist())), indent + "  ")}, indent))
+    values = np.empty(3 * len(vertices), dtype=object)
+    slots = np.repeat(np.tile([True, False], len(sizes)), np.outer(sizes, (1, 2)).ravel())
+    values[slots], values[~slots] = vertices, amplitudes.view(np.float64)
+    return template % tuple(values)
 
 
 def from_document(doc: dict) -> tuple[Graph, list[Tessellation]]:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,14 +135,15 @@ def distribution(psi: WalkState, labeling) -> ProbabilityDistribution:
 
 
 def moments(d: ProbabilityDistribution, max_order: int = 2, step: int = 0) -> MomentSummary:
-    """Raw moments <x^n> for n <= max_order plus sigma from the first two."""
+    """Raw moments <x^n> for n <= max_order plus sigma, the root of the centred second
+    moment sum p (x - mean)^2: from <x^2> - mean^2 the two raw moments cancel far from
+    the origin."""
     if max_order < 2:
         raise ValueError(f"max_order must be >= 2, got {max_order}")
     x = d.position_labels.astype(np.float64)
     raw = [float(np.sum(d.probabilities * x ** n)) for n in range(1, max_order + 1)]
-    mean, x2 = raw[0], raw[1]
-    sigma = float(np.sqrt(max(0.0, x2 - mean ** 2)))
-    return MomentSummary(mean, x2, sigma, step, tuple(raw[2:]))
+    sigma = math.sqrt(float(np.sum(d.probabilities * (x - raw[0]) ** 2)))
+    return MomentSummary(raw[0], raw[1], sigma, step, tuple(raw[2:]))
 
 
 def wrap_check(trajectory, guard_band: int, origin: int = 0, tol: float = WRAP_TOL,

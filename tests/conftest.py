@@ -11,6 +11,12 @@ from sqw import OrthogonalReflection, build_graph
 from sqw.graphs import _field, _integers, _list
 
 
+# amplitude parts a writer could get wrong, and label texts that a quoting writer or a
+# %-template could: %, a quote, a backslash, a newline, non-ASCII, a lone surrogate, none
+SPECIAL_PARTS = [-0.0, 5e-324, 0.1 + 0.2]
+SPECIAL_LABELS = ["%d", "%s%%", '"', "\\", "\n", "\u00e9", "\ud83d", ""]
+
+
 def path_graph(n):
     return build_graph(n, [(i, i + 1) for i in range(n - 1)])
 
@@ -162,3 +168,23 @@ def reference_parse_polygons(docs):
     return (_integers(vertices, "polygon 'vertices'"),
             pairs.astype(np.float64).view(np.complex128).ravel(),
             np.cumsum([0, *sizes], dtype=np.int64)[:-1])
+
+
+def reference_to_document(g, tessellations=()) -> dict:
+    """Independent oracle of `graphs.to_document`: the document built as dicts and lists,
+    one dict per polygon, from each tessellation's canonical arrays."""
+    doc = {
+        "vertices": g.vertex_count,
+        "edges": g.edge_array.tolist(),
+    }
+    if g.labels is not None:
+        doc["labels"] = list(g.labels)
+    if tessellations:
+        doc["tessellations"] = []
+    for t in tessellations:
+        vertices, amplitudes, starts, _ = t.canonical
+        verts, amps = vertices.tolist(), np.stack((amplitudes.real, amplitudes.imag), 1).tolist()
+        bounds = [*starts.tolist(), len(verts)]
+        doc["tessellations"].append({"polygons": [
+            {"vertices": verts[i:j], "amplitudes": amps[i:j]} for i, j in zip(bounds, bounds[1:])]})
+    return doc

@@ -37,12 +37,12 @@ from sqw.errors import (
 )
 
 from sqw.graphs import Graph, _line_polygons, canonical_order, check_polygon_arrays, \
-    parse_polygons, size_blocks
+    document_texts, parse_polygons, size_blocks
 
 from sqw.tolerances import NORM_TOL
 
-from conftest import complete_graph, grid_graph, hub_fragment, path_graph, random_state_array, \
-    reference_parse_polygons, uniform
+from conftest import SPECIAL_LABELS, SPECIAL_PARTS, complete_graph, grid_graph, hub_fragment, \
+    path_graph, random_state_array, reference_parse_polygons, reference_to_document, uniform
 
 
 def degrees(g):
@@ -297,13 +297,6 @@ class TestFlatTessellation:
             assert Tessellation(t.polygons, t.parent) == t
             assert len(t.polygons) == len(t)
 
-    def test_len_of_polygons_orders_nothing(self):
-        t, _ = line_tessellations(8, 1.1, 1.9)
-        assert len(t.polygons) == 4
-        assert "canonical" not in vars(t) and "_pairs" not in vars(t)
-        assert t.polygons[-1] == ((6, 7), tuple(t.amplitudes[6:].tolist()))
-        assert "canonical" in vars(t)
-
     @pytest.mark.parametrize("vertices,amplitudes,starts,error", [
         ([0, 1], [1.0, 0.0], [0], ZeroAmplitude),
         ([0, 1], [1.0, 1.0], [0], NotNormalized),
@@ -546,7 +539,72 @@ class TestExpansionArrays:
                 em.arc_index(vertex, label)
 
 
+@st.composite
+def graphs_with_tessellations(draw):
+    """A graph on 0-8 vertices with random edges and no labels, or labels drawn from
+    SPECIAL_LABELS and any text, and 0-2 tessellations of random disjoint polygons.  Each
+    polygon has random amplitude parts scaled to a unit norm, some entries with one part
+    from SPECIAL_PARTS (the rules ask no partition of the graph, so none is made)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(0, 8))
+    edges = [rng.choice(n, 2, replace=False).tolist() for _ in range(n)] if n > 1 else []
+    labels = draw(st.none() | st.lists(st.sampled_from(SPECIAL_LABELS) | st.text(),
+                                       min_size=n, max_size=n))
+    g = build_graph(n, edges, labels)
+    tessellations = []
+    for _ in range(draw(st.integers(0, 2))):
+        vertices = rng.permutation(n)[:int(rng.integers(n + 1))]
+        cuts = np.flatnonzero(rng.random(max(len(vertices) - 1, 0)) < 0.5) + 1
+        polygons = np.split(np.arange(len(vertices)), cuts) if len(vertices) else []
+        parts = rng.standard_normal((len(vertices), 2))
+        special = np.zeros(parts.shape, dtype=bool)
+        for row, value in enumerate(draw(st.lists(st.sampled_from([None, *SPECIAL_PARTS]),
+                                                  min_size=len(vertices),
+                                                  max_size=len(vertices)))):
+            if value is not None:  # one part of the entry; the other stays nonzero
+                column = int(rng.integers(2))
+                parts[row, column], special[row, column] = value, True
+        for polygon in polygons:
+            rows, mask = parts[polygon], special[polygon]
+            rows[~mask] *= math.sqrt(1 - np.sum(rows[mask] ** 2)) / np.linalg.norm(rows[~mask])
+            parts[polygon] = rows
+        tessellations.append(Tessellation.from_arrays(
+            g, vertices, parts.view(np.complex128).ravel(), [p[0] for p in polygons]))
+    return g, tessellations
+
+
+_LABELLED = build_graph(len(SPECIAL_LABELS), [(0, 1), (2, 3)], SPECIAL_LABELS)
+
+
 class TestDocumentFormat:
+    @settings(max_examples=200, deadline=None)
+    @given(case=graphs_with_tessellations())
+    @example(case=(_LABELLED, [Tessellation.from_arrays(
+        _LABELLED, [3, 0, 1, 2],
+        [complex(-0.0, 1.0), complex(1.0, 5e-324), 0.1 + 0.2, math.sqrt(1 - (0.1 + 0.2) ** 2)],
+        [0, 1, 2])]))
+    def test_writer_is_json_dumps_of_the_reference(self, case):
+        # the text is the reference's indented dump, signs of zero and subnormals
+        # included, and to_document reads it back to the reference
+        g, tessellations = case
+        reference = reference_to_document(g, tessellations)
+        text = "".join(document_texts(g, tessellations))
+        assert text == json.dumps(reference, indent=2) + "\n"
+        assert json.dumps(to_document(g, tessellations)) == json.dumps(reference)
+
+    def test_extra_keys_follow_as_json_writes_them(self):
+        # a dict as an object, a (k, 2) int array as pairs, anything else by json.dumps
+        g = ring_graph(4)
+        tessellations = line_tessellations(4, math.pi / 3, math.pi / 2, 0.1, 0.0)
+        arcs = np.array([[0, 1], [2, 3]])
+        extra = {"report": {"deviation": math.nan, "arcs": arcs, "none": np.zeros((0, 2)),
+                            "empty": {}},
+                 "coin": {"type": "grover", "theta": [0.5, "pi"]}, "note": "%d"}
+        expected = reference_to_document(g, tessellations) | extra
+        expected["report"] = dict(extra["report"], arcs=arcs.tolist(), none=[])
+        assert "".join(document_texts(g, tessellations, **extra)) \
+            == json.dumps(expected, indent=2) + "\n"
+
     def test_round_trip(self):
         g = ring_graph(4)
         t0, t1 = line_tessellations(4, math.pi / 3, math.pi / 2, 0.1, 0.0)

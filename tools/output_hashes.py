@@ -10,8 +10,11 @@ workload, call index, subcommand, exit code, the sha256 of its standard
 output and the sha256 of its output file ("-" if it has none).  Then, once
 and with seed "-", it does the same for `grid-48`: `embed` on the fixed
 48x48 grid with the Grover coin, then `validate` and a 64-step graph
-`simulate` on the document `embed` wrote.  Compare two trees by running the
-script once on each and diffing the lines:
+`simulate` on the document `embed` wrote, and prints one more line for the
+library form of that document: the sha256 of
+`json.dumps(to_document(*from_document(...)), indent=2)` read from `embed`'s
+file, in the output-file column.  Compare two trees by running the script once
+on each and diffing the lines:
 
     python3 tools/output_hashes.py --tree OLD 1 2 > old.txt
     python3 tools/output_hashes.py 1 2 > new.txt
@@ -58,7 +61,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     tree = args.tree.resolve()
     sys.path[:0] = [str(tree / "src"), str(tree / "sqwbench")]
-    from sqw import cli
+    from sqw import cli, from_document, to_document
     import inputs
 
     lines = []
@@ -78,7 +81,12 @@ def main(argv=None) -> int:
                 generated = inputs.generate(workload, seed, Path(tmp))
                 run(seed, workload, [(c.argv, c.out) for c in generated.invocations])
     with tempfile.TemporaryDirectory() as tmp:
-        run("-", f"grid-{GRID}", grid_calls(Path(tmp)))
+        calls = grid_calls(Path(tmp))
+        run("-", f"grid-{GRID}", calls)
+        with open(calls[0][1], encoding="utf-8") as fh:
+            document = to_document(*from_document(json.load(fh)))
+        lines.append(f"-\tgrid-{GRID}\t{len(calls)}\tto_document\t-\t-\t"
+                     f"{sha256(json.dumps(document, indent=2).encode())}")
     print("\n".join(lines))
     return 0
 
