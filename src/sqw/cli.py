@@ -197,7 +197,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
     _require_thetas(cfg)
     labels, _, final = _run(cfg)
     dist = distribution(final, labels)
-    _write(cfg.out, distribution_to_tsv(dist, drop_zeros=True))
+    _write(cfg.out, distribution_to_tsv(dist))
     summary = moments(dist, step=cfg.steps)
     print(f"total_probability\t{float(dist.probabilities.sum()):.17g}")
     print(f"sigma\t{summary.sigma:.17g}")
@@ -217,9 +217,8 @@ def cmd_analytic(cfg: RunConfig) -> int:
     deviation = np.abs(analytic - simulated)
     dist = distribution(WalkState._own(analytic, None), labels)  # wavefunction checked it
     sim_prob = np.abs(simulated) ** 2
-    text = distribution_to_tsv(dist, drop_zeros=True,
-                               extra_columns=[("probability_sim", sim_prob),
-                                              ("deviation", deviation)])
+    text = distribution_to_tsv(dist, extra_columns=[("probability_sim", sim_prob),
+                                                    ("deviation", deviation)])
     _write(cfg.out, text)
     print(f"max_deviation\t{float(deviation.max()):.17g}")
     print(f"total_probability\t{float(dist.probabilities.sum()):.17g}")
@@ -254,7 +253,7 @@ def cmd_embed(args) -> int:
     _write(args.out, *document_texts(cw.expansion.expanded, cw.tessellations, report={
         "max_state_deviation": report.max_state_deviation,
         "steps_checked": report.steps_checked,
-        "arcs": np.array(report.bijection_used.arcs),
+        "arcs": cw.expansion.arcs,
     }))
     print(f"max_state_deviation\t{report.max_state_deviation:.17g}")
     return 0

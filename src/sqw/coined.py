@@ -46,7 +46,6 @@ def coin_tessellation(expansion: ExpansionMap) -> Tessellation:
 class CoinedWalk:
     """A flip-flop coined walk with coin exp(i coin_angle H) on the arc space."""
 
-    graph: Graph
     coin_angle: float
     coin_reflection: OrthogonalReflection
     shift: OrthogonalReflection
@@ -54,10 +53,13 @@ class CoinedWalk:
     tessellations: tuple[Tessellation, Tessellation]  # (shift, coin): they induce the two above
 
     def __post_init__(self):
-        dim = 2 * len(self.graph.edge_codes)
         for refl in (self.coin_reflection, self.shift):
-            if refl.dimension != dim:
-                raise DimensionMismatch(dim, refl.dimension)
+            if refl.dimension != self.expansion.arc_count:
+                raise DimensionMismatch(self.expansion.arc_count, refl.dimension)
+
+    @property
+    def graph(self) -> Graph:  # the original graph, whose arcs the walk moves on
+        return self.expansion.original
 
 
 def _coined_walk(expansion: ExpansionMap, theta: float, coin: Tessellation) -> CoinedWalk:
@@ -71,7 +73,7 @@ def _coined_walk(expansion: ExpansionMap, theta: float, coin: Tessellation) -> C
             f"coin polygon {tuple(sorted(arcs[k].tolist()))} spans arcs of vertices "
             f"{sorted(set(owner[k].tolist()))}; a coin must act within one vertex's arc set")
     shift = shift_tessellation(expansion)
-    return CoinedWalk(expansion.original, float(theta), reflection_from_tessellation(coin),
+    return CoinedWalk(float(theta), reflection_from_tessellation(coin),
                       reflection_from_tessellation(shift), expansion, (shift, coin))
 
 
@@ -132,7 +134,6 @@ class EquivalenceReport:
 
     max_state_deviation: float
     steps_checked: int
-    bijection_used: ExpansionMap
 
     def __post_init__(self):
         if self.max_state_deviation < 0:
@@ -198,4 +199,4 @@ def certify_equivalence(cw: CoinedWalk, steps: int, psi0: WalkState) -> Equivale
             worst = max(worst, phase_invariant_distance(a, b))
 
     evolve_final(embed_coined_as_sqw(cw), psi0, steps, [compare])
-    return EquivalenceReport(worst, steps, cw.expansion)
+    return EquivalenceReport(worst, steps)

@@ -65,12 +65,6 @@ class OddRingSize(WalkError):
     _fields, _message = ("size",), "ring size must be an even integer >= 4, got {size}"
 
 
-class DegenerateAngle(WalkError):
-    _fields = ("name", "value")
-    _message = ("angle {name}={value} must lie strictly inside (0, pi) "
-                "so both pair amplitudes are nonzero")
-
-
 class IsolatedVertex(WalkError):
     _fields, _message = ("vertex",), "vertex {vertex} is isolated (degree 0)"
 
@@ -119,6 +113,12 @@ class DegenerateBlock(WalkError):
 
 class DomainError(WalkError):
     pass
+
+
+class DegenerateAngle(DomainError):
+    _fields = ("name", "value")
+    _message = ("angle {name}={value} must lie strictly inside (0, pi) "
+                "so both pair amplitudes are nonzero")
 
 
 # --- coined embedding ---------------------------------------------------------

@@ -116,7 +116,7 @@ def build_graph(vertex_count: int, edges, labels=None) -> Graph:
         keys.sort()
         keys = keys[np.append(True, keys[1:] != keys[:-1])]
     if labels is not None:
-        labels = tuple(str(s) for s in _list(labels, "'labels'"))
+        labels = tuple(map(str, _list(labels, "'labels'")))
         if len(labels) != vertex_count:
             raise ValueError("labels must have one entry per vertex")
     return Graph(vertex_count, keys, labels)
@@ -401,14 +401,19 @@ def line_tessellations(ring_size: int, alpha: float, beta: float,
     return tuple(Tessellation.from_arrays(g, *p) for p in polygons)
 
 
+def _check_line_angles(alpha: float, beta: float) -> None:
+    """The line's rule for its tessellation angles: each strictly inside (0, pi)."""
+    for name, angle in (("alpha", alpha), ("beta", beta)):
+        if not 0.0 < angle < math.pi:
+            raise DegenerateAngle(name, angle)
+
+
 def _line_polygons(ring_size: int, alpha: float, beta: float, phi0: float, phi1: float):
     """The flat (vertices, amplitudes, starts) of the two `line_tessellations`; the ring
     size and angles are checked here, the polygon rules by the constructor they go to."""
     if ring_size < 4 or ring_size % 2 != 0:
         raise OddRingSize(ring_size)
-    for name, angle in (("alpha", alpha), ("beta", beta)):
-        if not 0.0 < angle < math.pi:
-            raise DegenerateAngle(name, angle)
+    _check_line_angles(alpha, beta)
     a_even = complex(math.cos(alpha / 2))
     a_odd = complex(math.cos(phi0), math.sin(phi0)) * math.sin(alpha / 2)
     b_odd = complex(math.cos(beta / 2))
@@ -427,14 +432,14 @@ class ExpansionMap:
     """Bijection between arcs (vertex, incident edge) and expanded-graph vertices.
 
     Arcs follow the CSR incidence of the original graph: by vertex, then by
-    edge label.  `arcs[i]` is the (original vertex, edge label) pair at
-    expanded vertex i; the arcs of vertex v are offsets[v]:offsets[v + 1];
+    edge label.  Row i of the (A, 2) int64 array `arcs` is the (original vertex,
+    edge label) of expanded vertex i; the arcs of vertex v are offsets[v]:offsets[v + 1];
     ends[j] holds the arcs at the two ends (u, w) of edge j = (u, w).
     """
 
     original: Graph
     expanded: Graph
-    arcs: tuple[tuple[int, int], ...] = field(compare=False, repr=False)
+    arcs: np.ndarray = field(compare=False, repr=False)
     ends: np.ndarray = field(compare=False, repr=False)
     offsets: np.ndarray = field(compare=False, repr=False)
 
@@ -470,8 +475,10 @@ def clique_expansion(g: Graph) -> ExpansionMap:
     for _, _, rows in size_blocks(offsets[:-1], np.arange(arc_count)):  # a clique per vertex
         i, j = np.triu_indices(rows.shape[1], 1)
         pairs.append(np.stack((rows[:, i].ravel(), rows[:, j].ravel()), axis=1))
-    arcs = tuple(zip(g.edge_array.ravel()[arc_ends].tolist(), (arc_ends // 2).tolist()))
-    expanded = build_graph(arc_count, np.concatenate(pairs), [f"{v},{j}" for v, j in arcs])
+    arcs = np.stack((g.edge_array.ravel()[arc_ends], arc_ends // 2), axis=1)
+    arcs.setflags(write=False)  # handed out as is, to the walk and to the embed report
+    expanded = build_graph(arc_count, np.concatenate(pairs),
+                           [f"{v},{j}" for v, j in arcs.tolist()])
     return ExpansionMap(g, expanded, arcs, ends, offsets)
 
 

@@ -15,14 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateBlock, DomainError, QuadratureNotConverged
+from .graphs import _check_line_angles
 from .simulation import ring_labels, tsv_table
 from .state import check_norm, summed_entries
+from .tolerances import EPS_DEGENERATE, QUAD_FAIL_TOL, QUAD_TOL
 
 QUAD_START_NODES = 512
 QUAD_MAX_NODES = 1 << 18
-QUAD_TOL = 1e-10
-QUAD_FAIL_TOL = 1e-8
-EPS_DEGENERATE = 1e-10
 
 
 @dataclass(frozen=True)
@@ -36,10 +35,7 @@ class LineParams:
     phi1: float = 0.0
 
     def __post_init__(self):
-        for name in ("alpha", "beta"):
-            angle = getattr(self, name)
-            if not 0.0 < angle < math.pi:
-                raise DomainError(f"{name}={angle} must lie strictly inside (0, pi)")
+        _check_line_angles(self.alpha, self.beta)
 
 
 @dataclass(frozen=True)
@@ -114,14 +110,14 @@ def reduced_block(p: LineParams, k: float) -> ReducedBlock:
     return ReducedBlock(float(k), a, b, lam, complex(c_plus), complex(c_minus))
 
 
-def block_eigenvectors(block: ReducedBlock, eps: float = EPS_DEGENERATE):
+def block_eigenvectors(block: ReducedBlock):
     """Unit eigenvectors (-conj(b), e^{+-i lam} - a)/sqrt(c+-) of the block.
 
-    Raises DegenerateBlock when |b| or sin(lam) is below eps; the block is
-    then diagonal and the basis vectors themselves are eigenvectors.
+    Raises DegenerateBlock when |b| or sin(lam) is at most EPS_DEGENERATE; the
+    block is then diagonal and the basis vectors themselves are eigenvectors.
     """
     sin_lam = math.sin(block.lam)
-    if abs(block.b) <= eps or sin_lam <= eps:
+    if abs(block.b) <= EPS_DEGENERATE or sin_lam <= EPS_DEGENERATE:
         raise DegenerateBlock(
             f"block at k={block.k} is diagonal (|b|={abs(block.b):.2e}, "
             f"sin lam={sin_lam:.2e}); eigenvectors are the basis vectors")

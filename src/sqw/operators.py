@@ -480,14 +480,14 @@ def compose(factors) -> EvolutionOperator:
     return EvolutionOperator(tuple(LocalUnitary(float(theta), h) for theta, h in factors))
 
 
-def dense_matrix(u: EvolutionOperator, cap: int = DENSE_CAP) -> np.ndarray:
-    """Materialize one step as a dense matrix; column j is step(|j>).
+def dense_matrix(u: EvolutionOperator) -> np.ndarray:
+    """Materialize one step as a dense matrix, n <= DENSE_CAP; column j is step(|j>).
 
     Steps n // 16 identity columns at a time into the result, so the peak holds about
     one n x n matrix, not the five of a single n-column step."""
     n = u.dimension
-    if n > cap:
-        raise DimensionCapExceeded(n, cap)
+    if n > DENSE_CAP:
+        raise DimensionCapExceeded(n, DENSE_CAP)
     width = max(1, n // 16)
     out = np.empty((n, n), dtype=np.complex128)
     for j in range(0, n, width):

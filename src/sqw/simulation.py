@@ -10,7 +10,7 @@ import numpy as np
 from .errors import LabelMismatch, WavefrontWrapped
 from .operators import ActiveSupport, EvolutionOperator, _check_dim
 from .state import WalkState, basis_state, superposition_state
-from .tolerances import drift_bound
+from .tolerances import MOMENT_SLACK, PROB_TOL, WRAP_TOL, drift_bound
 
 __all__ = [
     "WalkState", "basis_state", "superposition_state",
@@ -18,9 +18,6 @@ __all__ = [
     "evolve", "evolve_final", "distribution", "moments", "wrap_check", "WrapGuard",
     "ring_labels", "distribution_to_tsv",
 ]
-
-PROB_TOL = 1e-10
-WRAP_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -64,11 +61,9 @@ class MomentSummary:
     second_moment: float
     sigma: float
     step: int
-    higher: tuple[float, ...] = ()
 
     def __post_init__(self):
-        # relative slack: far from the origin both raw moments round at ~1e-16 of their size
-        if self.second_moment < self.mean ** 2 - 1e-9 * max(1.0, self.second_moment):
+        if self.second_moment < self.mean ** 2 - MOMENT_SLACK * max(1.0, self.second_moment):
             raise ValueError("second moment below squared mean")
 
 
@@ -134,24 +129,21 @@ def distribution(psi: WalkState, labeling) -> ProbabilityDistribution:
     return ProbabilityDistribution._own(np.square(p, out=p), labeling)
 
 
-def moments(d: ProbabilityDistribution, max_order: int = 2, step: int = 0) -> MomentSummary:
-    """Raw moments <x^n> for n <= max_order plus sigma, the root of the centred second
-    moment sum p (x - mean)^2: from <x^2> - mean^2 the two raw moments cancel far from
-    the origin."""
-    if max_order < 2:
-        raise ValueError(f"max_order must be >= 2, got {max_order}")
+def moments(d: ProbabilityDistribution, step: int = 0) -> MomentSummary:
+    """Raw moments <x> and <x^2> plus sigma, the root of the centred second moment
+    sum p (x - mean)^2: from <x^2> - mean^2 the two raw moments cancel far from the
+    origin."""
     x = d.position_labels.astype(np.float64)
-    raw = [float(np.sum(d.probabilities * x ** n)) for n in range(1, max_order + 1)]
-    sigma = math.sqrt(float(np.sum(d.probabilities * (x - raw[0]) ** 2)))
-    return MomentSummary(raw[0], raw[1], sigma, step, tuple(raw[2:]))
+    mean = float(np.sum(d.probabilities * x))
+    sigma = math.sqrt(float(np.sum(d.probabilities * (x - mean) ** 2)))
+    return MomentSummary(mean, float(np.sum(d.probabilities * x ** 2)), sigma, step)
 
 
-def wrap_check(trajectory, guard_band: int, origin: int = 0, tol: float = WRAP_TOL,
-               first_step: int = 0) -> None:
-    """Certify that a ring trajectory never reached the antipode of `origin`.
+def wrap_check(trajectory, guard_band: int, first_step: int = 0) -> None:
+    """Certify that a ring trajectory never reached the antipode of site 0.
 
     Checks that the probability within `guard_band` sites of the antipodal
-    point stays below `tol` at every step; when it does, the finite ring
+    point stays within WRAP_TOL at every step; when it does, the finite ring
     reproduces the infinite line exactly.  Raises WavefrontWrapped otherwise.
     `trajectory` is any iterable of states or raw amplitude arrays, read one
     at a time; its first entry is step `first_step`.
@@ -161,10 +153,9 @@ def wrap_check(trajectory, guard_band: int, origin: int = 0, tol: float = WRAP_T
         psi = getattr(state, "amplitudes", state)
         if window is None:
             n = psi.shape[0]
-            antipode = (origin + n // 2) % n
-            window = sorted({(antipode + off) % n for off in range(-guard_band, guard_band + 1)})
+            window = sorted({(n // 2 + off) % n for off in range(-guard_band, guard_band + 1)})
         mass = float(np.sum(np.abs(psi[window]) ** 2))
-        if mass > tol:
+        if mass > WRAP_TOL:
             raise WavefrontWrapped(step, mass)
 
 
@@ -183,18 +174,16 @@ class WrapGuard:
             raise WavefrontWrapped(step, mass)
 
 
-def distribution_to_tsv(d: ProbabilityDistribution, drop_zeros: bool = False,
-                        extra_columns=()) -> str:
+def distribution_to_tsv(d: ProbabilityDistribution, extra_columns=()) -> str:
     """TSV with columns `position`, `probability`, then any extra (name, values)
     columns, sorted by position.
 
-    With drop_zeros, rows whose probability and extra values are all zero
-    are left out before the sort; only the rows kept are sorted and formatted.
+    Rows whose probability and extra values are all zero are left out before the
+    sort; only the rows kept are sorted and formatted.
     """
     labels = d.position_labels
     columns = [d.probabilities, *(np.asarray(col, dtype=np.float64) for _, col in extra_columns)]
-    rows = (np.flatnonzero(np.any([col != 0.0 for col in columns], axis=0)) if drop_zeros
-            else np.arange(len(labels)))
+    rows = np.flatnonzero(np.any([col != 0.0 for col in columns], axis=0))
     rows = rows[np.argsort(labels[rows], kind="stable")]
     return tsv_table(["position", "probability", *(name for name, _ in extra_columns)],
                      [labels[rows], *(col[rows] for col in columns)])

@@ -19,6 +19,13 @@ NORM_TOL = 1e-12
 # whose error grows geometrically.
 STEP_DRIFT_TOL = 1e-14
 
+PROB_TOL = 1e-10  # |sum - 1| of given probabilities: a float sum of n terms rounds by ~n ulp
+WRAP_TOL = 1e-12  # antipode mass that fails a ring run; a smaller wrapped tail is negligible
+QUAD_TOL = 1e-10  # relative change between node doublings that ends the odd-moment quadrature
+QUAD_FAIL_TOL = 1e-8  # |norm - 1| of a momentum-sum wavefunction: FFT rounding grows with n
+EPS_DEGENERATE = 1e-10  # |b| or sin(lam) at which a block is diagonal: its normalizer vanishes
+MOMENT_SLACK = 1e-9  # relative slack of <x^2> >= <x>^2: raw moments round at ~1e-16 of size
+
 
 def drift_bound(steps: int) -> float:
     """Largest |norm - 1| accepted after `steps` steps from a unit state."""

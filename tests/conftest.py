@@ -130,6 +130,27 @@ def dense_coin_matrix(cw) -> np.ndarray:
     return math.cos(cw.coin_angle) * np.eye(dim) + 1j * math.sin(cw.coin_angle) * h
 
 
+def dense_szegedy_walk(p: np.ndarray, q: np.ndarray, edges) -> np.ndarray:
+    """Dense oracle: Szegedy's step W = R_B R_A, restricted to the edges (x, y) listed.
+
+    p is an |X| x |Y| and q a |Y| x |X| stochastic matrix, zero off the edges.  On
+    C^|X| (x) C^|Y|, R_A = 2 sum_x |alpha_x><alpha_x| - I with alpha_x = sum_y sqrt(p_xy)
+    |x, y>, and R_B = 2 sum_y |beta_y><beta_y| - I with beta_y = sum_x sqrt(q_yx) |x, y>.
+    Both fix every non-edge |x, y> up to sign, so the edges span an invariant subspace;
+    row and column i of the result belong to edges[i].
+    """
+    nx, ny = p.shape
+    r_a, r_b = -np.eye(nx * ny), -np.eye(nx * ny)
+    for x in range(nx):
+        alpha = np.kron(np.eye(nx)[x], np.sqrt(p[x]))
+        r_a += 2.0 * np.outer(alpha, alpha)
+    for y in range(ny):
+        beta = np.kron(np.sqrt(q[y]), np.eye(ny)[y])
+        r_b += 2.0 * np.outer(beta, beta)
+    index = [x * ny + y for x, y in edges]
+    return (r_b @ r_a)[np.ix_(index, index)]
+
+
 def direct_momentum_sum(k, weight, even, odd, positions) -> np.ndarray:
     """Independent oracle for momentum sums: sum_j weight c_j e^{-i x k_j} term by term.
 

@@ -369,7 +369,7 @@ class TestEmbedWriter:
             doc = reference_to_document(cw.expansion.expanded, cw.tessellations)
             doc["report"] = {"max_state_deviation": report.max_state_deviation,
                              "steps_checked": report.steps_checked,
-                             "arcs": [[v, j] for v, j in report.bijection_used.arcs]}
+                             "arcs": cw.expansion.arcs.tolist()}
             assert out.read_text() == json.dumps(doc, indent=2) + "\n"
 
     @settings(max_examples=150, deadline=None)
@@ -383,7 +383,7 @@ class TestEmbedWriter:
         cw = grover_coined_walk(build_graph(4, [(0, 1), (0, 2), (1, 2), (2, 3)]))
         expanded = cw.expansion.expanded
         g = build_graph(expanded.vertex_count, expanded.edge_array, labels)
-        arcs = [[v, j] for v, j in cw.expansion.arcs]
+        arcs = cw.expansion.arcs.tolist()
         report = {"max_state_deviation": deviation, "steps_checked": 3, "arcs": arcs}
         doc = reference_to_document(g, cw.tessellations) | {"report": report}
         texts = document_texts(g, cw.tessellations, report=dict(report, arcs=np.array(arcs)))
@@ -513,6 +513,12 @@ class TestMalformedConfigs:
             argv = ["simulate", "--config", str(cfg), *flags]
         assert main(argv) == 1
         one_error_line(capsys, "")
+
+    @pytest.mark.parametrize("command", ["simulate", "analytic"])
+    def test_degenerate_angle_is_one_error_line(self, capsys, command):
+        # one angle rule for both commands, so one error line naming the angle
+        assert main([command, "--theta", "pi/4", "--alpha", "0", "--steps", "2"]) == 1
+        one_error_line(capsys, "alpha")
 
     @pytest.mark.parametrize("command", ["simulate", "analytic"])
     def test_coin_key_is_unknown(self, tmp_path, capsys, command):
@@ -856,14 +862,15 @@ class TestMemoryBudget:
         # the m x m grid's 4m(m - 1) arcs.  Writing the expanded document sets the peak:
         # the walk and the expanded graph hold ~52 and ~33 arc-array sizes (16 bytes an
         # arc), and the writer adds the text (~24) and, while it fills a tessellation's
-        # template, that template and one Python object per vertex and amplitude part;
-        # 110.4 and 92.3 measured, each in a fresh process
+        # template, that template and one Python object per vertex and amplitude part.
+        # The arc map is an (A, 2) array, with no Python tuple per arc: 105.3 and 85.4
+        # measured, each in a fresh process
         g = grid_graph(m)
         path = tmp_path / "grid.json"
         path.write_text(json.dumps(dict(to_document(g), coin={"type": "grover"})))
         arcs = 2 * len(g.edge_array)
         peak = self.peak(["embed", "--graph", str(path), "--out", str(tmp_path / "embed.json")])
-        assert peak < 122 * (16 * arcs)
+        assert peak < 116 * (16 * arcs)
 
     @pytest.mark.parametrize("m", [32, 64])
     def test_validate_peak_in_arc_sizes(self, m, tmp_path):

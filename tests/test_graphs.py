@@ -470,7 +470,8 @@ class TestCliqueExpansion:
         em = clique_expansion(build_graph(2, [(0, 1)]))
         assert em.expanded.vertex_count == 2
         assert em.expanded.edges == ((0, 1),)
-        assert em.arcs == ((0, 0), (1, 0))
+        assert em.arcs.dtype == np.int64 and em.arcs.tolist() == [[0, 0], [1, 0]]
+        assert not em.arcs.flags.writeable
 
     def test_hub_fragment(self):
         g = hub_fragment()
@@ -495,8 +496,8 @@ class TestCliqueExpansion:
         assert em.expanded.vertex_count == 2 * e
         expected_edges = e + sum(math.comb(d, 2) for d in degrees(g))
         assert len(em.expanded.edges) == expected_edges
-        assert set(em.arcs) == {(v, j) for j, (u, w) in enumerate(g.edges)
-                                for v in (u, w)}
+        assert set(map(tuple, em.arcs.tolist())) == {(v, j) for j, (u, w) in enumerate(g.edges)
+                                                     for v in (u, w)}
 
     def test_labels(self):
         em = clique_expansion(build_graph(2, [(0, 1)]))
@@ -523,7 +524,7 @@ class TestExpansionArrays:
         g = grid_graph(m, np.random.default_rng(m).permutation(m * m))
         em = clique_expansion(g)
         arcs, index, edges = brute_force_expansion(g)
-        assert em.arcs == tuple(arcs)
+        assert em.arcs.dtype == np.int64 and em.arcs.tolist() == list(map(list, arcs))
         assert em.arc_count == len(arcs)
         assert em.expanded.edges == tuple(sorted(edges))
         assert em.expanded.labels == tuple(f"{v},{j}" for v, j in arcs)

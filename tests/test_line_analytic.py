@@ -30,7 +30,7 @@ from sqw import (
     wavefunction,
 )
 from sqw import line_analytic
-from sqw.errors import DegenerateBlock, DomainError, NotNormalized
+from sqw.errors import DegenerateAngle, DegenerateBlock, DomainError, NotNormalized
 from sqw.tolerances import drift_bound
 
 from conftest import direct_momentum_sum
@@ -509,6 +509,12 @@ class TestParamsAndTables:
             LineParams(1.0, 0.0, 1.0)
         with pytest.raises(DomainError):
             LineParams(1.0, 1.0, PI)
+
+    def test_degenerate_angle_is_a_domain_error(self):
+        # LineParams checks its angles by the rule the line's tessellations use
+        with pytest.raises(DegenerateAngle) as info:
+            LineParams(1.0, 0.0, 1.0)
+        assert isinstance(info.value, DomainError) and info.value.name == "alpha"
 
     def test_surface_table(self):
         thetas, alphas = [0.0, PI / 3], [PI / 2]

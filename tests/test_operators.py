@@ -20,6 +20,7 @@ from sqw import (
     reflection_from_tessellation,
     superposition_state,
 )
+from sqw import operators
 from sqw.errors import (
     DimensionCapExceeded,
     DimensionMismatch,
@@ -257,10 +258,12 @@ class TestDenseMatrix:
             m = dense_matrix(compose(factors))
             assert np.max(np.abs(m.conj().T @ m - np.eye(dim))) < 1e-10
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
+        # the cap is read when dense_matrix runs
         h0, _ = ring4_reflections()
+        monkeypatch.setattr(operators, "DENSE_CAP", 2)
         with pytest.raises(DimensionCapExceeded):
-            dense_matrix(compose([(0.1, h0)]), cap=2)
+            dense_matrix(compose([(0.1, h0)]))
 
     def test_peak_memory_is_about_one_matrix(self):
         # dense_matrix steps column blocks into one result; one n-column step peaks at

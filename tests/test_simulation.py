@@ -268,9 +268,8 @@ class TestDistribution:
 class TestMoments:
     def test_point_mass_zeroes(self):
         d = distribution(basis_state(5, 0), [0, 1, 2, -2, -1])
-        m = moments(d, max_order=4)
+        m = moments(d)
         assert m.mean == 0 and m.second_moment == 0 and m.sigma == 0
-        assert m.higher == (0, 0)
 
     def test_uniform_two_sites(self):
         d = ProbabilityDistribution(np.array([0.5, 0.5]), np.array([-1, 1]))
@@ -285,11 +284,6 @@ class TestMoments:
         m = moments(distribution(final, ring_labels(n)), step=t)
         expected = closed_form_sigma2(math.pi / 4, math.pi / 2, 1)
         assert abs(m.sigma ** 2 / t ** 2 - expected) / expected < 0.05
-
-    def test_max_order_validation(self):
-        d = distribution(basis_state(2, 0), [0, 1])
-        with pytest.raises(ValueError):
-            moments(d, max_order=1)
 
     def test_second_moment_below_squared_mean(self):
         with pytest.raises(ValueError, match="second moment below squared mean"):
@@ -352,13 +346,10 @@ class TestLabelsAndTsv:
     def test_distribution_tsv(self):
         d = distribution(basis_state(4, 1), ring_labels(4))
         text = distribution_to_tsv(d)
-        assert text.splitlines()[0] == "position\tprobability"
-        assert "1\t1" in text
-        assert len(text.splitlines()) == 5
-        assert len(distribution_to_tsv(d, drop_zeros=True).splitlines()) == 2
+        # the three all-zero rows are left out
+        assert text == "position\tprobability\n1\t1\n"
 
     def test_distribution_tsv_extra_columns(self):
         d = ProbabilityDistribution(np.array([0.5, 0.0, 0.5, 0.0]), np.array([2, -1, 0, 1]))
-        text = distribution_to_tsv(d, drop_zeros=True,
-                                   extra_columns=[("sim", np.array([0.25, 0.0, 0.75, 0.5]))])
+        text = distribution_to_tsv(d, extra_columns=[("sim", np.array([0.25, 0.0, 0.75, 0.5]))])
         assert text == "position\tprobability\tsim\n0\t0.5\t0.75\n1\t0\t0.5\n2\t0.5\t0.25\n"
