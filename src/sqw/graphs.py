@@ -41,12 +41,15 @@ class Graph:
     Edges are stored canonically as their codes u * vertex_count + v, u < v,
     ascending and without duplicates; the edge label of an edge is its index.
     `edge_array` and `edges` are the same edges as (u, v) pairs, made on first
-    use.  Construct through :func:`build_graph`.
+    use.  Construct through :func:`build_graph`.  Its arrays are read-only.
     """
 
     vertex_count: int
     edge_codes: np.ndarray
     labels: tuple[str, ...] | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "edge_codes", _read_only(self.edge_codes))
 
     def __eq__(self, other):
         if not isinstance(other, Graph):
@@ -60,7 +63,7 @@ class Graph:
     @cached_property
     def edge_array(self) -> np.ndarray:
         """(E, 2) rows (u, v), u < v, in lexicographic order."""
-        return np.stack(np.divmod(self.edge_codes, max(self.vertex_count, 1)), axis=1)
+        return _read_only(np.stack(np.divmod(self.edge_codes, max(self.vertex_count, 1)), axis=1))
 
     @cached_property
     def edges(self) -> tuple[tuple[int, int], ...]:
@@ -88,6 +91,13 @@ class Graph:
         if codes.size and (np.min(lo) < 0 or np.max(hi) >= self.vertex_count):
             found &= np.ravel((lo >= 0) & (hi < self.vertex_count))
         return found.reshape(np.shape(lo))[()]  # a scalar for scalar endpoints
+
+
+def _read_only(values) -> np.ndarray:
+    """A read-only view of values: an array a caller passed in stays writable for it."""
+    view = np.asarray(values).view()
+    view.flags.writeable = False
+    return view
 
 
 def build_graph(vertex_count: int, edges, labels=None) -> Graph:
@@ -310,8 +320,8 @@ class Tessellation(PolygonArrays):
     """A list of polygons partitioning the vertices of a parent graph.
 
     Built from (vertices, amplitudes) pairs, as :class:`~sqw.operators.OrthogonalReflection`
-    is, or from flat arrays, and stored flat (see :class:`PolygonArrays`) in the order
-    given.  `polygons` is the API-edge view: a tuple of the pairs in canonical order,
+    is, or from flat arrays, and stored flat and read-only (see :class:`PolygonArrays`) in
+    the order given.  `polygons` is the API-edge view: a tuple of the pairs in canonical order,
     made on first use, so ``Tessellation(t.polygons, t.parent) == t``.
     """
 
@@ -329,7 +339,8 @@ class Tessellation(PolygonArrays):
         """Tessellation from flat arrays, each polygon checked by :func:`check_polygon_arrays`."""
         t = cls.__new__(cls)
         vertices, amplitudes, starts = check_polygon_arrays(vertices, amplitudes, starts)
-        t.__dict__.update(parent=parent, vertices=vertices, amplitudes=amplitudes, starts=starts)
+        t.__dict__.update(parent=parent, vertices=_read_only(vertices),
+                          amplitudes=_read_only(amplitudes), starts=_read_only(starts))
         return t
 
     def __len__(self) -> int:
@@ -434,7 +445,8 @@ class ExpansionMap:
     Arcs follow the CSR incidence of the original graph: by vertex, then by
     edge label.  Row i of the (A, 2) int64 array `arcs` is the (original vertex,
     edge label) of expanded vertex i; the arcs of vertex v are offsets[v]:offsets[v + 1];
-    ends[j] holds the arcs at the two ends (u, w) of edge j = (u, w).
+    ends[j] holds the arcs at the two ends (u, w) of edge j = (u, w).  The arrays are
+    read-only.
     """
 
     original: Graph
@@ -442,6 +454,10 @@ class ExpansionMap:
     arcs: np.ndarray = field(compare=False, repr=False)
     ends: np.ndarray = field(compare=False, repr=False)
     offsets: np.ndarray = field(compare=False, repr=False)
+
+    def __post_init__(self):
+        for name in ("arcs", "ends", "offsets"):
+            object.__setattr__(self, name, _read_only(getattr(self, name)))
 
     def arc_index(self, vertex: int, edge_label: int) -> int:
         """Expanded vertex of arc (vertex, edge_label); KeyError if vertex is not on that edge."""
@@ -476,7 +492,6 @@ def clique_expansion(g: Graph) -> ExpansionMap:
         i, j = np.triu_indices(rows.shape[1], 1)
         pairs.append(np.stack((rows[:, i].ravel(), rows[:, j].ravel()), axis=1))
     arcs = np.stack((g.edge_array.ravel()[arc_ends], arc_ends // 2), axis=1)
-    arcs.setflags(write=False)  # handed out as is, to the walk and to the embed report
     expanded = build_graph(arc_count, np.concatenate(pairs),
                            [f"{v},{j}" for v, j in arcs.tolist()])
     return ExpansionMap(g, expanded, arcs, ends, offsets)

@@ -77,15 +77,15 @@ def ring_labels(size: int) -> np.ndarray:
 def evolve_final(u: EvolutionOperator, psi0: WalkState, steps: int, observers=()) -> WalkState:
     """U^steps psi0: the one evolution loop, on raw arrays, storing no trajectory.
 
-    Each factor updates only the polygons that touch sites the amplitude can
-    have reached (`operators.ActiveSupport`), with stencil entries computed for
-    those sites alone, at O(support of those polygons), until the reached
-    sites near `operators.ACTIVE_SHARE` of the state; from then on every factor
-    runs the full path on its full stencil rows, compiled once on first use
-    (`operators.LocalUnitary`), at O(n) for polygons of at most
-    `operators.STENCIL_CAP` sites, and every `operators.LEAD_STEPS` steps the
-    subnormal parts of the state are set to 0.  Both paths give the same
-    amplitudes bit for bit (an exact zero may differ in sign).
+    Each factor updates only a window of the sites that the amplitude can have
+    reached (`operators.ActiveSupport`): an interval of the sites read round
+    the ring, widened by the factors' spread, with stencil entries compiled a
+    little ahead of it (`operators.LocalUnitary`).  A step costs O(window) for
+    polygons of at most `operators.STENCIL_CAP` sites: the light cone of psi0
+    where polygons join nearby sites, as on the line's ring, and O(n) for a
+    dense start or a scattered graph.  Every `operators.LEAD_STEPS` steps the
+    subnormal parts of the state are set to 0; else the amplitudes are those
+    of `u.step_array(psi)` bit for bit (an exact zero may differ in sign).
 
     Each observer is called as observer(step, psi) on psi0 (step 0) and after
     every step; psi is the raw amplitude array, which it must not modify.

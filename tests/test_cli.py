@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import subprocess
@@ -9,11 +11,14 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from sqw import build_graph, cli, clique_expansion, grover_coined_walk, to_document
+from sqw import build_graph, cli, clique_expansion, compose, evolve_final, grover_coined_walk, \
+    line_tessellations, reflection_from_tessellation, ring_labels, superposition_state, \
+    to_document, wrap_check
 from sqw.cli import main, parse_angle
+from sqw.errors import WavefrontWrapped
 from sqw.graphs import document_texts
 
 from conftest import SPECIAL_LABELS, SPECIAL_PARTS, grid_graph, reference_to_document
@@ -195,6 +200,81 @@ class TestAnalytic:
         _, simulated = read_tsv(tmp_path / "s.tsv")
         assert simulated
         assert [(r[0], r[2]) for r in analytic if float(r[2])] == [tuple(r) for r in simulated]
+
+
+@st.composite
+def line_runs(draw):
+    """A line config the CLI runs: an even ring of 4-120 sites (half of it odd or even),
+    a common theta, angles, phases, 1-3 start positions anywhere on the ring's labels
+    with random amplitudes, and 0-40 steps; a ring too small for its steps wraps."""
+    n = 2 * draw(st.integers(2, 60))
+    angle, phase = st.floats(0.01, PI - 0.01), st.floats(-PI, PI)
+    positions = draw(st.lists(st.integers(-(n // 2), n // 2 - 1), min_size=1, max_size=3,
+                              unique=True))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    amps = rng.standard_normal(len(positions)) + 1j * rng.standard_normal(len(positions))
+    amps /= np.linalg.norm(amps)
+    return {"model": "line", "ring_size": n, "steps": draw(st.integers(0, 40)),
+            "theta": draw(st.floats(-PI, PI)), "alpha": draw(angle), "beta": draw(angle),
+            "phi0": draw(phase), "phi1": draw(phase),
+            "init": [[p, a.real, a.imag] for p, a in zip(positions, amps.tolist())]}
+
+
+def ring_order_run(cfg):
+    """`cli._run` for the line as the library runs it: the ring in `line_tessellations`
+    numbering, `wrap_check` with guard band 0 on every step."""
+    n = cfg.ring_size
+    t0, t1 = line_tessellations(n, cfg.alpha, cfg.beta, cfg.phi0, cfg.phi1)
+    u = compose([(cfg.theta0, reflection_from_tessellation(t0)),
+                 (cfg.theta1, reflection_from_tessellation(t1))])
+    entries = [(p, complex(re, im)) for p, re, im in cfg.init]
+    psi0 = superposition_state(n, [(p % n, a) for p, a in entries])
+    final = evolve_final(u, psi0, cfg.steps,
+                         [lambda step, psi: wrap_check((psi,), 0, first_step=step)])
+    return ring_labels(n), entries, final
+
+
+class TestRingLayout:
+    """The CLI compiles the line's pairs with no graph and guards the antipode with
+    `WrapGuard`; its outputs are those of the library's ring with `wrap_check`."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(config=line_runs(), command=st.sampled_from(["simulate", "analytic"]))
+    @example(config={"model": "line", "ring_size": 4, "steps": 3, "theta": 0.7, "alpha": 1.1,
+                     "beta": 0.6, "phi0": 0.3, "phi1": -0.4, "init": [[-2, 0.6, 0.8]]},
+             command="simulate")
+    @example(config={"model": "line", "ring_size": 6, "steps": 1, "theta": 0.7, "alpha": 1.1,
+                     "beta": 0.6, "phi0": 0.3, "phi1": -0.4, "init": [[0, 0.0, 1.0]]},
+             command="analytic")
+    def test_same_bytes_as_a_ring_order_run(self, config, command):
+        # the same exit code, stdout, stderr and output file; a wrapped run stops at
+        # the same step with the same antipode mass
+        wrapped = []
+
+        def recording(run):
+            def recorded(cfg):
+                try:
+                    return run(cfg)
+                except WavefrontWrapped as exc:
+                    wrapped.append((exc.step, exc.mass))
+                    raise
+            return recorded
+        outputs = []
+        with tempfile.TemporaryDirectory() as tmp:
+            path, out = Path(tmp) / "line.json", Path(tmp) / "out.tsv"
+            path.write_text(json.dumps(config))
+            for run in (cli._run, ring_order_run):
+                out.unlink(missing_ok=True)
+                stdout, stderr = io.StringIO(), io.StringIO()
+                with mock.patch.object(cli, "_run", recording(run)), \
+                        contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                    code = main([command, "--config", str(path), "--out", str(out)])
+                outputs.append((code, stdout.getvalue(), stderr.getvalue(),
+                                out.read_bytes() if out.exists() else None))
+        assert outputs[0] == outputs[1]
+        assert len(wrapped) in (0, 2) and wrapped[:1] == wrapped[1:]
+        assert outputs[0][0] == (1 if wrapped else 0)
+        event("wrapped" if wrapped else "completed")
 
 
 class TestSigmaSurface:
@@ -821,12 +901,13 @@ class TestMemoryBudget:
 
     @pytest.mark.parametrize("n", [2 ** 16, 2 ** 18])
     def test_line_simulate_peak_in_state_sizes(self, n, tmp_path, capsys):
-        # 32 steps from two sites stay sparse.  Kept through the loop: the reflections'
-        # polygon arrays (3.25 state sizes), partner rows and site slots (1.5), the start
-        # state, two buffers and three work arrays (6), and packed rows sized to the ~130
-        # reached sites: 11.06 and 10.83 state sizes measured, no stencil row of n
-        # entries.  The line builds no graph and no tessellation; the output half
-        # (distribution, TSV and moments) peaks at ~3 state sizes after the loop
+        # 32 steps from two sites keep a window of ~140 sites round site 0.  Kept through
+        # the loop: the reflections' polygon arrays (3.25 state sizes), partner rows and
+        # site slots (1.5), the start state, two buffers and two work arrays (5), and each
+        # factor's stencil entries, compiled RUN_AHEAD sites ahead of the window on each
+        # side of site 0 (0.04 at n = 2^16), no row of n entries: 10.06 and 9.78 state
+        # sizes measured.  The line builds no graph and no tessellation; the output
+        # half (distribution, TSV and moments) peaks lower, after the loop
         tracemalloc.start()
         try:
             assert main(["simulate", "--theta", "pi/4", "--alpha", "pi/3", "--beta", "pi/3",
@@ -842,7 +923,7 @@ class TestMemoryBudget:
     def test_line_analytic_peak_in_state_sizes(self, n, tmp_path):
         # the walk of test_line_simulate_peak_in_state_sizes sets the peak in its loop;
         # after it, the momentum sum (32 steps: 256 momenta) and the n-entry output
-        # columns hold less: 10.90 and 10.83 state sizes measured
+        # columns hold less: 9.85 and 9.78 state sizes measured
         peak = self.peak(["analytic", "--theta", "pi/4", "--alpha", "pi/3", "--beta", "pi/3",
                           "--steps", "32", "--ring-size", str(n), "--init", "superpos:-1,2",
                           "--out", str(tmp_path / "line.tsv")])

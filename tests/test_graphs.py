@@ -348,6 +348,33 @@ class TestFlatTessellation:
         assert err.value.vertex == 2
 
 
+class TestReadOnlyArrays:
+    """The arrays of the frozen objects are read-only views, so no write after
+    construction bypasses the rules checked at construction."""
+
+    def test_writes_raise(self):
+        g = path_graph(4)
+        t = Tessellation([((0, 1), (0.6, 0.8)), ((2, 3), (0.6, 0.8))], g)
+        with pytest.raises(ValueError):
+            t.amplitudes[0] = 5.0
+        with pytest.raises(ValueError):
+            g.edge_codes[0] = 2
+        h, em = reflection_from_tessellation(t), clique_expansion(g)
+        for a in (g.edge_array, t.vertices, t.starts, h.vertices, h.amplitudes, h.starts,
+                  em.arcs, em.ends, em.offsets, em.expanded.edge_codes):
+            assert not a.flags.writeable
+
+    def test_arrays_passed_in_stay_writable(self):
+        vertices, starts = np.arange(4), np.array([0, 2])
+        amplitudes = np.array([0.6, 0.8, 0.6, 0.8], dtype=np.complex128)
+        t = Tessellation.from_arrays(path_graph(4), vertices, amplitudes, starts)
+        h = OrthogonalReflection.from_arrays(4, vertices, amplitudes, starts)
+        codes = np.array([1, 6, 11])
+        g = Graph(4, codes)
+        assert all(a.flags.writeable for a in (vertices, amplitudes, starts, codes))
+        assert not any(a.flags.writeable for a in (t.vertices, h.amplitudes, g.edge_codes))
+
+
 class TestGraphArrays:
     def test_edge_array_and_lookups(self):
         g = build_graph(4, [(3, 0), (1, 2), (0, 3), (2, 0)])

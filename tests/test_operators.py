@@ -31,7 +31,7 @@ from sqw.errors import (
 )
 from sqw.graphs import check_polygon_arrays
 from sqw.operators import LEAD_STEPS, SMALLEST_NORMAL, STENCIL_CAP, ActiveSupport, \
-    LocalUnitary
+    LocalUnitary, _interval, _pieces
 from sqw.state import WalkState
 from sqw.tolerances import drift_bound
 
@@ -267,7 +267,7 @@ class TestDenseMatrix:
 
     def test_peak_memory_is_about_one_matrix(self):
         # dense_matrix steps column blocks into one result; one n-column step peaks at
-        # five n x n complex matrices (its input, output and three work arrays)
+        # four n x n complex matrices (its input, output and two work arrays)
         n = 1024
         t0, t1 = line_tessellations(n, math.pi / 3, math.pi / 2, 0.2, -0.4)
         u = compose([(0.4, reflection_from_tessellation(t0)),
@@ -362,21 +362,22 @@ class TestKernelProperties:
 def sparse_walks(draw):
     """A sparse walk: 2-3 factors on one to three rings, a start of 1-4 sites, and up to 300 steps.
 
-    Rings have 6-2000 sites, so many walks stay below the switch share for a
-    batch or more.  In a chain walk the first two factors pair neighbours from
-    offsets 0 and 1, as on the line, so the reach keeps growing and a long
-    enough walk crosses the switch point.  Every other factor cuts each ring
-    into runs of 1-6 consecutive sites from its own offset (so polygon sizes
-    mix, runs above STENCIL_CAP take the rank-1 update, and the reach can stay
-    confined) and leaves runs uncovered with
-    probability 0 or 1/4 (sites the kernel scales by alpha).  A random
-    relabelling scatters the site indices, and the start sits on random
-    rings, so it can span several components.
+    Rings have 6-2000 sites.  In a chain walk the first two factors pair
+    neighbours from offsets 0 and 1, as on the line, so the reach keeps
+    growing.  Every other factor cuts each ring into runs of 1-6 consecutive
+    sites from its own offset (so polygon sizes mix, runs above STENCIL_CAP
+    take the rank-1 update, and the reach can stay confined) and leaves runs
+    uncovered with probability 0 or 1/4 (sites the kernel scales by alpha).
+    The sites are numbered ring after ring, each in ring order (local
+    polygons, but for the one that closes each ring), or relabelled at random
+    (scattered polygons); the start sits on random sites, so it can span
+    several components, or on sites n - 2 .. 2, so its window holds sites
+    n - 1 and 0.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     rings = [int(m) for m in rng.integers(6, 2001, size=draw(st.integers(1, 3)))]
     n = sum(rings)
-    label = rng.permutation(n)
+    label = np.arange(n) if draw(st.booleans()) else rng.permutation(n)
     chain = draw(st.booleans())
     factors = []
     for k in range(draw(st.integers(2, 3))):
@@ -400,62 +401,71 @@ def sparse_walks(draw):
         factors.append((float(rng.uniform(-math.pi, math.pi)),
                         OrthogonalReflection.from_arrays(n, vertices, amps, starts)))
     psi0 = np.zeros(n, dtype=np.complex128)
-    start = rng.choice(n, size=draw(st.integers(1, 4)), replace=False)
+    start = rng.choice(np.arange(-2, 3) % n if draw(st.booleans()) else n,
+                       size=draw(st.integers(1, 4)), replace=False)
     psi0[start] = rng.standard_normal(len(start)) + 1j * rng.standard_normal(len(start))
     return compose(factors), psi0 / np.linalg.norm(psi0), draw(st.integers(1, 300))
 
 
-class TestActiveSupport:
-    """The active-support path against the full path, step by step.
+def line(n, theta=0.6, alpha=0.7, beta=1.1, phi0=0.3, phi1=0.9):
+    """The line's walk on an n-site ring in `line_tessellations` numbering."""
+    return compose([(theta, reflection_from_tessellation(t))
+                    for t in line_tessellations(n, alpha, beta, phi0, phi1)])
 
-    Each step must equal the full path element for element (`array_equal`:
-    bit for bit, with -0.0 equal to 0.0, since a zero the full path writes as
-    c0 * 0 may carry a sign).  This rests on numpy rounding a complex
-    multiply alike at every array length the kernel uses.  Measured on numpy
-    2.4.6 on an Intel Xeon with AVX-512 and FMA: an in-place multiply of a
-    one-element array skips the fused multiply-add of the vector loop, while
+
+def stored(u) -> list[int]:
+    """The sites each factor holds compiled stencil entries for."""
+    return [f._rows[1][0].size for f in u.factors]
+
+
+def inside(window, n) -> np.ndarray:
+    """The sites of a window (`operators._interval`) as a mask."""
+    mask = np.zeros(n, dtype=bool)
+    for a, b in _pieces(*window):
+        mask[a % n:a % n + b - a] = True
+    return mask
+
+
+class TestActiveSupport:
+    """The windowed step against the full step, and the window's width and cost.
+
+    Each windowed step must equal the full step element for element
+    (`array_equal`: bit for bit, with -0.0 equal to 0.0, since a zero the full
+    step writes as c0 * 0 may carry a sign).  This rests on numpy rounding a
+    complex multiply alike at every array length the kernel uses.  Measured on
+    numpy 2.4.6 on an Intel Xeon with AVX-512 and FMA: an in-place multiply of
+    a one-element array skips the fused multiply-add of the vector loop, while
     an out-of-place one-element multiply matches; the kernel multiplies out of
-    place only, since the active path may pack a single column.
+    place only, since a window may be one site wide.
     """
 
     @settings(max_examples=150, deadline=None)
     @given(walk=sparse_walks())
     def test_equals_full_path_every_step(self, walk):
-        # after the switch both sides run the full path, so the step after it is the last compared
+        # the full step's state is flushed as the windowed one is, on every LEAD_STEPS-th step
         u, psi0, steps = walk
+        n = u.dimension
         support = ActiveSupport(psi0)
         active = full = psi0
-        sparse = 0
-        for _ in range(steps):
+        partial = 0
+        for step in range(1, steps + 1):
             active = u.step_array(active, support)
             full = u.step_array(full)
+            if step % LEAD_STEPS == 0:
+                parts = full.view(np.float64)
+                parts[np.abs(parts) < SMALLEST_NORMAL] = 0.0
             assert np.array_equal(active, full)
-            if support.reached is None:
-                break
-            sparse += 1
-        event("no sparse step" if not sparse else
-              "sparse, then crossed" if support.reached is None else "sparse throughout")
-
-    def test_crosses_the_switch_share(self):
-        # a 400-site line from one site: sparse for its first steps, then full
-        t0, t1 = line_tessellations(400, 0.7, 1.1, 0.3, 0.9)
-        u = compose([(0.6, reflection_from_tessellation(t0)),
-                     (0.6, reflection_from_tessellation(t1))])
-        psi0 = basis_state(400, 5).amplitudes
-        support = ActiveSupport(psi0)
-        active = full = psi0
-        sparse_steps = 0
-        for _ in range(60):
-            active = u.step_array(active, support)
-            full = u.step_array(full)
-            assert np.array_equal(active, full)
-            sparse_steps += support.reached is not None
-        assert 5 < sparse_steps < 60
-        assert np.array_equal(evolve_final(u, WalkState(psi0), 60).amplitudes, full)
+            assert not np.any(active[~inside(support.window, n)])
+            partial += support.window != (0, n)
+        event("every site from the first step" if not partial else
+              "a partial window, then every site" if support.window == (0, n) else
+              "a partial window throughout")
+        event("the window held sites n - 1 and 0" if support.window[0] < 0 else
+              "the window never held sites n - 1 and 0")
 
     def test_full_path_flushes_subnormal_parts(self):
         # site 0 is uncovered by both factors, so a subnormal amplitude there only turns
-        # its phase: the saturated full path sets it to 0 on its LEAD_STEPS-th step and
+        # its phase: the windowed step sets it to 0 on its LEAD_STEPS-th step and
         # leaves every other site as the plain step writes it
         rng = np.random.default_rng(13)
 
@@ -466,7 +476,7 @@ class TestActiveSupport:
             return OrthogonalReflection.from_arrays(7, vertices, amps, np.arange(0, 6, 2))
         u = compose([(0.9, pairs(0)), (-0.4, pairs(1))])
         psi0 = np.append(1e-310 - 2e-310j, random_state_array(rng, 6))
-        support = ActiveSupport(psi0)  # a dense start: the full path from the first step
+        support = ActiveSupport(psi0)  # a dense start: every site from the first step
         flushed = plain = psi0
         for step in range(1, 2 * LEAD_STEPS + 1):
             flushed = u.step_array(flushed, support)
@@ -478,8 +488,8 @@ class TestActiveSupport:
     def test_one_uncovered_site_reached_first(self):
         # on a 400-site ring the first factor pairs (1, 2), (3, 4), ... and leaves
         # sites 0 and 399 uncovered, the second pairs (0, 1), (2, 3), ...; from site 0
-        # the first step scales exactly one reached uncovered site, a one-element
-        # multiply, and site 399 stays unreached while the support is tracked
+        # the first factor's update of site 0 alone, a one-element multiply, equals
+        # its full update, and so do the windowed steps
         n = 400
         rng = np.random.default_rng(11)
         for _ in range(40):
@@ -494,94 +504,99 @@ class TestActiveSupport:
                          (float(rng.uniform(-math.pi, math.pi)), pairs(0))])
             psi0 = np.zeros(n, dtype=np.complex128)
             psi0[0] = np.exp(1j * rng.uniform(-math.pi, math.pi))
+            [(_, c0, rows)], _ = u.factors[0]._window(0, 1)
+            assert not any(c.any() for _, c in rows)  # scaled by c0 alone
+            assert c0[0] == cmath.exp(-1j * u.factors[0].theta)  # alpha
+            one = operators._mix(psi0, *u.factors[0]._window(0, 1), u.factors[0]._beta,
+                                 np.zeros(n, dtype=np.complex128))
+            assert np.array_equal(one, u.factors[0].apply(psi0))
             support = ActiveSupport(psi0)
             active = full = psi0
             for _ in range(3):
                 active = u.step_array(active, support)
                 full = u.step_array(full)
                 assert np.array_equal(active, full)
-            (sites, c0, _, coefficients), _ = support._plan[0]
-            uncovered = ~coefficients.any(axis=0)  # no partner term: scaled by c0 alone
-            assert list(sites[uncovered]) == [0]
-            assert c0[uncovered][0] == cmath.exp(-1j * u.factors[0].theta)  # alpha
 
-    def test_big_polygon_packed_once(self):
-        # 6-site polygons take the rank-1 update: a factor packs each one it takes as one
-        # column of its size block, however many of its sites are reached
-        n = 6000
-
-        def blocks(first):
-            return OrthogonalReflection.from_arrays(n, (np.arange(n) + first) % n,
-                                                    np.full(n, 1 / math.sqrt(6)),
-                                                    np.arange(0, n, 6))
-        u = compose([(0.6, blocks(0)), (0.6, blocks(3))])
-        psi = basis_state(n, 0).amplitudes
+    @pytest.mark.parametrize("sites", [(-3, 2), (2 ** 14 - 1, 2 ** 14 + 1)])
+    def test_window_stays_in_the_light_cone(self, sites):
+        # each factor spreads by a site on each side: a step widens the window by
+        # four, and the window runs up to LEAD_STEPS steps ahead of the state.  Round
+        # site 0 the window holds sites n - 1 and 0; round the antipode it stays apart
+        # from them; either way each factor compiles fewer than n sites
+        n, steps = 2 ** 15, 500
+        u = line(n)
+        psi = superposition_state(n, [(sites[0] % n, 0.6), (sites[1], 0.8j)]).amplitudes
         support = ActiveSupport(psi)
-        for _ in range(2 * LEAD_STEPS + 1):
+        width = sites[1] - sites[0] + 1
+        assert support.window[1] - support.window[0] == width
+        for t in range(1, steps + 1):
             psi = u.step_array(psi, support)
-        assert support.reached is not None
-        for (sites, *_), [(grid, _, _)] in support._plan:
-            assert len(set(grid[0].tolist())) == grid.shape[1]
-            assert set(grid.ravel().tolist()) <= set(sites.tolist())
-            assert grid.shape[1] > 2 * LEAD_STEPS
+            assert support.window[1] - support.window[0] <= width + 4 * (t + LEAD_STEPS - 1)
+        assert (support.window[0] < 0) == (sites[0] < 0)
+        assert max(stored(u)) < n
 
-    def test_steps_that_reuse_a_plan_allocate_nothing_per_column(self):
-        # a 20 000-site line from one site: once a batch packs over 1000 columns, the
-        # steps that reuse its plan gather into and scatter from kept work arrays
-        n = 20_000
-        t0, t1 = line_tessellations(n, 0.7, 1.1, 0.3, 0.9)
-        u = compose([(0.6, reflection_from_tessellation(t0)),
-                     (0.6, reflection_from_tessellation(t1))])
+    def test_steps_between_compile_runs_allocate_nothing_per_site(self):
+        # a 40 000-site line from site 0: once the window is over 1000 sites wide, the
+        # LEAD_STEPS steps of a batch that compiles nothing gather into and scatter from
+        # the kept work arrays, the window's two runs alike: the peak is views and
+        # scalars, whatever the width
+        n = 40_000
+        u = line(n)
         psi = basis_state(n, 0).amplitudes
         support = ActiveSupport(psi)
+        while support.window[1] - support.window[0] < 1000:
+            psi = u.step_array(psi, support)
+        for _ in range(10):  # compile runs double a store, so most batches compile nothing
+            compiled, window = stored(u), support.window
+            tracemalloc.start()
+            try:
+                for _ in range(LEAD_STEPS):  # one flush among them
+                    psi = u.step_array(psi, support)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            if stored(u) == compiled:
+                break
+        assert stored(u) == compiled and window[0] < 0
+        assert support.window == (window[0] - 2 * LEAD_STEPS, window[1] + 2 * LEAD_STEPS)
+        assert peak < 4096
 
-        def columns():
-            return len(support._plan[0][0][0]) if support._plan else 0
-        while columns() < 1000 or support._ahead != LEAD_STEPS - 1:
-            psi = u.step_array(psi, support)  # ends on the step that packed a batch
-        packed = columns()
-        tracemalloc.start()
-        try:
-            for _ in range(LEAD_STEPS - 2):
-                psi = u.step_array(psi, support)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert columns() == packed and support.reached is not None
-        assert peak < 16 * packed
-
-    def test_steps_that_reuse_a_plan_allocate_nothing_per_big_column(self):
-        # a 60 000-site ring cut into 6-site polygons, the second factor shifted by 3:
-        # every polygon takes the rank-1 update, whose packed size blocks widen batch by
-        # batch; the steps between two batches reuse the work arrays of the widest
+    def test_steps_between_compile_runs_allocate_nothing_per_big_column(self):
+        # a 60 000-site ring cut into 6-site polygons, the second factor shifted by 3
+        # and not closing the ring: every polygon takes the rank-1 update, and from
+        # the middle of the ring the window, one run, grows by the factors' spread,
+        # five sites each, on each side, as do the rows each size block updates
         n = 60_000
 
         def blocks(first):
-            return OrthogonalReflection.from_arrays(n, (np.arange(n) + first) % n,
-                                                    np.full(n, 1 / math.sqrt(6)),
-                                                    np.arange(0, n, 6))
+            count = (n - first) // 6 * 6
+            return OrthogonalReflection.from_arrays(n, np.arange(first, first + count),
+                                                    np.full(count, 1 / math.sqrt(6)),
+                                                    np.arange(0, count, 6))
         u = compose([(0.6, blocks(0)), (0.6, blocks(3))])
-        psi = basis_state(n, 0).amplitudes
+        psi = basis_state(n, n // 2).amplitudes
         support = ActiveSupport(psi)
-        while len(support.order) < 2000 or support._ahead != LEAD_STEPS - 1:
-            psi = u.step_array(psi, support)  # ends on the step that packed a batch
-        reached = len(support.order)
-        tracemalloc.start()
-        try:
-            for _ in range(LEAD_STEPS - 2):
-                psi = u.step_array(psi, support)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert len(support.order) == reached and support.reached is not None
-        assert peak < 16 * reached
-
+        while support.window[1] < n // 2 + 1000:
+            psi = u.step_array(psi, support)
+        for _ in range(10):
+            compiled, (lo, hi) = stored(u), support.window
+            tracemalloc.start()
+            try:
+                for _ in range(LEAD_STEPS):
+                    psi = u.step_array(psi, support)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            if stored(u) == compiled:
+                break
+        assert stored(u) == compiled and support.window == (lo - 80, hi + 80) and lo > 0
+        assert peak < 4096
 
     def test_full_path_run_keeps_its_buffers_and_work_arrays_only(self):
         # a dense start on a 60 000-site ring cut into 6-site polygons: every step runs
-        # the full path with the rank-1 update and the flush; the support's two buffers
-        # and three work arrays are 5 state sizes, and the start's nonzero sites half of
-        # one.  The factors' full rows, compiled on first full-path use, are compiled first
+        # on every site with the rank-1 update and the flush; the support's two buffers
+        # and two work arrays are 4 state sizes, and the start's nonzero sites half of
+        # one.  The factors' stores are compiled first
         n = 60_000
 
         def blocks(first):
@@ -591,7 +606,7 @@ class TestActiveSupport:
         u = compose([(0.6, blocks(0)), (0.6, blocks(3))])
         psi = random_state_array(np.random.default_rng(3), n)
         for f in u.factors:
-            f._rows
+            f._window(0, n)
         tracemalloc.start()
         try:
             support = ActiveSupport(psi)
@@ -600,8 +615,18 @@ class TestActiveSupport:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert support.reached is None
-        assert peak < 6 * 16 * n
+        assert support.window == (0, n)
+        assert peak < 5 * 16 * n
+
+    def test_long_sparse_walk_keeps_few_subnormal_parts(self):
+        # with phi0 = phi1 = 0 the tail ahead of the front decays through the subnormal
+        # range; the flush on every LEAD_STEPS-th step keeps a few dozen such parts
+        n, steps = 2 ** 16, 3000
+        u = line(n, math.pi / 4, math.pi / 3, math.pi / 3, 0.0, 0.0)
+        final = evolve_final(u, basis_state(n, 0), steps).amplitudes
+        parts = np.abs(final.view(np.float64))
+        assert np.count_nonzero((parts > 0) & (parts < SMALLEST_NORMAL)) <= 48
+        assert np.count_nonzero(final) > 2 * steps
 
 @st.composite
 def scattered_walks(draw):
@@ -611,7 +636,7 @@ def scattered_walks(draw):
     order, into polygons of 1-8 sites with a random unit vector each, and
     leaves the rest uncovered.  So sizes up to STENCIL_CAP take padded stencil
     rows and larger ones the rank-1 update, and since a polygon joins
-    scattered sites, the reach from one site soon passes the switch share.
+    scattered sites, the window from one site soon holds every site.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     n = int(10 ** draw(st.floats(1, 5)))
@@ -632,8 +657,8 @@ def scattered_walks(draw):
 
 
 class TestSegmentSumOracle:
-    """Both step paths against `conftest.segment_sum_exp`, which reads only the
-    polygon arrays, at up to 10^5 sites."""
+    """The windowed loop and the plain step against `conftest.segment_sum_exp`,
+    which reads only the polygon arrays, at up to 10^5 sites."""
 
     @settings(max_examples=30, deadline=None)
     @given(walk=scattered_walks())
@@ -642,11 +667,11 @@ class TestSegmentSumOracle:
         n = u.dimension
         event("above the cap" if any(np.diff(np.append(f.reflection.starts, len(
             f.reflection.vertices))).max() > STENCIL_CAP for f in u.factors) else "rows only")
-        start = basis_state(n, int(rng.integers(n)))  # sparse, then the full path
+        start = basis_state(n, int(rng.integers(n)))  # a window, soon every site
         got = evolve_final(u, start, steps).amplitudes
         assert np.max(np.abs(got - segment_sum_evolve(u, start.amplitudes, steps))) <= \
             drift_bound(steps)
-        psi = psi0 = random_state_array(rng, n)  # the full path without a support
+        psi = psi0 = random_state_array(rng, n)  # every site, without a support
         for _ in range(steps):
             psi = u.step_array(psi)
         assert np.max(np.abs(psi - segment_sum_evolve(u, psi0, steps))) <= drift_bound(steps)
@@ -668,7 +693,7 @@ class TestStencilCap:
         starts = np.concatenate([[0], np.arange(d, n)])
         h = OrthogonalReflection.from_arrays(n, vertices, amps, starts)
         u = LocalUnitary(theta, h)
-        held = [h._partners, *(a for block in h._big for a in block), *u._rows[1:]]
+        held = [h._partners, *(a for block in h._big for a in block), *u._grown(0, n)[1]]
         assert sum({id(a): a.size for a in held}.values()) <= 2 * n + 3 * d
 
         # |s> inside the polygon maps to e^{-i theta} |s> + 2i sin(theta) conj(a_s) |a>
@@ -682,51 +707,120 @@ class TestStencilCap:
 
 
 class TestLazyRows:
-    """A factor compiles its full stencil rows once, when the full path first needs them."""
+    """A factor compiles its stencil entries in runs, as windows need them."""
 
     def test_sparse_run_compiles_no_full_rows(self):
-        # 32 steps from two sites on a 2^16-site line reach a few hundred sites: each
-        # factor computes the entries of those sites alone, and the run equals the full path
+        # 32 steps from sites 0 and n - 1 of a 2^16-site line reach about 130 sites:
+        # each factor compiles its stencil entries round them, and the run equals the
+        # plain step on every site
         n = 2 ** 16
-        t0, t1 = line_tessellations(n, 1.1, 0.7, 0.3, 0.9)
-        u = compose([(0.6, reflection_from_tessellation(t)) for t in (t0, t1)])
+        u = line(n, 0.6, 1.1, 0.7, 0.3, 0.9)
         start = superposition_state(n, [(0, 0.6), (n - 1, 0.8j)])
         got = evolve_final(u, start, 32).amplitudes
-        assert not any("_rows" in vars(f) for f in u.factors)
+        assert max(stored(u)) < n // 2
         psi = start.amplitudes
         for _ in range(32):
             psi = u.step_array(psi)
         assert np.array_equal(got, psi)
 
     @settings(max_examples=40, deadline=None)
-    @given(walk=scattered_walks(), count=st.integers(1, 40))
-    def test_packed_entries_are_full_row_columns(self, walk, count):
-        # byte for byte, the sign of a zero included, for any few sites in any order
-        u, _, rng = walk
+    @given(walk=scattered_walks(), cuts=st.lists(st.floats(0, 1), max_size=4))
+    def test_run_entries_are_full_row_columns(self, walk, cuts):
+        # byte for byte, the sign of a zero included, for any cut of the sites into runs
+        u, _, _ = walk
+        for f in u.factors:
+            h, n = f.reflection, f.dimension
+            bounds = sorted({0, n, *(int(c * n) for c in cuts)})
+            c0 = np.empty(n, dtype=np.complex128)
+            coefficients = np.empty(h._partners.shape, dtype=np.complex128)
+            for lo, hi in zip(bounds, bounds[1:]):
+                h._entries(lo, hi, f._alpha, f._beta, c0[lo:hi], coefficients[:, lo:hi])
+            _, whole = f._grown(0, n)
+            assert c0.tobytes() == whole[0].tobytes()
+            assert coefficients.tobytes() == whole[1].tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(walk=sparse_walks(), data=st.data())
+    def test_spread_holds_every_polygon_that_meets_the_window(self, walk, data):
+        # for any window, not every site, the window widened by a factor's spread on
+        # each side holds every site of a polygon with a site in the window
+        u, _, _ = walk
+        n = u.dimension
+        lo, hi = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        window = _interval(lo, hi + 1, n)
         for f in u.factors:
             h = f.reflection
-            sites = rng.choice(h.dimension, size=min(count, h.dimension), replace=False)
-            c0 = np.empty(len(sites), dtype=np.complex128)
-            coefficients = np.empty((len(h._partners), len(sites)), dtype=np.complex128)
-            h._entries(sites, f._alpha, f._beta, c0, coefficients)
-            _, full_c0, _, full_coefficients = f._rows
-            assert c0.tobytes() == full_c0[sites].tobytes()
-            assert coefficients.tobytes() == full_coefficients[:, sites].tobytes()
+            reach = inside(_interval(window[0] - h._spread, window[1] + h._spread, n), n)
+            polygon = np.repeat(np.arange(len(h.starts)),
+                                np.diff(np.append(h.starts, len(h.vertices))))
+            met = np.zeros(len(h.starts), dtype=bool)
+            met[polygon[inside(window, n)[h.vertices]]] = True
+            assert reach[h.vertices[met[polygon]]].all()
+
+    def test_spread_runs_round_the_ring(self):
+        # the largest distance round the ring between two sites of a polygon: on 20
+        # sites {3, 17} are 6 apart through site 0, and {10, 0, 9} 10; on a 5 x 5 grid
+        # in row-major numbering the square {7, 8, 12, 13} spans 6; three sites a third
+        # of a 30-site ring apart are 10 apart.  Above STENCIL_CAP sites a polygon
+        # takes its shortest arc instead, less one: 24 for five sites 6 apart
+        assert OrthogonalReflection(20, [((3, 17), (0.6, 0.8))])._spread == 6
+        assert OrthogonalReflection(20, [((10, 0, 9), (0.6, 0.64, 0.48))])._spread == 10
+        assert OrthogonalReflection(25, [((7, 8, 12, 13), (0.5,) * 4)])._spread == 6
+        assert OrthogonalReflection(30, [((0, 10, 20), (0.6, 0.64, 0.48))])._spread == 10
+        assert OrthogonalReflection(30, [((0, 6, 12, 18, 24), (0.2 ** 0.5,) * 5)])._spread == 24
+        assert OrthogonalReflection(20, [((5,), (1,)), ((3, 4), (0.6, 0.8))])._spread == 1
+        assert OrthogonalReflection(20, [((5,), (1,))])._spread == 0
+
+    @staticmethod
+    def assert_window_entries(f, windows):
+        """After each window (`operators._interval`) in turn, each of its runs reads the
+        entries of its own sites from the store, as one compile of every site holds them."""
+        n = f.dimension
+        c0 = np.empty(n, dtype=np.complex128)
+        coefficients = np.empty(f.reflection._partners.shape, dtype=np.complex128)
+        f.reflection._entries(0, n, f._alpha, f._beta, c0, coefficients)
+        for window in windows:
+            segments, _ = f._window(*window)
+            assert sum(len(c) for _, c, _ in segments) == inside(window, n).sum()
+            for s, c, rows in segments:
+                assert c.tobytes() == c0[s:s + len(c)].tobytes()
+                assert [c.tobytes() for _, c in rows] == [
+                    row[s:s + len(c)].tobytes() for row in coefficients]
+
+    @settings(max_examples=40, deadline=None)
+    @given(walk=sparse_walks(), data=st.data())
+    def test_window_entries_equal_one_compile(self, walk, data):
+        u, _, _ = walk
+        n = u.dimension
+        for f in u.factors:
+            self.assert_window_entries(f, [
+                _interval(lo, lo + data.draw(st.integers(1, n)), n)
+                for lo in data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4))])
+
+    def test_store_follows_the_window_round_the_ring(self):
+        # on a 1000-site line: a window near the end of the site order, the same sites
+        # grown past site 0 (so written with lo < 0), and one beyond site 0 that the
+        # store grows round the ring to take in; no store holds every site
+        f = line(1000).factors[0]
+        self.assert_window_entries(f, [(900, 950), (-110, 20), (-150, 60), (300, 310)])
+        assert len(f._rows[1][0]) < 1000
 
     def test_saturated_run_compiles_each_factor_once(self, monkeypatch):
-        # a 400-site line from one site saturates after a few batches; the full path
-        # then compiles each factor's rows on its first step and reuses them after
+        # a 400-site line from one site: each factor compiles the entries of each site
+        # at most twice, in stores round the window and then in the store of every
+        # site, and a second walk reuses them
         compiled = []
-        rows = OrthogonalReflection._rows
-        monkeypatch.setattr(OrthogonalReflection, "_rows",
-                            lambda h, *ab: compiled.append(h) or rows(h, *ab))
-        t0, t1 = line_tessellations(400, 0.7, 1.1, 0.3, 0.9)
-        u = compose([(0.6, reflection_from_tessellation(t0)),
-                     (0.6, reflection_from_tessellation(t1))])
+        entries = OrthogonalReflection._entries
+        monkeypatch.setattr(OrthogonalReflection, "_entries",
+                            lambda h, lo, hi, *rest: compiled.append((id(h), hi - lo))
+                            or entries(h, lo, hi, *rest))
+        u = line(400, 0.6, 0.7, 1.1, 0.3, 0.9)
         evolve_final(u, basis_state(400, 5), 60)
-        assert [id(h) for h in compiled] == [id(f.reflection) for f in u.factors]
+        for f in u.factors:
+            assert 400 <= sum(k for h, k in compiled if h == id(f.reflection)) <= 800
+        count = len(compiled)
         evolve_final(u, basis_state(400, 7), 60)
-        assert len(compiled) == 2
+        assert len(compiled) == count
 
 
 class TestConstructionMemory:
@@ -735,7 +829,7 @@ class TestConstructionMemory:
     def test_peak_is_linear_in_the_ring_size(self):
         # kept: the ring's edge codes (8 B per site), both tessellations (52 B), and
         # both factors' partner rows (16 B) and site slots (8 B), 84 B in all (5.25
-        # state sizes); the stencil rows wait for the full path.  At the peak,
+        # state sizes); the stencil entries wait for an evolution's window.  At the peak,
         # construction's temporaries more: 7.1 state sizes measured at both sizes
         for n in (2 ** 14, 2 ** 16):
             tracemalloc.start()
@@ -746,4 +840,4 @@ class TestConstructionMemory:
             finally:
                 tracemalloc.stop()
             assert len(factors) == 2 and peak < 7.5 * (16 * n)
-            assert not any("_rows" in vars(f) for f in factors)
+            assert [f._rows[1][0].size for f in factors] == [0, 0]

@@ -131,8 +131,8 @@ class TestStreamingLoop:
     def test_wrap_guard_runs_every_step(self, start):
         # a ring too small for its steps: the guard runs on every step from 0
         # and stops where `wrap_check` run on every step does, with the same
-        # mass.  From site 0 the antipode (site 120) is reached only after the
-        # switch to the full path; from site 117 while the support is tracked.
+        # mass.  From site 0 the window holds sites n - 1 and 0; from site 117
+        # it stays apart from them while it reaches the antipode (site 120).
         n, t = 240, 120
         u = line_operator(n, math.pi / 4)
 

@@ -13,8 +13,11 @@ and with seed "-", it does the same for `grid-48`: `embed` on the fixed
 `simulate` on the document `embed` wrote, and prints one more line for the
 library form of that document: the sha256 of
 `json.dumps(to_document(*from_document(...)), indent=2)` read from `embed`'s
-file, in the output-file column.  Compare two trees by running the script once
-on each and diffing the lines:
+file, in the output-file column.  Last, with seed "-", two fixed line cases:
+`sparse-line`, a 1500-step `simulate` from the origin of a 2^16-site ring with
+phi0 = phi1 = 0, whose front decays through the subnormal range, and
+`ring-4002`, `simulate` and `analytic` on a 4002-site ring, whose half is odd.
+Compare two trees by running the script once on each and diffing the lines:
 
     python3 tools/output_hashes.py --tree OLD 1 2 > old.txt
     python3 tools/output_hashes.py 1 2 > new.txt
@@ -33,6 +36,7 @@ import tempfile
 from pathlib import Path
 
 GRID = 48
+LINE = ("--theta", "pi/4", "--alpha", "pi/3", "--beta", "pi/3")
 
 
 def sha256(data: bytes) -> str:
@@ -51,6 +55,19 @@ def grid_calls(tmp: Path) -> list[tuple[list[str], Path | None]]:
             (["validate", "--graph", str(embedded)], None),
             (["simulate", "--model", "graph", "--graph", str(embedded), "--theta", "pi/3",
               "--steps", "64", "--init", "basis:0", "--out", str(dist)], dist)]
+
+
+def line_calls(tmp: Path) -> dict[str, list[tuple[list[str], Path]]]:
+    """The (argv, output file) of the fixed line cases, by case name."""
+    sparse, ring, analytic = tmp / "sparse.tsv", tmp / "ring.tsv", tmp / "analytic.tsv"
+    init = ["--init", "superpos:-3,2"]
+    odd_half = [*LINE, "--phi0", "0.3", "--phi1", "-0.7", "--steps", "990",
+                "--ring-size", "4002", *init]
+    return {"sparse-line": [(["simulate", *LINE, "--phi0", "0", "--phi1", "0", "--steps", "1500",
+                              "--ring-size", str(2 ** 16), "--init", "basis:0",
+                              "--out", str(sparse)], sparse)],
+            "ring-4002": [(["simulate", *odd_half, "--out", str(ring)], ring),
+                          (["analytic", *odd_half, "--out", str(analytic)], analytic)]}
 
 
 def main(argv=None) -> int:
@@ -87,6 +104,9 @@ def main(argv=None) -> int:
             document = to_document(*from_document(json.load(fh)))
         lines.append(f"-\tgrid-{GRID}\t{len(calls)}\tto_document\t-\t-\t"
                      f"{sha256(json.dumps(document, indent=2).encode())}")
+    with tempfile.TemporaryDirectory() as tmp:
+        for case, calls in line_calls(Path(tmp)).items():
+            run("-", case, calls)
     print("\n".join(lines))
     return 0
 
