@@ -36,7 +36,7 @@ _ANGLE_RE = re.compile(
 def parse_angle(value) -> float:
     """Parse "pi/3", "2pi/3", "-pi/2", "pi", or a plain number, exactly.
 
-    A zero denominator and a non-finite angle (nan, inf) raise ValueError."""
+    A bool, a zero denominator and a non-finite angle (nan, inf) raise ValueError."""
     m = isinstance(value, str) and _ANGLE_RE.match(value)
     if m:
         sign = -1.0 if m.group(1) == "-" else 1.0
@@ -47,6 +47,8 @@ def parse_angle(value) -> float:
         angle = sign * coef * math.pi / denom
     else:
         try:
+            if isinstance(value, bool):  # float(True) is 1.0: JSON true is no angle
+                raise TypeError
             angle = float(value)
         except (TypeError, ValueError, OverflowError):
             raise ValueError(f"cannot parse angle {value!r}") from None

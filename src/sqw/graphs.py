@@ -162,12 +162,13 @@ def block_entries(values: np.ndarray, block) -> np.ndarray:
     return values[rows]
 
 
-def flatten_polygons(pairs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flat (vertices, amplitudes, starts) of pairs, for `check_polygon_arrays` to check."""
+def flatten_polygons(pairs) -> tuple[list, np.ndarray, np.ndarray]:
+    """Flat (vertices, amplitudes, starts) of pairs, for `check_polygon_arrays` to check;
+    the vertices stay a list, so a bool among them is seen."""
     pairs = tuple(pairs)
     if any(len(v) != len(a) for v, a in pairs):
         raise ValueError("one amplitude per vertex required")
-    return (np.array(list(chain.from_iterable(v for v, _ in pairs))),
+    return (list(chain.from_iterable(v for v, _ in pairs)),
             np.fromiter(chain.from_iterable(a for _, a in pairs), np.complex128),
             np.cumsum([0, *(len(v) for v, _ in pairs)], dtype=np.int64)[:-1])
 
@@ -601,6 +602,7 @@ def _field(doc, key: str, what: str):
 
 
 _LIST = (list, tuple)  # the types a document list may have
+_BOOLS = {bool, np.bool_}
 
 
 def _list(value, what: str):
@@ -611,11 +613,17 @@ def _list(value, what: str):
 
 
 def _integers(values, what: str) -> np.ndarray:
-    """values as an int64 array, or a ValueError naming `what` if one is not an integer."""
-    values = np.asarray(values)
-    if values.size and values.dtype.kind not in "iu":
+    """values as an int64 array, or a ValueError naming `what` if one is not an integer.
+
+    A bool is not one, also among integers, where numpy reads it as 0 or 1 (JSON true
+    beside ids); nested lists are read for it item by item."""
+    array = np.asarray(values)
+    items = () if isinstance(values, np.ndarray) or not array.ndim else values
+    for _ in range(array.ndim - 1):
+        items = chain.from_iterable(items)
+    if array.size and (array.dtype.kind not in "iu" or not _BOOLS.isdisjoint(map(type, items))):
         raise ValueError(f"{what} must be integers")
-    return values.astype(np.int64, copy=False)
+    return array.astype(np.int64, copy=False)
 
 
 def parse_polygons(docs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -8,7 +8,7 @@ site, the other sites of its polygon as partner rows (polygons above
 STENCIL_CAP sites take a rank-1 update instead).  A local unitary's stencil
 entries, a self coefficient per site and one coefficient per partner, are
 computed from the polygon amplitudes for the sites an evolution's window
-needs, grown in runs (`LocalUnitary`).  So a factor costs at most STENCIL_CAP
+needs, grown in runs (`ActiveSupport`).  So a factor costs at most STENCIL_CAP
 terms per site, sum over polygons of min(d, STENCIL_CAP) d on equal sizes:
 O(|V| + |E|) for a graph's tessellation.  One walk step applies an ordered
 list of such local unitaries.
@@ -45,8 +45,6 @@ LEAD_STEPS = 8
 SMALLEST_NORMAL = float(np.finfo(np.float64).tiny)
 # Sites per run of a compile, so its temporaries stay in cache.
 ROW_RUN = 4096
-# Sites a factor compiles at least ahead of the window that needs them.
-RUN_AHEAD = 256
 
 
 def _spread(sites: np.ndarray, n: int) -> int:
@@ -63,21 +61,12 @@ def _spread(sites: np.ndarray, n: int) -> int:
     return spread
 
 
-def _interval(lo: int, hi: int, n: int) -> tuple[int, int]:
-    """The window [lo, hi) of the unwrapped sites in its one form: the sites u mod n,
-    lo <= u < hi, with 0 <= hi < n and hi - n < lo, so a window that holds site 0 and
-    site n - 1 has lo < 0; every site is (0, n).  lo >= hi reads round the ring."""
-    if lo >= hi:
-        lo -= n
-    if hi - lo >= n:
-        return 0, n
-    return (lo - n, hi - n) if hi >= n else (lo, hi)
-
-
-def _pieces(lo: int, hi: int) -> list[tuple[int, int]]:
-    """The unwrapped runs of a window (`_interval`): [max(lo, 0), hi), and [lo, 0) if
-    lo < 0 (the sites n + lo .. n - 1); empty runs left out."""
-    return [(a, b) for a, b in ((max(lo, 0), hi), (lo, min(hi, 0))) if a < b]
+def _runs(lo: int, hi: int, n: int) -> list[tuple[int, int]]:
+    """The runs [a, b) of the unwrapped sites lo <= u < hi, at most n of them, that do not
+    pass site 0: run (a, b) holds the sites a mod n .. a mod n + b - a - 1; empty runs
+    left out."""
+    cut = (lo // n + 1) * n  # the first unwrapped site 0 past lo
+    return [(a, b) for a, b in ((lo, min(hi, cut)), (cut, hi)) if a < b]
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -189,7 +178,8 @@ class OrthogonalReflection(PolygonArrays):
         """alpha psi + beta P psi, P = sum_k |a_k><a_k|, on a raw array (1-D or columns).
 
         Every function of H = 2P - I has this form: exp(i t H) = e^{-it} I + 2i sin(t) P.
-        Compiles the rows for (alpha, beta) on each call; `LocalUnitary` keeps its own.
+        Compiles the rows for (alpha, beta) on each call; an evolution keeps its own
+        (`ActiveSupport`).
         """
         alpha, beta = complex(alpha), complex(beta)
         c0 = np.empty(self.dimension, dtype=np.complex128)
@@ -208,12 +198,8 @@ class LocalUnitary:
     """exp(i theta H) = e^{-i theta} I + 2i sin(theta) P for a reflection H = 2P - I.
 
     It keeps alpha = e^{-i theta} and beta = 2i sin(theta); theta never changes.
-    One store of stencil entries (c0, coefficients), `_rows`, serves `apply`
-    (every site) and the windows of an evolution.  It holds the unwrapped
-    sites [first, first + size), fewer than n, or every site from 0: site u
-    mod n at position u - first.  `_grown` compiles it round the window that
-    needs it, so an evolution whose window stays narrow never compiles a row
-    of n entries, wherever it starts.
+    It holds no stencil entries: an evolution compiles them round its window
+    (`ActiveSupport`), and `apply` compiles them for every site on each call.
     """
 
     theta: float
@@ -222,75 +208,14 @@ class LocalUnitary:
     def __post_init__(self):
         object.__setattr__(self, "_alpha", cmath.exp(-1j * self.theta))
         object.__setattr__(self, "_beta", 2j * math.sin(self.theta))
-        m = len(self.reflection._partners)
-        object.__setattr__(self, "_rows", (0, (np.empty(0, np.complex128),
-                                               np.empty((m, 0), np.complex128))))
 
     @property
     def dimension(self) -> int:
         return self.reflection.dimension
 
-    def _grown(self, lo: int, hi: int) -> tuple:
-        """The store (first, (c0, coefficients)) holding the window [lo, hi) (`_interval`)
-        in one run of positions: site u at position (u - first) mod n.
-
-        A store that does not hold the window, its sites unwrapped nearest the store,
-        grows to take it in, with as many sites again as the window has (at least
-        RUN_AHEAD) on each side it grows: the sites it holds are copied, the new ones
-        compiled.  One that would reach n sites holds every site from 0 instead."""
-        first, arrays = self._rows
-        stop, n = first + len(arrays[0]), self.dimension
-        if (first, stop) == (0, n):
-            return first, arrays
-        if first == stop:  # an empty store starts at the window
-            first = stop = lo
-        shift = (first + stop - lo - hi + n) // (2 * n) * n  # the middles nearest, by n
-        lo, hi = lo + shift, hi + shift
-        if first <= lo and hi <= stop:
-            return self._rows
-        ahead = max(hi - lo, RUN_AHEAD)
-        low = first if first <= lo else lo - ahead
-        high = stop if hi <= stop else hi + ahead
-        if high - low >= n:
-            first, stop, low, high = 0, 0, 0, n
-            arrays = tuple(a[..., :0] for a in arrays)
-        grown = tuple(np.empty(a.shape[:-1] + (high - low,), a.dtype) for a in arrays)
-        for old, new in zip(arrays, grown):
-            new[..., first - low:stop - low] = old
-        for a, b in ((stop, high), (low, first)):
-            while a < b:  # a run of sites that does not pass site 0
-                k = min(b - a, n - a % n)
-                self.reflection._entries(a % n, a % n + k, self._alpha, self._beta,
-                                         *(x[..., a - low:a - low + k] for x in grown))
-                a += k
-        object.__setattr__(self, "_rows", (low, grown))
-        return low, grown
-
-    def _window(self, lo: int, hi: int) -> tuple:
-        """(stencil segments, big blocks) that update the sites of the window [lo, hi)
-        (`_interval`) of a state whose image under this factor lies in it.
-
-        Each run of the window (`_pieces`) gives a stencil segment (first site, c0,
-        (partner row, coefficient row) pairs), and each big size block its rows whose
-        smallest site lies in that run: every polygon that meets the state lies in
-        the window, and the others hold zeros and map them to zeros.
-        """
-        h, n = self.reflection, self.dimension
-        first, (c0, coefficients) = self._grown(lo, hi)
-        segments, big = [], []
-        for a, b in _pieces(lo, hi):
-            s, p = a % n, (a - first) % n
-            segments.append((s, c0[p:p + b - a], tuple(zip(h._partners[:, s:s + b - a],
-                                                             coefficients[:, p:p + b - a]))))
-            for grid, amp, conj, smallest in h._big:
-                i, j = np.searchsorted(smallest, (s, s + b - a))
-                big.append((grid[i:j], amp[i:j], conj[i:j]))
-        return segments, big
-
     def apply(self, psi: np.ndarray) -> np.ndarray:
         """exp(i theta H) psi on a raw array (1-D or columns), into a new array."""
-        segments, big = self._window(0, self.dimension)
-        return _mix(psi, segments, big, self._beta)
+        return self.reflection.mix(psi, self._alpha, self._beta)
 
 
 def _mix(psi, segments, big, beta, out=None, work=None) -> np.ndarray:
@@ -360,8 +285,8 @@ class EvolutionOperator:
         Given `support`, made from the start state of a 1-D evolution, every LEAD_STEPS
         steps the support's window first widens by the spread of the next LEAD_STEPS
         steps (`ActiveSupport.ahead`); each factor then updates the window's sites
-        (its cut, `LocalUnitary._window`) into the support buffer that is not its input,
-        using the support's work arrays; then `ActiveSupport.flush` runs.
+        (its cut of the support's stencil entries) into the support buffer that is not
+        its input, using the support's work arrays; then `ActiveSupport.flush` runs.
         """
         if support is None:
             for f in self.factors:
@@ -377,21 +302,32 @@ class EvolutionOperator:
 
 
 class ActiveSupport:
-    """Two zeroed state buffers, two work arrays and the window of one 1-D evolution.
+    """Two zeroed state buffers, two work arrays, the window of one 1-D evolution and
+    each factor's stencil entries for it.
 
-    Every site outside `window` (`_interval`) holds exactly 0 in the state and
-    in both buffers.  The window starts as the shortest interval of the sites,
-    read round the ring, that holds the nonzero sites of the start state, and
-    every LEAD_STEPS steps `ahead` widens it on each side by the spread of that
-    many steps: every site of a polygon that meets the window lies within the
-    factor's spread (`_spread`) of it round the ring.  So each factor updates
-    the window's sites only: its polygons that meet the state's nonzero sites
-    lie there, and every other polygon holds zeros and maps them to zeros.
-    The result is the full update's bit for bit (an exact zero may differ in
-    sign).  Where the polygons join nearby sites, as on the line's ring in
-    `line_tessellations` numbering (a spread of one site per factor), a step
-    costs O(width), the light cone of the start; a dense start or a polygon
-    that joins far sites widens the window to every site within a step.
+    The window (lo, hi) is the unwrapped sites lo <= u < hi, the sites u mod n, in
+    one frame for the whole run; every site is (0, n).  Every site outside it holds
+    exactly 0 in the state and in both buffers.  It starts as the shortest interval
+    of the sites, read round the ring, that holds the nonzero sites of the start
+    state, and every LEAD_STEPS steps `ahead` widens it on each side by the spread
+    of that many steps: every site of a polygon that meets the window lies within
+    the factor's spread (`_spread`) of it round the ring.  So each factor updates
+    the window's sites only: its polygons that meet the state's nonzero sites lie
+    there, and every other polygon holds zeros and maps them to zeros.  The result
+    is the full update's bit for bit (an exact zero may differ in sign).  Where the
+    polygons join nearby sites, as on the line's ring in `line_tessellations`
+    numbering (a spread of one site per factor), a step costs O(width), the light
+    cone of the start; a dense start or a polygon that joins far sites widens the
+    window to every site within a step.
+
+    `stores` holds, per factor, (first, c0, coefficients): the stencil entries
+    (`OrthogonalReflection._entries`) of the unwrapped sites first <= u < first +
+    size, site u at position u - first, or of every site in site order (first 0,
+    size n).  When the window leaves a store, the store grows to the window and as
+    many sites again on each side, or to every site once that reaches n sites: the
+    entries it holds are copied, and only the new sites are compiled.  So a run
+    compiles each site's entries at most once per factor, and a store holds at most
+    three times the window's sites, or every site.
 
     Every LEAD_STEPS steps, `flush` sets the subnormal components of the state to 0.
     `work` holds every temporary of `_mix` and `flush` for the run: fresh arrays on
@@ -404,23 +340,70 @@ class ActiveSupport:
         # np.zeros, unlike zeros_like, leaves a large buffer's pages untouched until written
         self.buffers = (np.zeros(psi0.shape, psi0.dtype), np.zeros(psi0.shape, psi0.dtype))
         self.work = [np.empty(psi0.shape, np.complex128) for _ in range(2)]
-        nonzero = np.flatnonzero(psi0)
+        n, nonzero = len(psi0), np.flatnonzero(psi0)
         gap = self.work[0].view(np.intp)[:len(nonzero)]  # to the next one round the ring
         np.subtract(nonzero[1:], nonzero[:-1], out=gap[:-1])
-        gap[-1] = nonzero[0] + len(psi0) - nonzero[-1]
+        gap[-1] = nonzero[0] + n - nonzero[-1]
         after = int(np.argmax(gap))  # the window runs from past the largest gap
-        self.window = _interval(int(nonzero[(after + 1) % len(nonzero)]),
-                                int(nonzero[after]) + 1, len(psi0))
+        lo, hi = int(nonzero[(after + 1) % len(nonzero)]), int(nonzero[after]) + 1
+        lo -= n if lo >= hi else 0  # a window round site 0 starts below it
+        self.window = (0, n) if hi - lo >= n else (lo, hi)
+        self.stores = []
         self.steps = 0
 
     def ahead(self, factors) -> None:
         """Widen the window on each side by the spread of LEAD_STEPS steps of the factors,
-        so it holds the state until the next call, and keep each factor's cut of its
-        rows for it (`LocalUnitary._window`) in `cuts`."""
+        so it holds the state until the next call, grow each factor's store to hold it,
+        and keep each factor's cut of its entries (`_cut`) in `cuts`."""
+        n = len(self.buffers[0])
         spread = LEAD_STEPS * sum(f.reflection._spread for f in factors)
         lo, hi = self.window
-        self.window = _interval(lo - spread, hi + spread, len(self.buffers[0]))
-        self.cuts = [f._window(*self.window) for f in factors]
+        lo, hi = self.window = (0, n) if hi - lo + 2 * spread >= n else (lo - spread, hi + spread)
+        stores = self.stores or [(lo,)] * len(factors)  # empty, at the window
+        self.stores = [self._grown(f, *store) for f, store in zip(factors, stores)]
+        self.cuts = [self._cut(f.reflection, *store) for f, store in zip(factors, self.stores)]
+
+    def _grown(self, f: LocalUnitary, first: int, c0=(), coefficients=None) -> tuple:
+        """Factor f's store (first, c0, coefficients), grown to hold the window; given
+        `first` alone, an empty store there."""
+        lo, hi = self.window
+        n, stop = f.dimension, first + len(c0)
+        if stop - first == n or first <= lo and hi <= stop:
+            return first, c0, coefficients
+        low = base = 2 * lo - hi  # the window and as many sites again on each side
+        high = 2 * hi - lo
+        if high - low >= n:  # every site from 0; the new ones follow the store round
+            low, high, base = first, first + n, 0
+        grown = (np.empty(high - low, np.complex128),
+                 np.empty((len(f.reflection._partners), high - low), np.complex128))
+        for a, b in _runs(first, stop, n):
+            p = (a - base) % n
+            grown[0][p:p + b - a] = c0[a - first:b - first]
+            grown[1][:, p:p + b - a] = coefficients[:, a - first:b - first]
+        for a, b in _runs(stop, high, n) + _runs(low, first, n):
+            p = (a - base) % n
+            f.reflection._entries(a % n, a % n + b - a, f._alpha, f._beta,
+                                  grown[0][p:p + b - a], grown[1][:, p:p + b - a])
+        return base, *grown
+
+    def _cut(self, h: OrthogonalReflection, first: int, c0, coefficients) -> tuple:
+        """(stencil segments, big blocks) that update the window's sites from a store.
+
+        Each run of the window (`_runs`) gives a stencil segment (first site, c0,
+        (partner row, coefficient row) pairs), and each big size block its rows whose
+        smallest site lies in that run: every polygon that meets the state lies in
+        the window, and the others hold zeros and map them to zeros.
+        """
+        n = h.dimension
+        segments, big = [], []
+        for a, b in _runs(*self.window, n):
+            s, p = a % n, (a - first) % n
+            segments.append((s, c0[p:p + b - a], tuple(zip(h._partners[:, s:s + b - a],
+                                                             coefficients[:, p:p + b - a]))))
+            for grid, amp, conj, smallest in h._big:
+                i, j = np.searchsorted(smallest, (s, s + b - a))
+                big.append((grid[i:j], amp[i:j], conj[i:j]))
+        return segments, big
 
     def flush(self, psi: np.ndarray) -> None:
         """Count a step; every LEAD_STEPS of them, set the subnormal real and imaginary
@@ -437,8 +420,9 @@ class ActiveSupport:
         self.steps += 1
         if self.steps % LEAD_STEPS:
             return
-        for a, b in _pieces(*self.window):
-            parts = psi[a % len(psi):a % len(psi) + b - a].view(np.float64)
+        n = len(psi)
+        for a, b in _runs(*self.window, n):
+            parts = psi[a % n:a % n + b - a].view(np.float64)
             magnitude = self.work[0].view(np.float64)[:parts.size]
             below = self.work[1].view(bool)[:parts.size]
             np.less(np.abs(parts, out=magnitude), SMALLEST_NORMAL, out=below)

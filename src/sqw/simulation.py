@@ -79,11 +79,11 @@ def evolve_final(u: EvolutionOperator, psi0: WalkState, steps: int, observers=()
 
     Each factor updates only a window of the sites that the amplitude can have
     reached (`operators.ActiveSupport`): an interval of the sites read round
-    the ring, widened by the factors' spread, with stencil entries compiled a
-    little ahead of it (`operators.LocalUnitary`).  A step costs O(window) for
-    polygons of at most `operators.STENCIL_CAP` sites: the light cone of psi0
-    where polygons join nearby sites, as on the line's ring, and O(n) for a
-    dense start or a scattered graph.  Every `operators.LEAD_STEPS` steps the
+    the ring, widened by the factors' spread, with each factor's stencil
+    entries compiled round it once and kept for this run only.  A step costs
+    O(window) for polygons of at most `operators.STENCIL_CAP` sites: the light
+    cone of psi0 where polygons join nearby sites, as on the line's ring, and
+    O(n) for a dense start or a scattered graph.  Every `operators.LEAD_STEPS` steps the
     subnormal parts of the state are set to 0; else the amplitudes are those
     of `u.step_array(psi)` bit for bit (an exact zero may differ in sign).
 

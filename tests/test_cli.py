@@ -47,8 +47,9 @@ class TestParseAngle:
         assert parse_angle(2) == 2.0
 
     def test_garbage_rejected(self):
-        with pytest.raises(ValueError):
-            parse_angle("two pies")
+        for value in ("two pies", True, False):  # float(True) is 1.0
+            with pytest.raises(ValueError):
+                parse_angle(value)
 
 
 class TestSimulate:
@@ -552,11 +553,15 @@ class TestMalformedDocuments:
         (complete_graph_doc(3), '{"type": "reflection", "theta": 0.4, "polygons": {}}',
          "polygons"),
         (dict(complete_graph_doc(3), coin=[{"type": "grover"}]), "", "coin"),
+        ({"vertices": 3, "edges": [[True, 2], [0, 1]]}, None, "edges"),
+        ({"vertices": 3, "edges": [[0, 1], [1, 2]],
+          "tessellations": [{"polygons": [{"vertices": [0]}, {"vertices": [True, 2]}]}]},
+         None, "vertices"),
     ], ids=["graph", "coin-polygon", "tessellation", "count-float", "count-string",
             "edge-float", "edges-not-list", "labels-not-list", "tessellations-not-list",
             "polygons-not-list", "polygon-float", "vertices-not-list", "amplitudes-not-list",
             "amplitudes-not-pairs", "amplitude-string", "amplitudes-ragged", "coin-polygon-float",
-            "coin-polygons-not-list", "coin-not-object"])
+            "coin-polygons-not-list", "coin-not-object", "edge-bool", "polygon-bool"])
     def test_missing_key_is_one_error_line(self, tmp_path, capsys, doc, coin, key):
         gpath = tmp_path / "doc.json"
         gpath.write_text(json.dumps(doc))
@@ -624,17 +629,29 @@ class TestMalformedConfigs:
         (["simulate"], '{"theta": NaN}'),
         (["analytic"], '{"theta": Infinity}'),
         (["sigma-surface", "--theta-max", "pi/0"], None),
+        (["simulate"], '{"theta": true}'),
+        (["analytic"], '{"theta": "pi/4", "phi1": false}'),
     ], ids=["flag-zero-denominator", "flag-nan", "config-zero-denominator", "config-nan",
-            "config-infinity", "surface-bound-zero-denominator"])
+            "config-infinity", "surface-bound-zero-denominator", "config-true", "config-false"])
     def test_bad_angle_is_one_error_line(self, tmp_path, capsys, argv, config):
-        # a zero denominator once ended in a ZeroDivisionError traceback, and nan ran
-        # every step before the final norm check failed
+        # a zero denominator once ended in a ZeroDivisionError traceback, nan ran every
+        # step before the final norm check failed, and true ran at 1 rad
         if config is not None:
             cfg = tmp_path / "run.json"
             cfg.write_text(config)
             argv = [*argv, "--config", str(cfg), "--steps", "2"]
         # flags and config keys share one parser: exit 1, no argparse usage block
         assert main([*argv, "--out", str(tmp_path / "x.tsv")]) == 1
+        one_error_line(capsys, "angle")
+
+    @pytest.mark.parametrize("coin", ['{"type": "grover", "theta": true}',
+                                      '{"type": "reflection", "theta": false, "polygons": []}'])
+    def test_bool_coin_angle_is_one_error_line(self, tmp_path, capsys, coin):
+        # a coin descriptor's theta is read as config angles are: true once ran at 1 rad
+        gpath = tmp_path / "doc.json"
+        gpath.write_text(json.dumps(complete_graph_doc(3)))
+        assert main(["embed", "--graph", str(gpath), "--coin", coin,
+                     "--out", str(tmp_path / "e.json")]) == 1
         one_error_line(capsys, "angle")
 
     @pytest.mark.parametrize("command,steps", [("simulate", "0"), ("analytic", "5")])
@@ -904,9 +921,9 @@ class TestMemoryBudget:
         # 32 steps from two sites keep a window of ~140 sites round site 0.  Kept through
         # the loop: the reflections' polygon arrays (3.25 state sizes), partner rows and
         # site slots (1.5), the start state, two buffers and two work arrays (5), and each
-        # factor's stencil entries, compiled RUN_AHEAD sites ahead of the window on each
-        # side of site 0 (0.04 at n = 2^16), no row of n entries: 10.06 and 9.78 state
-        # sizes measured.  The line builds no graph and no tessellation; the output
+        # factor's stencil entries, kept by the loop's support for at most three times the
+        # window's sites round site 0 (0.02 at n = 2^16), no row of n entries: 10.02 and
+        # 9.76 state sizes measured.  The line builds no graph and no tessellation; the output
         # half (distribution, TSV and moments) peaks lower, after the loop
         tracemalloc.start()
         try:

@@ -116,12 +116,23 @@ class TestPolygons:
             Tessellation([((0, 1), (1.0, 1.0))], path_graph(2))
 
     def test_non_integer_vertex_rejected(self):
-        # float ids were once truncated to integers without a word
+        # float ids were once truncated to integers without a word, and a bool beside
+        # integers read as 0 or 1
         for build in (lambda: Tessellation([((0.6, 1.2), (0.6, 0.8))], path_graph(3)),
                       lambda: Tessellation.from_arrays(path_graph(3), [0.5], [1.0], [0]),
-                      lambda: OrthogonalReflection(3, [((0.5,), (1.0,))])):
+                      lambda: Tessellation.from_arrays(path_graph(3), [True, 2], [0.6, 0.8],
+                                                       [0]),
+                      lambda: OrthogonalReflection(3, [((0.5,), (1.0,))]),
+                      lambda: OrthogonalReflection(3, [((np.True_, 2), (0.6, 0.8))])):
             with pytest.raises(ValueError, match="'vertices' must be integers"):
                 build()
+
+    @pytest.mark.parametrize("edges", [[[True, 2], [0, 1]], [(0, 1), (2, False)],
+                                       [np.array([0, 1]), np.array([True, False])]])
+    def test_bool_endpoint_rejected(self, edges):
+        # JSON true beside integer ids once built edge (1, 2) from [[true, 2], [0, 1]]
+        with pytest.raises(ValueError, match="^'edges' endpoints must be integers$"):
+            build_graph(3, edges)
 
     @pytest.mark.parametrize("sizes", [(3, 3), (3, 1)])  # equal sizes, mixed sizes
     def test_tolerance_edges(self, sizes):
@@ -690,6 +701,7 @@ MALFORMED_POLYGONS = [
     {"vertices": [0], "amplitudes": [[1, 0, 0]]}, {"vertices": [0], "amplitudes": [[[1], [0]]]},
     {"vertices": [0], "amplitudes": [[2 ** 70, 0]]}, {"vertices": [0], "amplitudes": [[1j, 0]]},
     {"vertices": [0], "amplitudes": [[True, False]]}, {"vertices": [], "amplitudes": [[1, 0]]},
+    {"vertices": [True, 1]},
 ]
 
 PAIRS = "polygon 'amplitudes' must be [re, im] pairs of numbers"
@@ -737,6 +749,8 @@ class TestParsePolygons:
          "polygon 'vertices' must be a list, got int"),
         # every polygon is read before the amplitude pairs, and those before the ids
         ([{"vertices": [0.5]}, {"vertices": [1], "amplitudes": [["x", 0]]}], PAIRS),
+        # a bool among integer ids
+        ([{"vertices": [0]}, {"vertices": [True, 2]}], "polygon 'vertices' must be integers"),
     ])
     def test_error_messages(self, docs, message):
         for parse in (parse_polygons, reference_parse_polygons):

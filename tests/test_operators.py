@@ -1,6 +1,7 @@
 import cmath
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from sqw.errors import (
 )
 from sqw.graphs import check_polygon_arrays
 from sqw.operators import LEAD_STEPS, SMALLEST_NORMAL, STENCIL_CAP, ActiveSupport, \
-    LocalUnitary, _interval, _pieces
+    LocalUnitary, _runs
 from sqw.state import WalkState
 from sqw.tolerances import drift_bound
 
@@ -413,17 +414,23 @@ def line(n, theta=0.6, alpha=0.7, beta=1.1, phi0=0.3, phi1=0.9):
                     for t in line_tessellations(n, alpha, beta, phi0, phi1)])
 
 
-def stored(u) -> list[int]:
-    """The sites each factor holds compiled stencil entries for."""
-    return [f._rows[1][0].size for f in u.factors]
+def stored(support) -> list[int]:
+    """The sites each factor's store in an evolution's support holds stencil entries for."""
+    return [len(c0) for _, c0, _ in support.stores]
 
 
 def inside(window, n) -> np.ndarray:
-    """The sites of a window (`operators._interval`) as a mask."""
+    """The sites of a window (`ActiveSupport.window`) as a mask."""
     mask = np.zeros(n, dtype=bool)
-    for a, b in _pieces(*window):
+    for a, b in _runs(*window, n):
         mask[a % n:a % n + b - a] = True
     return mask
+
+
+def widened(window, spread, n) -> tuple[int, int]:
+    """A window widened by `spread` sites on each side, as `ActiveSupport.ahead` widens it."""
+    lo, hi = window
+    return (0, n) if hi - lo + 2 * spread >= n else (lo - spread, hi + spread)
 
 
 class TestActiveSupport:
@@ -447,7 +454,7 @@ class TestActiveSupport:
         n = u.dimension
         support = ActiveSupport(psi0)
         active = full = psi0
-        partial = 0
+        partial = crossed = 0
         for step in range(1, steps + 1):
             active = u.step_array(active, support)
             full = u.step_array(full)
@@ -457,10 +464,11 @@ class TestActiveSupport:
             assert np.array_equal(active, full)
             assert not np.any(active[~inside(support.window, n)])
             partial += support.window != (0, n)
+            crossed += len(_runs(*support.window, n)) > 1
         event("every site from the first step" if not partial else
               "a partial window, then every site" if support.window == (0, n) else
               "a partial window throughout")
-        event("the window held sites n - 1 and 0" if support.window[0] < 0 else
+        event("the window held sites n - 1 and 0" if crossed else
               "the window never held sites n - 1 and 0")
 
     def test_full_path_flushes_subnormal_parts(self):
@@ -504,12 +512,13 @@ class TestActiveSupport:
                          (float(rng.uniform(-math.pi, math.pi)), pairs(0))])
             psi0 = np.zeros(n, dtype=np.complex128)
             psi0[0] = np.exp(1j * rng.uniform(-math.pi, math.pi))
-            [(_, c0, rows)], _ = u.factors[0]._window(0, 1)
+            f, support = u.factors[0], ActiveSupport(psi0)  # its window is site 0 alone
+            cut = support._cut(f.reflection, *support._grown(f, 0))
+            [(_, c0, rows)], _ = cut
             assert not any(c.any() for _, c in rows)  # scaled by c0 alone
-            assert c0[0] == cmath.exp(-1j * u.factors[0].theta)  # alpha
-            one = operators._mix(psi0, *u.factors[0]._window(0, 1), u.factors[0]._beta,
-                                 np.zeros(n, dtype=np.complex128))
-            assert np.array_equal(one, u.factors[0].apply(psi0))
+            assert c0[0] == cmath.exp(-1j * f.theta)  # alpha
+            one = operators._mix(psi0, *cut, f._beta, np.zeros(n, dtype=np.complex128))
+            assert np.array_equal(one, f.apply(psi0))
             support = ActiveSupport(psi0)
             active = full = psi0
             for _ in range(3):
@@ -522,7 +531,8 @@ class TestActiveSupport:
         # each factor spreads by a site on each side: a step widens the window by
         # four, and the window runs up to LEAD_STEPS steps ahead of the state.  Round
         # site 0 the window holds sites n - 1 and 0; round the antipode it stays apart
-        # from them; either way each factor compiles fewer than n sites
+        # from them; either way each factor's store holds at most three times the
+        # window's sites, fewer than n
         n, steps = 2 ** 15, 500
         u = line(n)
         psi = superposition_state(n, [(sites[0] % n, 0.6), (sites[1], 0.8j)]).amplitudes
@@ -533,7 +543,7 @@ class TestActiveSupport:
             psi = u.step_array(psi, support)
             assert support.window[1] - support.window[0] <= width + 4 * (t + LEAD_STEPS - 1)
         assert (support.window[0] < 0) == (sites[0] < 0)
-        assert max(stored(u)) < n
+        assert max(stored(support)) <= 3 * (support.window[1] - support.window[0]) < n
 
     def test_steps_between_compile_runs_allocate_nothing_per_site(self):
         # a 40 000-site line from site 0: once the window is over 1000 sites wide, the
@@ -546,8 +556,8 @@ class TestActiveSupport:
         support = ActiveSupport(psi)
         while support.window[1] - support.window[0] < 1000:
             psi = u.step_array(psi, support)
-        for _ in range(10):  # compile runs double a store, so most batches compile nothing
-            compiled, window = stored(u), support.window
+        for _ in range(10):  # a store grows to three window widths: most batches compile nothing
+            compiled, window = stored(support), support.window
             tracemalloc.start()
             try:
                 for _ in range(LEAD_STEPS):  # one flush among them
@@ -555,9 +565,9 @@ class TestActiveSupport:
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            if stored(u) == compiled:
+            if stored(support) == compiled:
                 break
-        assert stored(u) == compiled and window[0] < 0
+        assert stored(support) == compiled and window[0] < 0
         assert support.window == (window[0] - 2 * LEAD_STEPS, window[1] + 2 * LEAD_STEPS)
         assert peak < 4096
 
@@ -579,7 +589,7 @@ class TestActiveSupport:
         while support.window[1] < n // 2 + 1000:
             psi = u.step_array(psi, support)
         for _ in range(10):
-            compiled, (lo, hi) = stored(u), support.window
+            compiled, (lo, hi) = stored(support), support.window
             tracemalloc.start()
             try:
                 for _ in range(LEAD_STEPS):
@@ -587,16 +597,17 @@ class TestActiveSupport:
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            if stored(u) == compiled:
+            if stored(support) == compiled:
                 break
-        assert stored(u) == compiled and support.window == (lo - 80, hi + 80) and lo > 0
+        assert stored(support) == compiled and support.window == (lo - 80, hi + 80) and lo > 0
         assert peak < 4096
 
     def test_full_path_run_keeps_its_buffers_and_work_arrays_only(self):
         # a dense start on a 60 000-site ring cut into 6-site polygons: every step runs
-        # on every site with the rank-1 update and the flush; the support's two buffers
-        # and two work arrays are 4 state sizes, and the start's nonzero sites half of
-        # one.  The factors' stores are compiled first
+        # on every site with the rank-1 update and the flush.  The support (two buffers
+        # and two work arrays, 4 state sizes) and its first window, with each factor's
+        # store of every site (one state size each), are made first: the steps then
+        # allocate views and scalars only, 0.006 state sizes measured
         n = 60_000
 
         def blocks(first):
@@ -605,18 +616,17 @@ class TestActiveSupport:
                                                     np.arange(0, n, 6))
         u = compose([(0.6, blocks(0)), (0.6, blocks(3))])
         psi = random_state_array(np.random.default_rng(3), n)
-        for f in u.factors:
-            f._window(0, n)
+        support = ActiveSupport(psi)
+        support.ahead(u.factors)
         tracemalloc.start()
         try:
-            support = ActiveSupport(psi)
             for _ in range(2 * LEAD_STEPS + 4):
                 psi = u.step_array(psi, support)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert support.window == (0, n)
-        assert peak < 5 * 16 * n
+        assert support.window == (0, n) and stored(support) == [n, n]
+        assert peak < 16 * n // 10
 
     def test_long_sparse_walk_keeps_few_subnormal_parts(self):
         # with phi0 = phi1 = 0 the tail ahead of the front decays through the subnormal
@@ -693,7 +703,9 @@ class TestStencilCap:
         starts = np.concatenate([[0], np.arange(d, n)])
         h = OrthogonalReflection.from_arrays(n, vertices, amps, starts)
         u = LocalUnitary(theta, h)
-        held = [h._partners, *(a for block in h._big for a in block), *u._grown(0, n)[1]]
+        support = ActiveSupport(np.ones(n, dtype=np.complex128))  # every site
+        support.ahead([u])
+        held = [h._partners, *(a for block in h._big for a in block), *support.stores[0][1:]]
         assert sum({id(a): a.size for a in held}.values()) <= 2 * n + 3 * d
 
         # |s> inside the polygon maps to e^{-i theta} |s> + 2i sin(theta) conj(a_s) |a>
@@ -707,7 +719,7 @@ class TestStencilCap:
 
 
 class TestLazyRows:
-    """A factor compiles its stencil entries in runs, as windows need them."""
+    """An evolution compiles each factor's stencil entries in runs, as its window needs them."""
 
     def test_sparse_run_compiles_no_full_rows(self):
         # 32 steps from sites 0 and n - 1 of a 2^16-site line reach about 130 sites:
@@ -716,8 +728,11 @@ class TestLazyRows:
         n = 2 ** 16
         u = line(n, 0.6, 1.1, 0.7, 0.3, 0.9)
         start = superposition_state(n, [(0, 0.6), (n - 1, 0.8j)])
-        got = evolve_final(u, start, 32).amplitudes
-        assert max(stored(u)) < n // 2
+        support, got = ActiveSupport(start.amplitudes), start.amplitudes
+        for _ in range(32):
+            got = u.step_array(got, support)
+        assert max(stored(support)) < n // 2
+        assert np.array_equal(got, evolve_final(u, start, 32).amplitudes)
         psi = start.amplitudes
         for _ in range(32):
             psi = u.step_array(psi)
@@ -735,7 +750,8 @@ class TestLazyRows:
             coefficients = np.empty(h._partners.shape, dtype=np.complex128)
             for lo, hi in zip(bounds, bounds[1:]):
                 h._entries(lo, hi, f._alpha, f._beta, c0[lo:hi], coefficients[:, lo:hi])
-            _, whole = f._grown(0, n)
+            whole = np.empty_like(c0), np.empty_like(coefficients)
+            h._entries(0, n, f._alpha, f._beta, *whole)
             assert c0.tobytes() == whole[0].tobytes()
             assert coefficients.tobytes() == whole[1].tobytes()
 
@@ -747,10 +763,10 @@ class TestLazyRows:
         u, _, _ = walk
         n = u.dimension
         lo, hi = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
-        window = _interval(lo, hi + 1, n)
+        window = widened((lo - n if lo > hi else lo, hi + 1), 0, n)
         for f in u.factors:
             h = f.reflection
-            reach = inside(_interval(window[0] - h._spread, window[1] + h._spread, n), n)
+            reach = inside(widened(window, h._spread, n), n)
             polygon = np.repeat(np.arange(len(h.starts)),
                                 np.diff(np.append(h.starts, len(h.vertices))))
             met = np.zeros(len(h.starts), dtype=bool)
@@ -773,54 +789,94 @@ class TestLazyRows:
 
     @staticmethod
     def assert_window_entries(f, windows):
-        """After each window (`operators._interval`) in turn, each of its runs reads the
-        entries of its own sites from the store, as one compile of every site holds them."""
+        """For each window in turn (`ActiveSupport.window`, one frame, each holding the
+        last), the factor's store grown to hold it reads, in each run of the window,
+        the entries of the run's sites as one compile of every site holds them.
+        Returns the sites of the last store."""
         n = f.dimension
         c0 = np.empty(n, dtype=np.complex128)
         coefficients = np.empty(f.reflection._partners.shape, dtype=np.complex128)
         f.reflection._entries(0, n, f._alpha, f._beta, c0, coefficients)
-        for window in windows:
-            segments, _ = f._window(*window)
-            assert sum(len(c) for _, c, _ in segments) == inside(window, n).sum()
+        support = ActiveSupport(basis_state(n, 0).amplitudes)
+        store = (windows[0][0],)
+        for support.window in windows:
+            store = support._grown(f, *store)
+            segments, _ = support._cut(f.reflection, *store)
+            assert sum(len(c) for _, c, _ in segments) == inside(support.window, n).sum()
             for s, c, rows in segments:
                 assert c.tobytes() == c0[s:s + len(c)].tobytes()
                 assert [c.tobytes() for _, c in rows] == [
                     row[s:s + len(c)].tobytes() for row in coefficients]
+        return len(store[1])
 
     @settings(max_examples=40, deadline=None)
     @given(walk=sparse_walks(), data=st.data())
     def test_window_entries_equal_one_compile(self, walk, data):
+        # a window anywhere in its frame, widened on either side by random steps
         u, _, _ = walk
         n = u.dimension
+        lo = data.draw(st.integers(-n + 1, n - 1))
+        windows = [(lo, lo + data.draw(st.integers(1, n - 1)))]
+        for left, right in data.draw(st.lists(st.tuples(st.integers(0, n), st.integers(0, n)),
+                                              max_size=4)):
+            lo, hi = windows[-1]
+            windows.append(widened((lo - left, hi + right), 0, n))
         for f in u.factors:
-            self.assert_window_entries(f, [
-                _interval(lo, lo + data.draw(st.integers(1, n)), n)
-                for lo in data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4))])
+            self.assert_window_entries(f, windows)
 
     def test_store_follows_the_window_round_the_ring(self):
-        # on a 1000-site line: a window near the end of the site order, the same sites
-        # grown past site 0 (so written with lo < 0), and one beyond site 0 that the
-        # store grows round the ring to take in; no store holds every site
+        # on a 1000-site line: a window near the end of the site order, then the same
+        # window grown past site 0 (unwrapped sites 1000 and up, sites 0 and up), which
+        # the store grows round the ring to take in without holding every site; then
+        # every site, which the store takes in site order
         f = line(1000).factors[0]
-        self.assert_window_entries(f, [(900, 950), (-110, 20), (-150, 60), (300, 310)])
-        assert len(f._rows[1][0]) < 1000
+        windows = [(900, 950), (890, 1010)]
+        assert self.assert_window_entries(f, windows) == 3 * 120
+        assert self.assert_window_entries(f, [*windows, (0, 1000)]) == 1000
 
     def test_saturated_run_compiles_each_factor_once(self, monkeypatch):
-        # a 400-site line from one site: each factor compiles the entries of each site
-        # at most twice, in stores round the window and then in the store of every
-        # site, and a second walk reuses them
+        # 150 steps on a 400-site line from one site: the window soon holds every site,
+        # and each factor compiles the entries of each site exactly once, in stores
+        # round the window and then in the store of every site
         compiled = []
         entries = OrthogonalReflection._entries
         monkeypatch.setattr(OrthogonalReflection, "_entries",
-                            lambda h, lo, hi, *rest: compiled.append((id(h), hi - lo))
+                            lambda h, lo, hi, *rest: compiled.append((id(h), lo, hi))
                             or entries(h, lo, hi, *rest))
         u = line(400, 0.6, 0.7, 1.1, 0.3, 0.9)
-        evolve_final(u, basis_state(400, 5), 60)
+        evolve_final(u, basis_state(400, 5), 150)
         for f in u.factors:
-            assert 400 <= sum(k for h, k in compiled if h == id(f.reflection)) <= 800
-        count = len(compiled)
-        evolve_final(u, basis_state(400, 7), 60)
-        assert len(compiled) == count
+            sites = np.concatenate([np.arange(lo, hi) for h, lo, hi in compiled
+                                    if h == id(f.reflection)])
+            assert np.array_equal(np.sort(sites), np.arange(400))
+
+    @settings(max_examples=200, deadline=None)
+    @given(walk=sparse_walks())
+    def test_one_evolution_compiles_each_site_once_per_factor(self, walk):
+        # no factor's compile covers a site twice in one evolution, also when a store
+        # grows to every site, and each store holds the sites compiled for it: at most
+        # three times the window's sites, or every site
+        u, psi0, steps = walk
+        n = u.dimension
+        counts = {id(f.reflection): np.zeros(n, dtype=np.int64) for f in u.factors}
+        entries = OrthogonalReflection._entries
+
+        def counted(h, lo, hi, *rest):
+            counts[id(h)][lo:hi] += 1
+            return entries(h, lo, hi, *rest)
+        support, psi, sizes = ActiveSupport(psi0), psi0, [[0] * len(u.factors)]
+        with mock.patch.object(OrthogonalReflection, "_entries", counted):
+            for _ in range(steps):
+                psi = u.step_array(psi, support)
+                width = support.window[1] - support.window[0]
+                sizes.append(stored(support))
+                assert all(size <= 3 * width or size == n for size in sizes[-1])
+        assert max(c.max() for c in counts.values()) == 1
+        assert sizes[-1] == [counts[id(f.reflection)].sum() for f in u.factors]
+        event("a partial store grew to every site" if any(
+            0 < a < n == b for old, new in zip(sizes, sizes[1:]) for a, b in zip(old, new))
+            else "a store held every site from the first step" if n in sizes[1]
+            else "every store stayed partial")
 
 
 class TestConstructionMemory:
@@ -829,8 +885,9 @@ class TestConstructionMemory:
     def test_peak_is_linear_in_the_ring_size(self):
         # kept: the ring's edge codes (8 B per site), both tessellations (52 B), and
         # both factors' partner rows (16 B) and site slots (8 B), 84 B in all (5.25
-        # state sizes); the stencil entries wait for an evolution's window.  At the peak,
-        # construction's temporaries more: 7.1 state sizes measured at both sizes
+        # state sizes); the stencil entries wait for an evolution, which keeps its own.
+        # At the peak, construction's temporaries more: 7.1 state sizes measured at
+        # both sizes
         for n in (2 ** 14, 2 ** 16):
             tracemalloc.start()
             try:
@@ -840,4 +897,5 @@ class TestConstructionMemory:
             finally:
                 tracemalloc.stop()
             assert len(factors) == 2 and peak < 7.5 * (16 * n)
-            assert [f._rows[1][0].size for f in factors] == [0, 0]
+            assert [sorted(vars(f)) for f in factors] == [["_alpha", "_beta", "reflection",
+                                                           "theta"]] * 2

@@ -16,7 +16,10 @@ library form of that document: the sha256 of
 file, in the output-file column.  Last, with seed "-", two fixed line cases:
 `sparse-line`, a 1500-step `simulate` from the origin of a 2^16-site ring with
 phi0 = phi1 = 0, whose front decays through the subnormal range, and
-`ring-4002`, `simulate` and `analytic` on a 4002-site ring, whose half is odd.
+`ring-4002`, `simulate` and `analytic` on a 4002-site ring, whose half is odd;
+and `big-polygons`, a graph `simulate` from site 1 of a chain of 6-site cliques,
+the second tessellation's shifted by 3, so that every polygon takes the rank-1
+update and each step cuts those rows to a partial window round site 0.
 Compare two trees by running the script once on each and diffing the lines:
 
     python3 tools/output_hashes.py --tree OLD 1 2 > old.txt
@@ -30,6 +33,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import sys
 import tempfile
@@ -37,6 +41,7 @@ from pathlib import Path
 
 GRID = 48
 LINE = ("--theta", "pi/4", "--alpha", "pi/3", "--beta", "pi/3")
+CLIQUE, CLIQUES = 6, 1000
 
 
 def sha256(data: bytes) -> str:
@@ -68,6 +73,22 @@ def line_calls(tmp: Path) -> dict[str, list[tuple[list[str], Path]]]:
                               "--out", str(sparse)], sparse)],
             "ring-4002": [(["simulate", *odd_half, "--out", str(ring)], ring),
                           (["analytic", *odd_half, "--out", str(analytic)], analytic)]}
+
+
+def big_polygon_calls(tmp: Path) -> list[tuple[list[str], Path]]:
+    """The (argv, output file) of a 100-step graph `simulate` from site 1 of a chain of
+    CLIQUES cliques of CLIQUE sites, tiled once from site 0 and once from site 3 (with
+    singletons at both ends)."""
+    n, shift = CLIQUE * CLIQUES, CLIQUE // 2
+    tessellations = [[list(range(s, s + CLIQUE)) for s in range(first, n - CLIQUE + 1, CLIQUE)]
+                     for first in (0, shift)]
+    tessellations[1] += [[v] for v in [*range(shift), *range(n - shift, n)]]
+    edges = [list(e) for t in tessellations for p in t for e in itertools.combinations(p, 2)]
+    graph, dist = tmp / "cliques.json", tmp / "cliques.tsv"
+    graph.write_text(json.dumps({"vertices": n, "edges": edges, "tessellations": [
+        {"polygons": [{"vertices": p} for p in t]} for t in tessellations]}))
+    return [(["simulate", "--model", "graph", "--graph", str(graph), "--theta", "pi/3",
+              "--steps", "100", "--init", "basis:1", "--out", str(dist)], dist)]
 
 
 def main(argv=None) -> int:
@@ -107,6 +128,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         for case, calls in line_calls(Path(tmp)).items():
             run("-", case, calls)
+        run("-", "big-polygons", big_polygon_calls(Path(tmp)))
     print("\n".join(lines))
     return 0
 
