@@ -22,11 +22,11 @@ import numpy as np
 from . import line_analytic
 from .coined import certify_equivalence, coined_walk_from_descriptor
 from .errors import OutOfRangeVertex, WalkError
-from .graphs import _line_polygons, _uncovered_edges, document_texts, from_document, \
-    validate_tessellation
+from .graphs import _check_line, _line_polygons, _uncovered_edges, document_texts, \
+    from_document, validate_tessellation
 from .operators import OrthogonalReflection, compose, reflection_from_tessellation
-from .simulation import WalkState, WrapGuard, distribution, distribution_to_tsv, \
-    evolve_final, moments, ring_labels, superposition_state
+from .simulation import ProbabilityDistribution, WalkState, WrapGuard, _written_rows, \
+    distribution, distribution_to_tsv, evolve_final, moments, superposition_state
 
 _ANGLE_RE = re.compile(
     r"^\s*([+-]?)\s*(\d+(?:\.\d*)?|\.\d+)?\s*\*?\s*pi\s*(?:/\s*(\d+(?:\.\d*)?))?\s*$",
@@ -113,12 +113,9 @@ def _load_coin(spec: str) -> dict:
         return json.load(fh)
 
 
-def _parse_init(spec, dimension: int, to_index):
-    """Initial state from "basis:<i>", "superpos:i,j,...", or [[pos,re,im],...].
-
-    Returns the WalkState plus the raw (position, amplitude) entries, which
-    the analytic command reuses as line coordinates.
-    """
+def _parse_init(spec) -> list[tuple[int, complex]]:
+    """The (position, amplitude) entries of an initial state written as "basis:<i>",
+    "superpos:i,j,...", or [[pos,re,im],...]."""
     kind, _, rest = spec.partition(":") if isinstance(spec, str) else ("", "", "")
     if kind == "basis":
         entries = [(int(rest), 1.0 + 0j)]
@@ -130,7 +127,7 @@ def _parse_init(spec, dimension: int, to_index):
         entries = [(pos, complex(re, im)) for pos, re, im in spec]
     else:
         raise ValueError(f"cannot parse initial state {spec!r}")
-    return superposition_state(dimension, [(to_index(pos), amp) for pos, amp in entries]), entries
+    return entries
 
 
 def _is_init_entry(entry) -> bool:
@@ -154,12 +151,35 @@ def _require_thetas(cfg: RunConfig) -> None:
         raise ValueError("set --theta, or both --theta0 and --theta1")
 
 
+def _line_ring(n: int, sources, steps: int) -> tuple[int, int, int]:
+    """(p0, m, seam): the ring a line walk from `sources` runs on, for its n-site ring.
+
+    Site i holds position p0 + i, and p0 is even, so that site parity is position
+    parity and `_line_polygons(m, ...)` pairs the line's sites.  When the light cone
+    (`line_analytic._light_cone`) misses the n-ring's antipode, m is the smallest even
+    ring that holds the cone with one site to spare at the seam between sites m - 1
+    and 0: the walk never reaches that site, the seam site, and the ring reproduces
+    the line.  Otherwise m = n, and the seam site is the antipode.  Either way a window
+    round the sources is one run of sites.
+    """
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps}")
+    first, last = line_analytic._light_cone(sources, steps)
+    if first <= -(n // 2) or last >= n // 2:  # the cone reaches the antipode
+        first, last = 1 - n // 2, n // 2 - 1
+    p0 = first - first % 2
+    m = (last - first + 3) // 2 * 2
+    return p0, m, 0 if p0 < first else m - 1
+
+
 def _run(cfg: RunConfig):
     """Evolve the configured walk: (position labels, initial (position, amplitude)
     entries, final state).  Reflection i takes theta0 if i is even, else theta1.
 
-    The line model runs on a ring labelled -n/2 .. n/2 - 1, n = 4 (steps + 1) + 8 by
-    default, and fails once its front reaches the antipode.  Its two reflections are
+    The line model stands for the line with a ring labelled -n/2 .. n/2 - 1,
+    n = 4 (steps + 1) + 8 by default, and fails once its front reaches the antipode.
+    It runs on the consecutive positions of `_line_ring`, only as many as the walk's
+    light cone needs, and `WrapGuard` watches their seam site.  Its two reflections are
     compiled from the pairs of `line_tessellations` with no graph: their range and
     overlap are checked, and the ring's cliques and coverage hold by construction.
     The graph model reads cfg.graph, validates each tessellation against its graph,
@@ -167,15 +187,18 @@ def _run(cfg: RunConfig):
     """
     if cfg.model == "line":
         n = cfg.ring_size if cfg.ring_size is not None else 4 * (cfg.steps + 1) + 8
-        reflections = [OrthogonalReflection.from_arrays(n, *p)
-                       for p in _line_polygons(n, cfg.alpha, cfg.beta, cfg.phi0, cfg.phi1)]
-        label, observers = ring_labels, [WrapGuard(n)]
-
-        def site(pos: int) -> int:
-            # the ring's labels only; any other position would wrap silently
+        _check_line(n, cfg.alpha, cfg.beta)
+        entries = _parse_init(cfg.init)
+        for pos, _ in entries:  # the n-ring's labels only; any other position would wrap
             if not -(n // 2) <= pos < n // 2:
                 raise OutOfRangeVertex(pos, n)
-            return pos % n
+        p0, m, seam = _line_ring(n, [pos for pos, _ in entries], cfg.steps)
+        reflections = [OrthogonalReflection.from_arrays(m, *p)
+                       for p in _line_polygons(m, cfg.alpha, cfg.beta, cfg.phi0, cfg.phi1)]
+        observers, site = [WrapGuard(seam)], lambda pos: (pos - p0) % m
+
+        def labels():  # each site's label on the n-ring
+            return (np.arange(p0 + n // 2, p0 + n // 2 + m) % n) - n // 2
     elif cfg.model == "graph":
         if not cfg.graph:
             raise ValueError("graph model needs --graph FILE")
@@ -184,21 +207,31 @@ def _run(cfg: RunConfig):
                            for t in from_document(json.load(fh))[1]]
         if len(reflections) < 1:
             raise ValueError("graph file carries no tessellations")
-        n = reflections[0].dimension
-        label, observers, site = np.arange, [], lambda pos: pos
+        m = reflections[0].dimension
+        entries = _parse_init(cfg.init)
+        observers, site, labels = [], lambda pos: pos, lambda: np.arange(m)
     else:
         raise ValueError(f"unknown model {cfg.model!r} for simulate")
     op = compose(zip([cfg.theta0, cfg.theta1] * len(reflections), reflections))
-    psi0, entries = _parse_init(cfg.init, n, site)
+    psi0 = superposition_state(m, [(site(pos), amp) for pos, amp in entries])
     final = evolve_final(op, psi0, cfg.steps, observers)
-    del op, psi0, reflections  # freed before the n labels are made, as the peak comes later
-    return label(n), entries, final
+    del op, psi0, reflections  # freed before the labels are made, as the peak comes later
+    return labels(), entries, final
+
+
+def _written(labels, probabilities, *columns):
+    """The distribution and the columns cut to the rows `distribution_to_tsv` writes,
+    in its order: so the sums printed add the numbers the TSV holds, in label order,
+    whatever the ring's numbering and size."""
+    rows = _written_rows(labels, [probabilities, *columns])
+    return (ProbabilityDistribution._own(probabilities[rows], labels[rows]),
+            *(col[rows] for col in columns))
 
 
 def cmd_simulate(cfg: RunConfig) -> int:
     _require_thetas(cfg)
     labels, _, final = _run(cfg)
-    dist = distribution(final, labels)
+    dist = _written(labels, distribution(final, labels).probabilities)[0]
     _write(cfg.out, distribution_to_tsv(dist))
     summary = moments(dist, step=cfg.steps)
     print(f"total_probability\t{float(dist.probabilities.sum()):.17g}")
@@ -216,9 +249,10 @@ def cmd_analytic(cfg: RunConfig) -> int:
     labels, entries, final = _run(cfg)
     analytic = line_analytic.wavefunction(params, cfg.steps, positions=labels, initial=entries)
     simulated = final.amplitudes
-    deviation = np.abs(analytic - simulated)
-    dist = distribution(WalkState._own(analytic, None), labels)  # wavefunction checked it
-    sim_prob = np.abs(simulated) ** 2
+    # wavefunction checked the analytic state's norm
+    probabilities = distribution(WalkState._own(analytic, None), labels).probabilities
+    dist, sim_prob, deviation = _written(labels, probabilities, np.abs(simulated) ** 2,
+                                         np.abs(analytic - simulated))
     text = distribution_to_tsv(dist, extra_columns=[("probability_sim", sim_prob),
                                                     ("deviation", deviation)])
     _write(cfg.out, text)

@@ -420,12 +420,19 @@ def _check_line_angles(alpha: float, beta: float) -> None:
             raise DegenerateAngle(name, angle)
 
 
-def _line_polygons(ring_size: int, alpha: float, beta: float, phi0: float, phi1: float):
-    """The flat (vertices, amplitudes, starts) of the two `line_tessellations`; the ring
-    size and angles are checked here, the polygon rules by the constructor they go to."""
+def _check_line(ring_size: int, alpha: float, beta: float) -> None:
+    """The line's rules for its ring and angles: an even ring of at least 4 sites, and
+    `_check_line_angles`."""
     if ring_size < 4 or ring_size % 2 != 0:
         raise OddRingSize(ring_size)
     _check_line_angles(alpha, beta)
+
+
+def _line_polygons(ring_size: int, alpha: float, beta: float, phi0: float, phi1: float):
+    """The flat (vertices, amplitudes, starts) of the two `line_tessellations`; the ring
+    size and angles are checked here (`_check_line`), the polygon rules by the
+    constructor they go to."""
+    _check_line(ring_size, alpha, beta)
     a_even = complex(math.cos(alpha / 2))
     a_odd = complex(math.cos(phi0), math.sin(phi0)) * math.sin(alpha / 2)
     b_odd = complex(math.cos(beta / 2))

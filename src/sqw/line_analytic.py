@@ -164,6 +164,13 @@ def _transform(even, odd, positions, length: int):
     return (2.0 / length) * spectra[positions % 2, positions % length]
 
 
+def _light_cone(sources, t: int) -> tuple[int, int]:
+    """The first and last position of the light cone [min s - 2t - 1, max s + 2t + 1]
+    of the sources s after t >= 0 steps: every factor moves amplitude by at most one
+    site, so the walk lies inside it, with at least one empty site at each end."""
+    return min(sources) - 2 * t - 1, max(sources) + 2 * t + 1
+
+
 def wavefunction(p: LineParams, t: int, positions=None, *,
                  initial=((0, 1.0),), ring_size: int | None = None) -> np.ndarray:
     """Amplitudes after t steps from a localized initial state, by momentum sum.
@@ -187,7 +194,8 @@ def wavefunction(p: LineParams, t: int, positions=None, *,
     entries = summed_entries(initial)
     check_norm(np.array(list(entries.values()), dtype=np.complex128))
     if ring_size is None:
-        full = np.arange(min(entries) - 2 * t - 1, max(entries) + 2 * t + 2, dtype=np.int64)
+        first, last = _light_cone(entries, t)
+        full = np.arange(first, last + 1, dtype=np.int64)
         n = 1 << (len(full) - 1).bit_length()  # a power of two: no slow prime-length FFT
     else:
         if ring_size < 4 or ring_size % 2:

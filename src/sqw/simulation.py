@@ -160,11 +160,13 @@ def wrap_check(trajectory, guard_band: int, first_step: int = 0) -> None:
 
 
 class WrapGuard:
-    """Observer for `evolve_final` that fails a run on an n-site ring once its
-    front reaches the antipode: `wrap_check` with guard band 0, as one amplitude read."""
+    """Observer for `evolve_final` that fails a run once the probability at one site
+    exceeds WRAP_TOL, as one amplitude read: on an n-site ring in ring order, site n // 2
+    gives `wrap_check` with guard band 0, which fails a run once its front reaches the
+    antipode."""
 
-    def __init__(self, n: int):
-        self.site = n // 2
+    def __init__(self, site: int):
+        self.site = site
 
     def __call__(self, step: int, psi: np.ndarray) -> None:
         # a one-element array, as in wrap_check: numpy's array abs and ** 2 can
@@ -183,10 +185,16 @@ def distribution_to_tsv(d: ProbabilityDistribution, extra_columns=()) -> str:
     """
     labels = d.position_labels
     columns = [d.probabilities, *(np.asarray(col, dtype=np.float64) for _, col in extra_columns)]
-    rows = np.flatnonzero(np.any([col != 0.0 for col in columns], axis=0))
-    rows = rows[np.argsort(labels[rows], kind="stable")]
+    rows = _written_rows(labels, columns)
     return tsv_table(["position", "probability", *(name for name, _ in extra_columns)],
                      [labels[rows], *(col[rows] for col in columns)])
+
+
+def _written_rows(labels: np.ndarray, columns) -> np.ndarray:
+    """The rows `distribution_to_tsv` writes, in its order: those where some column is
+    nonzero, sorted by label."""
+    rows = np.flatnonzero(np.any([col != 0.0 for col in columns], axis=0))
+    return rows[np.argsort(labels[rows], kind="stable")]
 
 
 def tsv_table(header, columns) -> str:

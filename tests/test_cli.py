@@ -278,6 +278,39 @@ class TestRingLayout:
         event("wrapped" if wrapped else "completed")
 
 
+def cli_outputs(argv):
+    """(exit code, stdout, stderr, output file bytes or None) of one CLI call whose
+    argv ends in --out FILE."""
+    out = Path(argv[-1])
+    out.unlink(missing_ok=True)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    return code, stdout.getvalue(), stderr.getvalue(), out.read_bytes() if out.exists() else None
+
+
+class TestRingSizeIsABound:
+    """A line walk whose light cone misses the ring's antipode writes the same bytes
+    at every ring size: the CLI lays its ring out round the cone, and it prints sums
+    over the rows its TSV writes."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(config=line_runs(), command=st.sampled_from(["simulate", "analytic"]))
+    def test_same_bytes_at_every_ring_that_holds_the_cone(self, config, command):
+        sources, t = [p for p, _, _ in config["init"]], config["steps"]
+        first, last = min(sources) - 2 * t - 1, max(sources) + 2 * t + 1
+        smallest = 2 * (max(-first, last) + 1)  # the cone misses its antipode +-smallest/2
+        outputs = []
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "line.json"
+            for n in (smallest, 2 * smallest, 2 ** 20):
+                path.write_text(json.dumps(dict(config, ring_size=n)))
+                outputs.append(cli_outputs([command, "--config", str(path),
+                                            "--out", str(Path(tmp) / "out.tsv")]))
+        assert outputs[0][0] == 0
+        assert outputs[0] == outputs[1] == outputs[2]
+
+
 class TestSigmaSurface:
     def test_default_grid_center_zero(self, tmp_path):
         out = tmp_path / "surface.tsv"
@@ -661,6 +694,19 @@ class TestMalformedConfigs:
                      "--init", "superpos:0,100", "--out", str(tmp_path / "x.tsv")]) == 1
         one_error_line(capsys, "vertex 100 out of range")
 
+    @pytest.mark.parametrize("command", ["simulate", "analytic"])
+    @pytest.mark.parametrize("flags,field", [
+        (["--steps", "-1"], "steps must be >= 0, got -1"),
+        (["--steps", "3", "--init", "basis:524288"], "vertex 524288 out of range for 1048576"),
+    ], ids=["negative-steps", "init-past-the-labels"])
+    def test_line_checks_come_before_the_light_cone(self, tmp_path, capsys, command, flags,
+                                                    field):
+        # the ring laid out round the cone is smaller than --ring-size: an error names
+        # the steps and the ring the user gave
+        assert main([command, "--theta", "pi/4", "--ring-size", str(2 ** 20), *flags,
+                     "--out", str(tmp_path / "x.tsv")]) == 1
+        one_error_line(capsys, field)
+
 
 class TestValidate:
     def test_line_file_valid(self, tmp_path, capsys):
@@ -918,13 +964,11 @@ class TestMemoryBudget:
 
     @pytest.mark.parametrize("n", [2 ** 16, 2 ** 18])
     def test_line_simulate_peak_in_state_sizes(self, n, tmp_path, capsys):
-        # 32 steps from two sites keep a window of ~140 sites round site 0.  Kept through
-        # the loop: the reflections' polygon arrays (3.25 state sizes), partner rows and
-        # site slots (1.5), the start state, two buffers and two work arrays (5), and each
-        # factor's stencil entries, kept by the loop's support for at most three times the
-        # window's sites round site 0 (0.02 at n = 2^16), no row of n entries: 10.02 and
-        # 9.76 state sizes measured.  The line builds no graph and no tessellation; the output
-        # half (distribution, TSV and moments) peaks lower, after the loop
+        # 32 steps from two sites: a light cone of 134 sites, which misses the antipode,
+        # so the CLI builds a 136-site ring round it and nothing of n sites (see
+        # test_line_peak_in_cone_sites); the line builds no graph and no tessellation.
+        # 0.26 state sizes measured at n = 2^16 as a process's first call, which also
+        # builds the parser, and 0.012 at n = 2^18 after it
         tracemalloc.start()
         try:
             assert main(["simulate", "--theta", "pi/4", "--alpha", "pi/3", "--beta", "pi/3",
@@ -938,13 +982,32 @@ class TestMemoryBudget:
 
     @pytest.mark.parametrize("n", [2 ** 16, 2 ** 18])
     def test_line_analytic_peak_in_state_sizes(self, n, tmp_path):
-        # the walk of test_line_simulate_peak_in_state_sizes sets the peak in its loop;
-        # after it, the momentum sum (32 steps: 256 momenta) and the n-entry output
-        # columns hold less: 9.85 and 9.78 state sizes measured
+        # the walk of test_line_simulate_peak_in_state_sizes on its 136-site ring, then
+        # the momentum sum (32 steps: 256 momenta) and output columns of 136 entries:
+        # 0.18 state sizes measured at n = 2^16 as a process's first analytic call, which
+        # also fills numpy's FFT caches, and 0.012 at n = 2^18 after it
         peak = self.peak(["analytic", "--theta", "pi/4", "--alpha", "pi/3", "--beta", "pi/3",
                           "--steps", "32", "--ring-size", str(n), "--init", "superpos:-1,2",
                           "--out", str(tmp_path / "line.tsv")])
         assert peak < 12 * (16 * n)
+
+    @pytest.mark.parametrize("command", ["simulate", "analytic"])
+    @pytest.mark.parametrize("n", [2 ** 16, 2 ** 20])
+    def test_line_peak_in_cone_sites(self, command, n, tmp_path):
+        # --ring-size bounds the walk and no longer sets its work: 32 steps from sites -1
+        # and 2 reach a cone of 134 sites, [-66, 67], and the ring holds those and two
+        # more.  The peak, the call's own objects (argv, config, TSV text) and arrays of
+        # a few ring sizes, is the same at both n: ~23 cone sizes of 16 bytes measured.
+        # The first call builds the parser and numpy's FFT caches, which stay; so it runs
+        # once before the one measured
+        cone = 4 * 32 + 3 + 3
+        argv = [command, "--theta", "pi/4", "--alpha", "pi/3", "--beta", "pi/3", "--steps",
+                "32", "--ring-size", str(n), "--init", "superpos:-1,2",
+                "--out", str(tmp_path / "line.tsv")]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+            peak = self.peak(argv)
+        assert peak < 32 * (16 * cone)
 
     @pytest.mark.parametrize("count", [201, 402])
     def test_sigma_surface_peak_in_table_sizes(self, count, tmp_path):

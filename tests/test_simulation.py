@@ -150,7 +150,7 @@ class TestStreamingLoop:
 
         with pytest.raises(WavefrontWrapped) as stopped:
             evolve_final(u, basis_state(n, start), t,
-                         [Counted(n), lambda step, psi: plain.append(step)])
+                         [Counted(n // 2), lambda step, psi: plain.append(step)])
         assert stopped.value.step == full.value.step
         assert stopped.value.mass == full.value.mass
         assert guarded == list(range(full.value.step + 1))

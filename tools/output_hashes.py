@@ -6,18 +6,23 @@ For each seed and each workload of DIR/sqwbench/inputs.py (DIR defaults to
 the checkout that holds this script), writes the workload's inputs into a
 temporary directory, runs its CLI calls in this process through
 `sqw.cli.main` imported from DIR/src, and prints one line per call: seed,
-workload, call index, subcommand, exit code, the sha256 of its standard
-output and the sha256 of its output file ("-" if it has none).  Then, once
+workload, call index, subcommand, exit code, the sha256 of what it prints
+(standard output and standard error, in the order written) and the sha256 of
+its output file ("-" if it has none or wrote none).  Then, once
 and with seed "-", it does the same for `grid-48`: `embed` on the fixed
 48x48 grid with the Grover coin, then `validate` and a 64-step graph
 `simulate` on the document `embed` wrote, and prints one more line for the
 library form of that document: the sha256 of
 `json.dumps(to_document(*from_document(...)), indent=2)` read from `embed`'s
-file, in the output-file column.  Last, with seed "-", two fixed line cases:
+file, in the output-file column.  Last, with seed "-", four fixed line cases:
 `sparse-line`, a 1500-step `simulate` from the origin of a 2^16-site ring with
-phi0 = phi1 = 0, whose front decays through the subnormal range, and
+phi0 = phi1 = 0, whose front decays through the subnormal range;
 `ring-4002`, `simulate` and `analytic` on a 4002-site ring, whose half is odd;
-and `big-polygons`, a graph `simulate` from site 1 of a chain of 6-site cliques,
+`wide-ring`, `simulate` and `analytic` of 64 steps on a 2^20-site ring from
+sources near position 1000, whose light cone is a small part of the ring; and
+`antipode-start`, a `simulate` from 3 sites short of the antipode of a
+4096-site ring, which fails once its front reaches the antipode.  Then
+`big-polygons`, a graph `simulate` from site 1 of a chain of 6-site cliques,
 the second tessellation's shifted by 3, so that every polygon takes the rank-1
 update and each step cuts those rows to a partial window round site 0.
 Compare two trees by running the script once on each and diffing the lines:
@@ -65,14 +70,21 @@ def grid_calls(tmp: Path) -> list[tuple[list[str], Path | None]]:
 def line_calls(tmp: Path) -> dict[str, list[tuple[list[str], Path]]]:
     """The (argv, output file) of the fixed line cases, by case name."""
     sparse, ring, analytic = tmp / "sparse.tsv", tmp / "ring.tsv", tmp / "analytic.tsv"
+    wide, wide_analytic, wrapped = tmp / "wide.tsv", tmp / "wide-analytic.tsv", tmp / "wrap.tsv"
     init = ["--init", "superpos:-3,2"]
     odd_half = [*LINE, "--phi0", "0.3", "--phi1", "-0.7", "--steps", "990",
                 "--ring-size", "4002", *init]
+    far = [*LINE, "--phi0", "0.3", "--phi1", "-0.7", "--steps", "64",
+           "--ring-size", str(2 ** 20), "--init", "superpos:997,1000,1002"]
     return {"sparse-line": [(["simulate", *LINE, "--phi0", "0", "--phi1", "0", "--steps", "1500",
                               "--ring-size", str(2 ** 16), "--init", "basis:0",
                               "--out", str(sparse)], sparse)],
             "ring-4002": [(["simulate", *odd_half, "--out", str(ring)], ring),
-                          (["analytic", *odd_half, "--out", str(analytic)], analytic)]}
+                          (["analytic", *odd_half, "--out", str(analytic)], analytic)],
+            "wide-ring": [(["simulate", *far, "--out", str(wide)], wide),
+                          (["analytic", *far, "--out", str(wide_analytic)], wide_analytic)],
+            "antipode-start": [(["simulate", *LINE, "--steps", "20", "--ring-size", "4096",
+                                 "--init", "basis:2045", "--out", str(wrapped)], wrapped)]}
 
 
 def big_polygon_calls(tmp: Path) -> list[tuple[list[str], Path]]:
@@ -107,9 +119,10 @@ def main(argv=None) -> int:
     def run(seed, workload, calls):
         for i, (call, out_path) in enumerate(calls):
             out = io.StringIO()
-            with contextlib.redirect_stdout(out):
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
                 code = cli.main(list(call))
-            written = sha256(Path(out_path).read_bytes()) if out_path else "-"
+            written = sha256(Path(out_path).read_bytes()) \
+                if out_path and Path(out_path).exists() else "-"
             lines.append(f"{seed}\t{workload}\t{i}\t{call[0]}\t{code}\t"
                          f"{sha256(out.getvalue().encode())}\t{written}")
 
