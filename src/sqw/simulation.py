@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LabelMismatch, WavefrontWrapped
-from .operators import ActiveSupport, EvolutionOperator, _check_dim
+from .operators import ROW_RUN, ActiveSupport, EvolutionOperator, _check_dim
 from .state import WalkState, basis_state, superposition_state
 from .tolerances import MOMENT_SLACK, PROB_TOL, WRAP_TOL, drift_bound
 
@@ -169,6 +169,8 @@ class WrapGuard:
         self.site = site
 
     def __call__(self, step: int, psi: np.ndarray) -> None:
+        if psi[self.site] == 0:  # the seam outside the light cone: no mass to compute
+            return
         # a one-element array, as in wrap_check: numpy's array abs and ** 2 can
         # differ in the last bit from abs and ** 2 on a scalar
         mass = float((np.abs(psi[self.site:self.site + 1]) ** 2)[0])
@@ -201,11 +203,43 @@ def tsv_table(header, columns) -> str:
     """Tab-separated text: the header, then row i holds entry i of every column.
 
     Integer columns are written as integers, all others as %.17g, which
-    reads back to the same float bit for bit.
+    reads back to the same float bit for bit.  The rows are formatted
+    `operators.ROW_RUN` at a time, so no temporary outgrows a run of rows.  In
+    a run where a float64 column holds at most half as many distinct values
+    as rows (by bits: -0.0 is not 0.0), each distinct value is formatted once
+    and the texts are entered by %s (`_formatted_once`); a run with fewer
+    repeats is formatted value by value.  The bytes are the same either way.
     """
     columns = [np.asarray(col) for col in columns]
     if len({len(col) for col in columns}) > 1:
         raise ValueError("TSV columns differ in length")
-    row = "\t".join("%d" if col.dtype.kind in "iu" else "%.17g" for col in columns)
-    lines = map(row.__mod__, zip(*columns))  # no .tolist() copies: they raise peak memory
-    return "\n".join(["\t".join(header), *lines]) + "\n"
+    return "\n".join(["\t".join(header), *_tsv_rows(columns)]) + "\n"
+
+
+def _tsv_rows(columns):
+    """The row strings of `tsv_table`, one run of ROW_RUN rows at a time; a generator,
+    so a run's texts are freed before the rows are joined."""
+    for lo in range(0, len(columns[0]) if columns else 0, ROW_RUN):
+        run, formats = [col[lo:lo + ROW_RUN] for col in columns], []
+        for i, col in enumerate(run):
+            if col.dtype.kind in "iu":
+                formats.append("%d")
+                continue
+            texts = _formatted_once(col, "%.17g") if col.dtype == np.float64 else None
+            if texts is None:
+                formats.append("%.17g")
+            else:
+                run[i] = texts
+                formats.append("%s")
+        yield from map("\t".join(formats).__mod__, zip(*run))
+
+
+def _formatted_once(values: np.ndarray, fmt: str):
+    """`fmt % v` for each v of a float64 array, as an object array of texts, with each
+    distinct value formatted once; None when more than half the values are distinct, as
+    a text per value would then cost memory and save little.  Values are told apart by
+    their bits, so -0.0 and 0.0, and nans of different payloads, each get their own."""
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    if 2 * len(bits) > len(values):
+        return None
+    return np.array([fmt % v for v in bits.view(np.float64).tolist()], dtype=object)[inverse]

@@ -209,3 +209,11 @@ def reference_to_document(g, tessellations=()) -> dict:
         doc["tessellations"].append({"polygons": [
             {"vertices": verts[i:j], "amplitudes": amps[i:j]} for i, j in zip(bounds, bounds[1:])]})
     return doc
+
+
+def reference_tsv(header, columns) -> str:
+    """Oracle of `simulation.tsv_table`: every row through one %-template, %d for an
+    integer column and %.17g for any other, value by value."""
+    columns = [np.asarray(col) for col in columns]
+    row = "\t".join("%d" if col.dtype.kind in "iu" else "%.17g" for col in columns)
+    return "\n".join(["\t".join(header), *map(row.__mod__, zip(*columns))]) + "\n"

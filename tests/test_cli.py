@@ -20,8 +20,11 @@ from sqw import build_graph, cli, clique_expansion, compose, evolve_final, grove
 from sqw.cli import main, parse_angle
 from sqw.errors import WavefrontWrapped
 from sqw.graphs import document_texts
+from sqw.operators import ROW_RUN
+from sqw.simulation import tsv_table
 
-from conftest import SPECIAL_LABELS, SPECIAL_PARTS, grid_graph, reference_to_document
+from conftest import SPECIAL_LABELS, SPECIAL_PARTS, grid_graph, reference_to_document, \
+    reference_tsv
 
 PI = math.pi
 
@@ -962,51 +965,25 @@ class TestMemoryBudget:
         path.write_text(json.dumps(to_document(cw.expansion.expanded, cw.tessellations)))
         return cw.expansion.arc_count
 
-    @pytest.mark.parametrize("n", [2 ** 16, 2 ** 18])
-    def test_line_simulate_peak_in_state_sizes(self, n, tmp_path, capsys):
-        # 32 steps from two sites: a light cone of 134 sites, which misses the antipode,
-        # so the CLI builds a 136-site ring round it and nothing of n sites (see
-        # test_line_peak_in_cone_sites); the line builds no graph and no tessellation.
-        # 0.26 state sizes measured at n = 2^16 as a process's first call, which also
-        # builds the parser, and 0.012 at n = 2^18 after it
-        tracemalloc.start()
-        try:
-            assert main(["simulate", "--theta", "pi/4", "--alpha", "pi/3", "--beta", "pi/3",
-                         "--steps", "32", "--ring-size", str(n), "--init", "superpos:-1,2",
-                         "--out", str(tmp_path / "line.tsv")]) == 0
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert "total_probability" in capsys.readouterr().out
-        assert peak < 12 * (16 * n)
-
-    @pytest.mark.parametrize("n", [2 ** 16, 2 ** 18])
-    def test_line_analytic_peak_in_state_sizes(self, n, tmp_path):
-        # the walk of test_line_simulate_peak_in_state_sizes on its 136-site ring, then
-        # the momentum sum (32 steps: 256 momenta) and output columns of 136 entries:
-        # 0.18 state sizes measured at n = 2^16 as a process's first analytic call, which
-        # also fills numpy's FFT caches, and 0.012 at n = 2^18 after it
-        peak = self.peak(["analytic", "--theta", "pi/4", "--alpha", "pi/3", "--beta", "pi/3",
-                          "--steps", "32", "--ring-size", str(n), "--init", "superpos:-1,2",
-                          "--out", str(tmp_path / "line.tsv")])
-        assert peak < 12 * (16 * n)
-
     @pytest.mark.parametrize("command", ["simulate", "analytic"])
     @pytest.mark.parametrize("n", [2 ** 16, 2 ** 20])
     def test_line_peak_in_cone_sites(self, command, n, tmp_path):
         # --ring-size bounds the walk and no longer sets its work: 32 steps from sites -1
         # and 2 reach a cone of 134 sites, [-66, 67], and the ring holds those and two
-        # more.  The peak, the call's own objects (argv, config, TSV text) and arrays of
-        # a few ring sizes, is the same at both n: ~23 cone sizes of 16 bytes measured.
-        # The first call builds the parser and numpy's FFT caches, which stay; so it runs
-        # once before the one measured
+        # more, so nothing of n sites is built; the line builds no graph and no
+        # tessellation.  The peak, the call's own objects (argv, config, TSV text) and
+        # arrays of a few ring sizes, is the same at both n: ~23 cone sizes of 16 bytes
+        # measured.  The first call builds the parser and numpy's FFT caches, which
+        # stay; so it runs once before the one measured
         cone = 4 * 32 + 3 + 3
         argv = [command, "--theta", "pi/4", "--alpha", "pi/3", "--beta", "pi/3", "--steps",
                 "32", "--ring-size", str(n), "--init", "superpos:-1,2",
                 "--out", str(tmp_path / "line.tsv")]
-        with contextlib.redirect_stdout(io.StringIO()):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
             assert main(argv) == 0
             peak = self.peak(argv)
+        assert "total_probability" in out.getvalue()
         assert peak < 32 * (16 * cone)
 
     @pytest.mark.parametrize("count", [201, 402])
@@ -1017,6 +994,28 @@ class TestMemoryBudget:
         peak = self.peak(["sigma-surface", "--theta-count", str(count), "--alpha-count",
                           str(count), "--out", str(tmp_path / "surface.tsv")])
         assert peak < 27 * (8 * count ** 2)
+
+    def test_tsv_table_peak_no_higher_than_reference(self):
+        # 24 runs of ROW_RUN rows with no repeated value: every run is formatted value by
+        # value, and its temporaries are freed before the rows are joined, so the peak
+        # is the reference writer's, the row strings and the text (14.5 MB).  Each
+        # writer runs once untraced first: numpy fills caches of small buffers on a
+        # first call, which would count as the traced call's, and still replaces some
+        # of them on each call (0.2-1.1 KiB above the reference measured)
+        rng = np.random.default_rng(25)
+        rows = 24 * ROW_RUN
+        columns = [np.arange(rows), rng.random(rows), rng.standard_normal(rows)]
+        header = ("position", "probability", "deviation")
+        peaks = []
+        for writer in (reference_tsv, tsv_table):
+            writer(header, columns)
+            tracemalloc.start()
+            try:
+                writer(header, columns)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 4096
 
     @pytest.mark.parametrize("m", [24, 48])
     def test_embed_peak_in_arc_sizes(self, m, tmp_path):

@@ -23,11 +23,47 @@ from sqw import (
     wrap_check,
 )
 from sqw.errors import DimensionMismatch, LabelMismatch, NotNormalized, WavefrontWrapped
-from sqw.simulation import ProbabilityDistribution, WalkState, WrapGuard
+from sqw.operators import ROW_RUN
+from sqw.simulation import ProbabilityDistribution, WalkState, WrapGuard, tsv_table
 from sqw.state import check_norm
 from sqw.tolerances import NORM_TOL, drift_bound
 
-from conftest import random_state_array
+from conftest import random_state_array, reference_tsv
+
+
+# bit patterns a deduplicating writer could merge or misformat: both zeros, subnormals,
+# infinities, a nan and a sum that %.17g writes in full
+TSV_SPECIALS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, math.inf, -math.inf, math.nan, 0.1 + 0.2]
+
+
+@st.composite
+def tsv_columns(draw):
+    """Columns of one length, some at and across the writer's runs of ROW_RUN rows, each
+    a pool of values taken in a drawn stride: integer columns; float32 and float64
+    columns from a small pool of TSV_SPECIALS and drawn floats, so heavy repeats; and
+    float64 columns from TSV_SPECIALS and up to one more spread bit pattern per row,
+    so that a run holds more or fewer distinct values than half its rows, or none twice.
+    A column is built from a few drawn numbers, not one per row, so a failure shrinks
+    fast."""
+    rows = draw(st.sampled_from([0, 1, ROW_RUN - 1, ROW_RUN, ROW_RUN + 1, 2 * ROW_RUN + 1])
+                | st.integers(0, 40))
+    at = np.arange(rows, dtype=np.int64) * draw(st.integers(1, 7))
+    columns = []
+    for kind in draw(st.lists(st.sampled_from(["int64", "uint8", "float32", "float64", "bits"]),
+                              max_size=4)):
+        if kind in ("int64", "uint8"):
+            columns.append((at * draw(st.integers(-2 ** 62, 2 ** 62))).astype(kind))
+            continue
+        if kind == "bits":
+            spread = np.arange(draw(st.integers(1, max(rows, 1))), dtype=np.int64) \
+                * draw(st.integers(1, 2 ** 52)) + draw(st.integers(-2 ** 63, 2 ** 63 - 1))
+            pool = np.concatenate([TSV_SPECIALS, spread.view(np.float64)])
+        else:
+            pool = np.array(TSV_SPECIALS + draw(st.lists(
+                st.floats(width=32 if kind == "float32" else 64), min_size=1, max_size=6)),
+                dtype=kind)
+        columns.append(pool[at % len(pool)])
+    return columns
 
 
 def line_operator(n, theta, alpha=math.pi / 2, beta=math.pi / 2, phi0=0.0, phi1=0.0,
@@ -353,3 +389,10 @@ class TestLabelsAndTsv:
         d = ProbabilityDistribution(np.array([0.5, 0.0, 0.5, 0.0]), np.array([2, -1, 0, 1]))
         text = distribution_to_tsv(d, extra_columns=[("sim", np.array([0.25, 0.0, 0.75, 0.5]))])
         assert text == "position\tprobability\tsim\n0\t0.5\t0.75\n1\t0\t0.5\n2\t0.5\t0.25\n"
+
+    @settings(max_examples=60, deadline=None)
+    @given(tsv_columns())
+    def test_tsv_table_writes_the_reference_bytes(self, columns):
+        # each distinct value formatted once per run of ROW_RUN rows changes no byte
+        header = [f"c{i}" for i in range(len(columns))]
+        assert tsv_table(header, columns) == reference_tsv(header, columns)

@@ -25,6 +25,10 @@ sources near position 1000, whose light cone is a small part of the ring; and
 `big-polygons`, a graph `simulate` from site 1 of a chain of 6-site cliques,
 the second tessellation's shifted by 3, so that every polygon takes the rank-1
 update and each step cuts those rows to a partial window round site 0.
+Then `surface-grid`, a `sigma-surface` on a 90 x 70 grid that is not
+symmetric, theta in [pi/7, 3pi/4] and alpha from pi/9: its 6300 rows cross
+the TSV writer's run of `operators.ROW_RUN` rows, and its repeated values fall
+unevenly across the runs.
 Compare two trees by running the script once on each and diffing the lines:
 
     python3 tools/output_hashes.py --tree OLD 1 2 > old.txt
@@ -103,6 +107,14 @@ def big_polygon_calls(tmp: Path) -> list[tuple[list[str], Path]]:
               "--steps", "100", "--init", "basis:1", "--out", str(dist)], dist)]
 
 
+def surface_calls(tmp: Path) -> list[tuple[list[str], Path]]:
+    """The (argv, output file) of `sigma-surface` on a 90 x 70 grid."""
+    surface = tmp / "surface.tsv"
+    return [(["sigma-surface", "--theta-min", "pi/7", "--theta-max", "3pi/4", "--theta-count",
+              "90", "--alpha-min", "pi/9", "--alpha-count", "70", "--out", str(surface)],
+             surface)]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--tree", type=Path, default=Path(__file__).resolve().parent.parent,
@@ -142,6 +154,7 @@ def main(argv=None) -> int:
         for case, calls in line_calls(Path(tmp)).items():
             run("-", case, calls)
         run("-", "big-polygons", big_polygon_calls(Path(tmp)))
+        run("-", "surface-grid", surface_calls(Path(tmp)))
     print("\n".join(lines))
     return 0
 
