@@ -965,6 +965,31 @@ class TestMemoryBudget:
         path.write_text(json.dumps(to_document(cw.expansion.expanded, cw.tessellations)))
         return cw.expansion.arc_count
 
+    LINE_ARGV = ["--theta", "pi/4", "--alpha", "pi/3", "--beta", "pi/3", "--steps", "32",
+                 "--init", "superpos:-1,2"]
+
+    @pytest.mark.parametrize("n", [2 ** 16, 2 ** 18])
+    def test_line_simulate_peak_in_state_sizes(self, n, tmp_path, capsys):
+        # the walk of test_line_peak_in_cone_sites, measured with no call before it, so
+        # the peak may hold the parser's construction: 125 cone sizes of 16 bytes measured
+        # as a process's first call, at both n.  One n-site complex array is 489 cone
+        # sizes at n = 2^16, so a run that built one would fail
+        cone = 4 * 32 + 3 + 3
+        peak = self.peak(["simulate", *self.LINE_ARGV, "--ring-size", str(n),
+                          "--out", str(tmp_path / "line.tsv")])
+        assert "total_probability" in capsys.readouterr().out
+        assert peak < 160 * (16 * cone)
+
+    @pytest.mark.parametrize("n", [2 ** 16, 2 ** 18])
+    def test_line_analytic_peak_in_state_sizes(self, n, tmp_path):
+        # as test_line_simulate_peak_in_state_sizes, with the momentum sum (32 steps: 256
+        # momenta) and a first call's FFT caches: 191 cone sizes measured as a process's
+        # first call, at both n
+        cone = 4 * 32 + 3 + 3
+        peak = self.peak(["analytic", *self.LINE_ARGV, "--ring-size", str(n),
+                          "--out", str(tmp_path / "line.tsv")])
+        assert peak < 240 * (16 * cone)
+
     @pytest.mark.parametrize("command", ["simulate", "analytic"])
     @pytest.mark.parametrize("n", [2 ** 16, 2 ** 20])
     def test_line_peak_in_cone_sites(self, command, n, tmp_path):
