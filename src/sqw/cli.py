@@ -131,10 +131,16 @@ def _parse_init(spec) -> list[tuple[int, complex]]:
 
 
 def _is_init_entry(entry) -> bool:
-    """Whether entry is [position, re, im]: an integer and two real numbers, no bool."""
-    return (isinstance(entry, (list, tuple)) and len(entry) == 3
-            and isinstance(entry[0], numbers.Integral)
-            and all(isinstance(x, numbers.Real) and not isinstance(x, bool) for x in entry))
+    """Whether entry is [position, re, im]: an integer and two real numbers, no bool; an
+    exact int or float, as JSON gives, is told by its type before the slower ABC checks."""
+    if not (isinstance(entry, (list, tuple)) and len(entry) == 3):
+        return False
+    pos, real, imag = entry
+    return ((type(pos) is int or isinstance(pos, numbers.Integral) and not isinstance(pos, bool))
+            and (type(real) in (int, float)
+                 or isinstance(real, numbers.Real) and not isinstance(real, bool))
+            and (type(imag) in (int, float)
+                 or isinstance(imag, numbers.Real) and not isinstance(imag, bool)))
 
 
 def _write(path: str, *texts: str) -> None:

@@ -7,18 +7,18 @@ on a polygon of d sites a fixed d x d matrix.  A reflection keeps, for every
 site, the other sites of its polygon as partner rows (polygons above
 STENCIL_CAP sites take a rank-1 update instead).  A local unitary's stencil
 entries, a self coefficient per site and one coefficient per partner, are
-computed from the polygon amplitudes for the sites an evolution's window
-needs, grown in runs (`ActiveSupport`).  So a factor costs at most STENCIL_CAP
-terms per site, sum over polygons of min(d, STENCIL_CAP) d on equal sizes:
-O(|V| + |E|) for a graph's tessellation.  One walk step applies an ordered
-list of such local unitaries.
+computed from the polygon amplitudes for the sites a window needs, grown in runs
+(`ActiveSupport`).  So a factor costs at most STENCIL_CAP terms per site, sum over
+polygons of min(d, STENCIL_CAP) d on equal sizes: O(|V| + |E|) for a graph's
+tessellation.  One walk step applies an ordered list of such local unitaries.
 
-An evolution (`ActiveSupport`) updates only a window of the sites that its
-state can have reached: an interval of the sites read round the ring
-0, 1, ..., n - 1, 0, which each factor widens on each side by its spread,
-the largest distance round that ring between two sites of one of its
-polygons.  Where polygons join nearby sites, as on the line's ring, that
-window is the light cone of the start.
+Every step takes one path (`_step`): an evolution, or a single call of `apply`,
+`apply_exp`, `grover_phase_apply` or `step_array` through a support of its own,
+updates only a window of the sites its state can have reached: an interval of
+the sites read round the ring 0, 1, ..., n - 1, 0, which each factor widens on
+each side by its spread, the largest distance round that ring between two sites
+of one of its polygons.  Where polygons join nearby sites, as on the line's
+ring, that window is the light cone of the start.
 """
 
 from __future__ import annotations
@@ -174,40 +174,26 @@ class OrthogonalReflection(PolygonArrays):
                 if self._padded:
                     np.putmask(row, g == at, 0)  # padding names the site itself
 
-    def mix(self, psi: np.ndarray, alpha: complex, beta: complex) -> np.ndarray:
-        """alpha psi + beta P psi, P = sum_k |a_k><a_k|, on a raw array (1-D or columns).
-
-        Every function of H = 2P - I has this form: exp(i t H) = e^{-it} I + 2i sin(t) P.
-        Compiles the rows for (alpha, beta) on each call; an evolution keeps its own
-        (`ActiveSupport`).
-        """
-        alpha, beta = complex(alpha), complex(beta)
-        c0 = np.empty(self.dimension, dtype=np.complex128)
-        coefficients = np.empty(self._partners.shape, dtype=np.complex128)
-        self._entries(0, self.dimension, alpha, beta, c0, coefficients)
-        return _mix(psi, [(0, c0, tuple(zip(self._partners, coefficients)))],
-                    [block[:3] for block in self._big], beta)
-
     def apply(self, psi: np.ndarray) -> np.ndarray:
         """H psi = 2 sum_k <a_k|psi> |a_k> - psi on a raw array (1-D or columns)."""
-        return self.mix(psi, -1, 2)
+        return _step(psi, ((self, -1, 2),))
 
 
 @dataclass(frozen=True)
 class LocalUnitary:
     """exp(i theta H) = e^{-i theta} I + 2i sin(theta) P for a reflection H = 2P - I.
 
-    It keeps alpha = e^{-i theta} and beta = 2i sin(theta); theta never changes.
-    It holds no stencil entries: an evolution compiles them round its window
-    (`ActiveSupport`), and `apply` compiles them for every site on each call.
+    It keeps the term (H, alpha, beta) of alpha I + beta P, alpha = e^{-i theta} and
+    beta = 2i sin(theta), that a step takes (`_step`); theta never changes.  It holds
+    no stencil entries: a step compiles them round its window (`ActiveSupport`).
     """
 
     theta: float
     reflection: OrthogonalReflection
 
     def __post_init__(self):
-        object.__setattr__(self, "_alpha", cmath.exp(-1j * self.theta))
-        object.__setattr__(self, "_beta", 2j * math.sin(self.theta))
+        object.__setattr__(self, "_term", (self.reflection, cmath.exp(-1j * self.theta),
+                                           2j * math.sin(self.theta)))
 
     @property
     def dimension(self) -> int:
@@ -215,29 +201,25 @@ class LocalUnitary:
 
     def apply(self, psi: np.ndarray) -> np.ndarray:
         """exp(i theta H) psi on a raw array (1-D or columns), into a new array."""
-        return self.reflection.mix(psi, self._alpha, self._beta)
+        return _step(psi, (self._term,))
 
 
-def _mix(psi, segments, big, beta, out=None, work=None) -> np.ndarray:
+def _mix(psi, segments, big, beta, out, work) -> np.ndarray:
     """out[s:s + k] = c0 psi[s:s + k] + sum_j coefficients[j] psi[partners[j]] for each
     stencil segment (s, c0, ((partners[j], coefficients[j]), ...)) of k sites, then
     out += beta <a|psi> a on each polygon of the size blocks (grid, amplitudes, conj) in
     `big`.
 
     The rest of `out` is left as it is, but for the big polygons' sites.  Every
-    temporary is a view of `work`, two complex arrays shaped like psi (fresh ones if
-    not given), a segment's at its own sites: a (P, d) grid of disjoint polygons holds
-    d P <= n entries per column, and its overlaps 2 P <= n since d > STENCIL_CAP.
+    temporary is a view of `work`, two complex arrays shaped like psi, a segment's at
+    its own sites: a (P, d) grid of disjoint polygons holds d P <= n entries per
+    column, and its overlaps 2 P <= n since d > STENCIL_CAP.
     Every multiply writes to an array that is not one of its inputs: numpy 2.4.6
     rounds an in-place multiply of a one-element array without the fused
     multiply-add of its vector loop (Intel Xeon with AVX-512 and FMA), and a window
     may be one site wide.  So a site's entry rounds alike at any window width, bit
     for bit.
     """
-    if out is None:
-        out = np.empty(psi.shape, dtype=np.complex128)
-    if work is None:
-        work = [np.empty(psi.shape, dtype=np.complex128) for _ in range(2)]
     columns = psi.ndim > 1  # one row entry per site, for every column
     for s, c0, rows in segments:
         k = s + len(c0)
@@ -262,6 +244,25 @@ def _mix(psi, segments, big, beta, out=None, work=None) -> np.ndarray:
     return out
 
 
+def _step(psi: np.ndarray, terms, support: ActiveSupport | None = None) -> np.ndarray:
+    """One step of psi, a raw array (1-D or columns), through the terms (H, alpha, beta)
+    in order, each alpha I + beta P for H = 2P - I: the one step path.
+
+    It runs in the window of `support`, an evolution's, or of a fresh one made from
+    psi: every LEAD_STEPS steps of the support, `ActiveSupport.ahead` first widens
+    the window; each term then updates its sites into the support buffer that is not
+    its input, using the support's work arrays; then `ActiveSupport.flush` runs.
+    """
+    support = ActiveSupport(psi) if support is None else support
+    if support.steps % LEAD_STEPS == 0:
+        support.ahead(terms)
+    for (_, _, beta), (segments, big) in zip(terms, support.cuts):
+        psi = _mix(psi, segments, big, beta, support.buffers[psi is support.buffers[0]],
+                   support.work)
+    support.flush(psi)
+    return psi
+
+
 @dataclass(frozen=True)
 class EvolutionOperator:
     """Ordered product of local unitaries; the first factor acts first."""
@@ -274,60 +275,47 @@ class EvolutionOperator:
         dims = {f.dimension for f in self.factors}
         if len(dims) != 1:
             raise DimensionMismatch(self.factors[0].dimension, sorted(dims))
+        object.__setattr__(self, "_terms", tuple(f._term for f in self.factors))
 
     @property
     def dimension(self) -> int:
         return self.factors[0].dimension
 
     def step_array(self, psi: np.ndarray, support: ActiveSupport | None = None) -> np.ndarray:
-        """One step on a raw array, each factor writing a new array on every site.
-
-        Given `support`, made from the start state of a 1-D evolution, every LEAD_STEPS
-        steps the support's window first widens by the spread of the next LEAD_STEPS
-        steps (`ActiveSupport.ahead`); each factor then updates the window's sites
-        (its cut of the support's stencil entries) into the support buffer that is not
-        its input, using the support's work arrays; then `ActiveSupport.flush` runs.
-        """
-        if support is None:
-            for f in self.factors:
-                psi = f.apply(psi)
-            return psi
-        if support.steps % LEAD_STEPS == 0:
-            support.ahead(self.factors)
-        for f, (segments, big) in zip(self.factors, support.cuts):
-            psi = _mix(psi, segments, big, f._beta, support.buffers[psi is support.buffers[0]],
-                       support.work)
-        support.flush(psi)
-        return psi
+        """One step on a raw array (1-D or columns), into a new array (`_step`): through
+        the `support` an evolution made from its start state, or a fresh one."""
+        return _step(psi, self._terms, support)
 
 
 class ActiveSupport:
-    """Two zeroed state buffers, two work arrays, the window of one 1-D evolution and
-    each factor's stencil entries for it.
+    """Two zeroed state buffers, two work arrays, the window of one evolution (1-D or
+    a column block) and each term's stencil entries for it.
 
     The window (lo, hi) is the unwrapped sites lo <= u < hi, the sites u mod n, in
     one frame for the whole run; every site is (0, n).  Every site outside it holds
     exactly 0 in the state and in both buffers.  It starts as the shortest interval
     of the sites, read round the ring, that holds the nonzero sites of the start
-    state, and every LEAD_STEPS steps `ahead` widens it on each side by the spread
-    of that many steps: every site of a polygon that meets the window lies within
-    the factor's spread (`_spread`) of it round the ring.  So each factor updates
-    the window's sites only: its polygons that meet the state's nonzero sites lie
-    there, and every other polygon holds zeros and maps them to zeros.  The result
-    is the full update's bit for bit (an exact zero may differ in sign).  Where the
-    polygons join nearby sites, as on the line's ring in `line_tessellations`
-    numbering (a spread of one site per factor), a step costs O(width), the light
-    cone of the start; a dense start or a polygon that joins far sites widens the
-    window to every site within a step.
+    state (of a column block, the rows that any column holds; of a zero state, the
+    empty window (0, 0), which stays empty), and every LEAD_STEPS steps `ahead`
+    widens it on each side by the spread of that many steps: every site of a
+    polygon that meets the window lies within the term's spread (`_spread`) of it
+    round the ring.  So each term updates the window's sites only: its polygons
+    that meet the state's nonzero sites lie there, and every other polygon holds
+    zeros and maps them to zeros.  The result is the full update's bit for bit (an
+    exact zero may differ in sign).  Where the polygons join nearby sites, as on
+    the line's ring in `line_tessellations` numbering (a spread of one site per
+    factor), a step costs O(width), the light cone of the start; a dense start or a
+    polygon that joins far sites widens the window to every site within a step.
 
-    `stores` holds, per factor, (first, c0, coefficients): the stencil entries
+    `stores` holds, per term, (first, c0, coefficients): the stencil entries
     (`OrthogonalReflection._entries`) of the unwrapped sites first <= u < first +
     size, site u at position u - first, or of every site in site order (first 0,
-    size n).  When the window leaves a store, the store grows to the window and as
-    many sites again on each side, or to every site once that reaches n sites: the
-    entries it holds are copied, and only the new sites are compiled.  So a run
-    compiles each site's entries at most once per factor, and a store holds at most
-    three times the window's sites, or every site.
+    size n).  The first store holds the first window.  When the window leaves a
+    store, the store grows to the window and as many sites again on each side, or
+    to every site once that reaches n sites: the entries it holds are copied, and
+    only the new sites are compiled.  So a run compiles each site's entries at most
+    once per term, and a store holds at most three times the window's sites, or
+    every site.
 
     Every LEAD_STEPS steps, `flush` sets the subnormal components of the state to 0.
     `work` holds every temporary of `_mix` and `flush` for the run: fresh arrays on
@@ -338,64 +326,69 @@ class ActiveSupport:
 
     def __init__(self, psi0: np.ndarray):
         # np.zeros, unlike zeros_like, leaves a large buffer's pages untouched until written
-        self.buffers = (np.zeros(psi0.shape, psi0.dtype), np.zeros(psi0.shape, psi0.dtype))
+        self.buffers = (np.zeros(psi0.shape, np.complex128), np.zeros(psi0.shape, np.complex128))
         self.work = [np.empty(psi0.shape, np.complex128) for _ in range(2)]
-        n, nonzero = len(psi0), np.flatnonzero(psi0)
-        gap = self.work[0].view(np.intp)[:len(nonzero)]  # to the next one round the ring
-        np.subtract(nonzero[1:], nonzero[:-1], out=gap[:-1])
-        gap[-1] = nonzero[0] + n - nonzero[-1]
-        after = int(np.argmax(gap))  # the window runs from past the largest gap
-        lo, hi = int(nonzero[(after + 1) % len(nonzero)]), int(nonzero[after]) + 1
-        lo -= n if lo >= hi else 0  # a window round site 0 starts below it
-        self.window = (0, n) if hi - lo >= n else (lo, hi)
+        held = psi0 != 0  # a row of a column block is held if any column holds it
+        n, nonzero = len(psi0), np.flatnonzero(held.any(axis=1) if held.ndim > 1 else held)
+        self.window = (0, 0)  # a zero state's
+        if len(nonzero):
+            gap = self.work[0].reshape(-1).view(np.intp)[:len(nonzero)]  # to the next one
+            np.subtract(nonzero[1:], nonzero[:-1], out=gap[:-1])
+            gap[-1] = nonzero[0] + n - nonzero[-1]
+            after = int(np.argmax(gap))  # the window runs from past the largest gap
+            lo, hi = int(nonzero[(after + 1) % len(nonzero)]), int(nonzero[after]) + 1
+            lo -= n if lo >= hi else 0  # a window round site 0 starts below it
+            self.window = (0, n) if hi - lo >= n else (lo, hi)
         self.stores = []
         self.steps = 0
 
-    def ahead(self, factors) -> None:
-        """Widen the window on each side by the spread of LEAD_STEPS steps of the factors,
-        so it holds the state until the next call, grow each factor's store to hold it,
-        and keep each factor's cut of its entries (`_cut`) in `cuts`."""
+    def ahead(self, terms) -> None:
+        """Widen the window on each side by the spread of LEAD_STEPS steps of the terms
+        (H, alpha, beta), so it holds the state until the next call (an empty one stays
+        empty), grow each term's store to hold it, and keep each term's cut in `cuts`."""
         n = len(self.buffers[0])
-        spread = LEAD_STEPS * sum(f.reflection._spread for f in factors)
         lo, hi = self.window
+        spread = LEAD_STEPS * sum(h._spread for h, _, _ in terms) if lo < hi else 0
         lo, hi = self.window = (0, n) if hi - lo + 2 * spread >= n else (lo - spread, hi + spread)
-        stores = self.stores or [(lo,)] * len(factors)  # empty, at the window
-        self.stores = [self._grown(f, *store) for f, store in zip(factors, stores)]
-        self.cuts = [self._cut(f.reflection, *store) for f, store in zip(factors, self.stores)]
+        stores = self.stores or [(lo,)] * len(terms)  # empty, at the window
+        self.stores = [self._grown(term, *store) for term, store in zip(terms, stores)]
+        self.cuts = [self._cut(term, *store) for term, store in zip(terms, self.stores)]
 
-    def _grown(self, f: LocalUnitary, first: int, c0=(), coefficients=None) -> tuple:
-        """Factor f's store (first, c0, coefficients), grown to hold the window; given
-        `first` alone, an empty store there."""
+    def _grown(self, term, first: int, c0=(), coefficients=None) -> tuple:
+        """The store (first, c0, coefficients) of term (H, alpha, beta), grown to hold the
+        window; given `first` alone, an empty store there, which grows to the window."""
+        h, alpha, beta = term
         lo, hi = self.window
-        n, stop = f.dimension, first + len(c0)
+        n, stop = h.dimension, first + len(c0)
         if stop - first == n or first <= lo and hi <= stop:
             return first, c0, coefficients
-        low = base = 2 * lo - hi  # the window and as many sites again on each side
-        high = 2 * hi - lo
+        margin = hi - lo if len(c0) else 0  # as many sites again on each side of the window
+        low = base = lo - margin
+        high = hi + margin
         if high - low >= n:  # every site from 0; the new ones follow the store round
             low, high, base = first, first + n, 0
         grown = (np.empty(high - low, np.complex128),
-                 np.empty((len(f.reflection._partners), high - low), np.complex128))
+                 np.empty((len(h._partners), high - low), np.complex128))
         for a, b in _runs(first, stop, n):
             p = (a - base) % n
             grown[0][p:p + b - a] = c0[a - first:b - first]
             grown[1][:, p:p + b - a] = coefficients[:, a - first:b - first]
         for a, b in _runs(stop, high, n) + _runs(low, first, n):
             p = (a - base) % n
-            f.reflection._entries(a % n, a % n + b - a, f._alpha, f._beta,
-                                  grown[0][p:p + b - a], grown[1][:, p:p + b - a])
+            h._entries(a % n, a % n + b - a, alpha, beta,
+                       grown[0][p:p + b - a], grown[1][:, p:p + b - a])
         return base, *grown
 
-    def _cut(self, h: OrthogonalReflection, first: int, c0, coefficients) -> tuple:
-        """(stencil segments, big blocks) that update the window's sites from a store.
+    def _cut(self, term, first: int, c0, coefficients) -> tuple:
+        """(stencil segments, big blocks) that update the window's sites from term's store.
 
         Each run of the window (`_runs`) gives a stencil segment (first site, c0,
         (partner row, coefficient row) pairs), and each big size block its rows whose
         smallest site lies in that run: every polygon that meets the state lies in
         the window, and the others hold zeros and map them to zeros.
         """
+        h, segments, big = term[0], [], []
         n = h.dimension
-        segments, big = [], []
         for a, b in _runs(*self.window, n):
             s, p = a % n, (a - first) % n
             segments.append((s, c0[p:p + b - a], tuple(zip(h._partners[:, s:s + b - a],
@@ -422,9 +415,9 @@ class ActiveSupport:
             return
         n = len(psi)
         for a, b in _runs(*self.window, n):
-            parts = psi[a % n:a % n + b - a].view(np.float64)
-            magnitude = self.work[0].view(np.float64)[:parts.size]
-            below = self.work[1].view(bool)[:parts.size]
+            parts = psi[a % n:a % n + b - a].reshape(-1).view(np.float64)
+            magnitude = self.work[0].reshape(-1).view(np.float64)[:parts.size]
+            below = self.work[1].reshape(-1).view(bool)[:parts.size]
             np.less(np.abs(parts, out=magnitude), SMALLEST_NORMAL, out=below)
             np.copyto(parts, 0.0, where=below)
 
@@ -449,7 +442,7 @@ def apply_exp(u: LocalUnitary, state: WalkState) -> WalkState:
 def grover_phase_apply(theta: float, h: OrthogonalReflection, state: WalkState) -> WalkState:
     """Apply I - (1 - e^{2 i theta}) sum_k |a_k><a_k|, which is e^{i theta} exp(i theta H)."""
     _check_dim(h.dimension, state)
-    return WalkState(h.mix(state.amplitudes, 1, cmath.exp(2j * theta) - 1))
+    return WalkState(_step(state.amplitudes, ((h, 1, cmath.exp(2j * theta) - 1),)))
 
 
 def compose(factors) -> EvolutionOperator:

@@ -85,7 +85,7 @@ def evolve_final(u: EvolutionOperator, psi0: WalkState, steps: int, observers=()
     cone of psi0 where polygons join nearby sites, as on the line's ring, and
     O(n) for a dense start or a scattered graph.  Every `operators.LEAD_STEPS` steps the
     subnormal parts of the state are set to 0; else the amplitudes are those
-    of `u.step_array(psi)` bit for bit (an exact zero may differ in sign).
+    of a step of every site bit for bit (an exact zero may differ in sign).
 
     Each observer is called as observer(step, psi) on psi0 (step 0) and after
     every step; psi is the raw amplitude array, which it must not modify.

@@ -9,6 +9,7 @@ import numpy as np
 
 from sqw import OrthogonalReflection, build_graph
 from sqw.graphs import _field, _integers, _list
+from sqw.operators import ActiveSupport
 
 
 # amplitude parts a writer could get wrong, and label texts that a quoting writer or a
@@ -75,6 +76,15 @@ def segment_sum_evolve(u, psi: np.ndarray, steps: int) -> np.ndarray:
         for f in u.factors:
             psi = segment_sum_exp(f.reflection, f.theta, psi)
     return psi
+
+
+def every_site_step(u, psi: np.ndarray) -> np.ndarray:
+    """One step of u on every site, through a support whose window is every site, (0, n),
+    whatever sites psi holds: the every-site update that a windowed step must equal bit
+    for bit (an exact zero may differ in sign)."""
+    support = ActiveSupport(psi)
+    support.window = (0, u.dimension)
+    return u.step_array(psi, support)
 
 
 def random_reflection(rng, dimension, cover_all=True) -> OrthogonalReflection:

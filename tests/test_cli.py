@@ -2,10 +2,14 @@ import contextlib
 import io
 import json
 import math
+import numbers
+import re
 import subprocess
 import sys
 import tempfile
 import tracemalloc
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -709,6 +713,49 @@ class TestMalformedConfigs:
         assert main([command, "--theta", "pi/4", "--ring-size", str(2 ** 20), *flags,
                      "--out", str(tmp_path / "x.tsv")]) == 1
         one_error_line(capsys, field)
+
+
+def reference_is_init_entry(entry) -> bool:
+    """The rule of `cli._is_init_entry` by the `numbers` ABCs alone: an integral position
+    and two real parts, none of them a bool."""
+    return (isinstance(entry, (list, tuple)) and len(entry) == 3
+            and isinstance(entry[0], numbers.Integral)
+            and all(isinstance(x, numbers.Real) and not isinstance(x, bool) for x in entry))
+
+
+class PlainInt(int):
+    pass
+
+
+class PlainFloat(float):
+    pass
+
+
+INIT_ENTRIES = [
+    [0, 1.0, 0.0], (3, 1, 0), [-2, 0.5, -0.5], [2 ** 70, 1e308, -math.inf],
+    [np.int64(1), 1.0, 0], [np.int32(1), np.float64(0.6), np.float32(0.8)],
+    [1, np.int8(1), np.uint16(0)], [PlainInt(1), PlainFloat(0.5), PlainInt(0)],
+    [0, Fraction(1, 2), 0], [Fraction(1), 1, 0], [0, 1, Decimal("0")],
+    [True, 1.0, 0.0], [1, True, 0.0], [1, 1.0, False], [np.bool_(True), 1.0, 0.0],
+    [1.0, 1.0, 0.0], [0, 1j, 0], [0, complex(1), 0],
+    ["0", 1, 0], [0, "1", 0], [0, 1, "0"], "0,1,0", None, 5, {"pos": 0},
+    [], [0], [0, 1], [0, 1, 0, 0], [[0, 1, 0]],
+]
+
+
+class TestInitEntries:
+    """`cli._is_init_entry` tells plain ints and floats by their type first; every
+    entry still gets the verdict of the ABC-only rule, and `_parse_init` its message."""
+
+    @pytest.mark.parametrize("entry", INIT_ENTRIES, ids=[repr(e) for e in INIT_ENTRIES])
+    def test_same_verdict_as_the_abc_rule(self, entry):
+        assert cli._is_init_entry(entry) == reference_is_init_entry(entry)
+        if reference_is_init_entry(entry):
+            assert cli._parse_init([entry]) == [(entry[0], complex(entry[1], entry[2]))]
+        else:
+            with pytest.raises(ValueError,
+                               match=re.escape(f"cannot parse initial state {[entry]!r}")):
+                cli._parse_init([entry])
 
 
 class TestValidate:

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from sqw import (
@@ -32,12 +32,12 @@ from sqw.errors import (
 )
 from sqw.graphs import check_polygon_arrays
 from sqw.operators import LEAD_STEPS, SMALLEST_NORMAL, STENCIL_CAP, ActiveSupport, \
-    LocalUnitary, _runs
+    EvolutionOperator, LocalUnitary, _runs, _step
 from sqw.state import WalkState
 from sqw.tolerances import drift_bound
 
-from conftest import dense_reflection, random_reflection, random_state_array, \
-    segment_sum_evolve
+from conftest import dense_reflection, every_site_step, random_reflection, \
+    random_state_array, segment_sum_evolve
 from conftest import path_graph, uniform
 
 
@@ -334,23 +334,31 @@ class TestKernelProperties:
 
     @settings(max_examples=200, deadline=None)
     @given(h=reflections(), theta=st.floats(-math.pi, math.pi), columns=st.booleans(),
-           seed=st.integers(0, 2 ** 32 - 1))
-    def test_matches_dense_oracle(self, h, theta, columns, seed):
+           seed=st.integers(0, 2 ** 32 - 1), zero=st.booleans())
+    @example(h=OrthogonalReflection(4, [((0, 1), (0.6, 0.8j))]), theta=0.3, columns=False,
+             seed=0, zero=True)
+    @example(h=OrthogonalReflection(4, [((0, 1), (0.6, 0.8j))]), theta=0.3, columns=True,
+             seed=0, zero=True)
+    def test_matches_dense_oracle(self, h, theta, columns, seed, zero):
+        # a zero state, 1-D or a block of zero columns, has an empty window: all zeros out
         rng = np.random.default_rng(seed)
         n = h.dimension
         sizes = np.diff(np.append(h.starts, len(h.vertices)))
         event("a polygon above the cap" if np.any(sizes > STENCIL_CAP) else "stencil rows only")
         event("uncovered sites" if len(h.vertices) < n else "every site covered")
+        event("a zero state" if zero else "a random state")
         shape = (n, 3) if columns else (n,)
-        psi = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        psi = np.zeros(shape, dtype=np.complex128) if zero else \
+            rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         dense = dense_reflection(h)
         projector = (dense + np.eye(n)) / 2
         assert np.max(np.abs(h.apply(psi) - dense @ psi)) < 1e-12
         exp_dense = math.cos(theta) * np.eye(n) + 1j * math.sin(theta) * dense
         got = LocalUnitary(theta, h).apply(psi)
         assert np.max(np.abs(got - exp_dense @ psi)) < 1e-12
-        phase = cmath.exp(2j * theta) - 1
-        assert np.max(np.abs(h.mix(psi, 1, phase) - (psi + phase * projector @ psi))) < 1e-12
+        phase = cmath.exp(2j * theta) - 1  # grover_phase_apply's term, here on columns too
+        got = _step(psi, ((h, 1, phase),))
+        assert np.max(np.abs(got - (psi + phase * projector @ psi))) < 1e-12
 
     @settings(max_examples=50, deadline=None)
     @given(h=reflections())
@@ -434,9 +442,10 @@ def widened(window, spread, n) -> tuple[int, int]:
 
 
 class TestActiveSupport:
-    """The windowed step against the full step, and the window's width and cost.
+    """The windowed step against the every-site step (`conftest.every_site_step`), and
+    the window's width and cost.
 
-    Each windowed step must equal the full step element for element
+    Each windowed step must equal the every-site step element for element
     (`array_equal`: bit for bit, with -0.0 equal to 0.0, since a zero the full
     step writes as c0 * 0 may carry a sign).  This rests on numpy rounding a
     complex multiply alike at every array length the kernel uses.  Measured on
@@ -457,7 +466,7 @@ class TestActiveSupport:
         partial = crossed = 0
         for step in range(1, steps + 1):
             active = u.step_array(active, support)
-            full = u.step_array(full)
+            full = every_site_step(u, full)
             if step % LEAD_STEPS == 0:
                 parts = full.view(np.float64)
                 parts[np.abs(parts) < SMALLEST_NORMAL] = 0.0
@@ -488,7 +497,7 @@ class TestActiveSupport:
         flushed = plain = psi0
         for step in range(1, 2 * LEAD_STEPS + 1):
             flushed = u.step_array(flushed, support)
-            plain = u.step_array(plain)
+            plain = every_site_step(u, plain)
             assert 0 < abs(plain[0]) < SMALLEST_NORMAL
             assert (flushed[0] == 0) == (step >= LEAD_STEPS)
             assert np.array_equal(flushed[1:], plain[1:])
@@ -513,18 +522,38 @@ class TestActiveSupport:
             psi0 = np.zeros(n, dtype=np.complex128)
             psi0[0] = np.exp(1j * rng.uniform(-math.pi, math.pi))
             f, support = u.factors[0], ActiveSupport(psi0)  # its window is site 0 alone
-            cut = support._cut(f.reflection, *support._grown(f, 0))
+            cut = support._cut(f._term, *support._grown(f._term, 0))
             [(_, c0, rows)], _ = cut
             assert not any(c.any() for _, c in rows)  # scaled by c0 alone
             assert c0[0] == cmath.exp(-1j * f.theta)  # alpha
-            one = operators._mix(psi0, *cut, f._beta, np.zeros(n, dtype=np.complex128))
-            assert np.array_equal(one, f.apply(psi0))
+            one = operators._mix(psi0, *cut, f._term[2], np.zeros(n, dtype=np.complex128),
+                                 support.work)
+            assert np.array_equal(one, every_site_step(EvolutionOperator((f,)), psi0))
             support = ActiveSupport(psi0)
             active = full = psi0
             for _ in range(3):
                 active = u.step_array(active, support)
-                full = u.step_array(full)
+                full = every_site_step(u, full)
                 assert np.array_equal(active, full)
+
+    def test_column_block_steps_through_one_support(self):
+        # a column block's window holds the rows that any column holds, and the flush
+        # sets every column's subnormal parts to 0: a column of one subnormal amplitude
+        # is all 0 after LEAD_STEPS steps, and the others equal their own evolutions
+        n = 400
+        u = line(n)
+        block = np.zeros((n, 3), dtype=np.complex128)
+        block[5, 0] = 1
+        block[390:393, 1] = [0.6, 0.64j, 0.48]
+        block[200, 2] = 1e-310
+        support, psi = ActiveSupport(block), block
+        assert support.window == (-200, 6)
+        for step in range(1, 2 * LEAD_STEPS + 1):
+            psi = u.step_array(psi, support)
+            assert psi[:, 2].any() == (step < LEAD_STEPS)
+        for column, start in zip(psi.T[:2], block.T):
+            own = evolve_final(u, WalkState(start), 2 * LEAD_STEPS).amplitudes
+            assert np.max(np.abs(column - own)) < 1e-14
 
     @pytest.mark.parametrize("sites", [(-3, 2), (2 ** 14 - 1, 2 ** 14 + 1)])
     def test_window_stays_in_the_light_cone(self, sites):
@@ -617,7 +646,7 @@ class TestActiveSupport:
         u = compose([(0.6, blocks(0)), (0.6, blocks(3))])
         psi = random_state_array(np.random.default_rng(3), n)
         support = ActiveSupport(psi)
-        support.ahead(u.factors)
+        support.ahead(u._terms)
         tracemalloc.start()
         try:
             for _ in range(2 * LEAD_STEPS + 4):
@@ -667,7 +696,7 @@ def scattered_walks(draw):
 
 
 class TestSegmentSumOracle:
-    """The windowed loop and the plain step against `conftest.segment_sum_exp`,
+    """The windowed loop and the every-site step against `conftest.segment_sum_exp`,
     which reads only the polygon arrays, at up to 10^5 sites."""
 
     @settings(max_examples=30, deadline=None)
@@ -681,9 +710,9 @@ class TestSegmentSumOracle:
         got = evolve_final(u, start, steps).amplitudes
         assert np.max(np.abs(got - segment_sum_evolve(u, start.amplitudes, steps))) <= \
             drift_bound(steps)
-        psi = psi0 = random_state_array(rng, n)  # every site, without a support
+        psi = psi0 = random_state_array(rng, n)  # every site
         for _ in range(steps):
-            psi = u.step_array(psi)
+            psi = every_site_step(u, psi)
         assert np.max(np.abs(psi - segment_sum_evolve(u, psi0, steps))) <= drift_bound(steps)
 
 
@@ -704,7 +733,7 @@ class TestStencilCap:
         h = OrthogonalReflection.from_arrays(n, vertices, amps, starts)
         u = LocalUnitary(theta, h)
         support = ActiveSupport(np.ones(n, dtype=np.complex128))  # every site
-        support.ahead([u])
+        support.ahead([u._term])
         held = [h._partners, *(a for block in h._big for a in block), *support.stores[0][1:]]
         assert sum({id(a): a.size for a in held}.values()) <= 2 * n + 3 * d
 
@@ -724,7 +753,7 @@ class TestLazyRows:
     def test_sparse_run_compiles_no_full_rows(self):
         # 32 steps from sites 0 and n - 1 of a 2^16-site line reach about 130 sites:
         # each factor compiles its stencil entries round them, and the run equals the
-        # plain step on every site
+        # every-site step
         n = 2 ** 16
         u = line(n, 0.6, 1.1, 0.7, 0.3, 0.9)
         start = superposition_state(n, [(0, 0.6), (n - 1, 0.8j)])
@@ -735,8 +764,33 @@ class TestLazyRows:
         assert np.array_equal(got, evolve_final(u, start, 32).amplitudes)
         psi = start.amplitudes
         for _ in range(32):
-            psi = u.step_array(psi)
+            psi = every_site_step(u, psi)
         assert np.array_equal(got, psi)
+
+    def test_single_calls_compile_round_their_window(self, monkeypatch):
+        # one call takes one support, whose first store holds its first window: a basis
+        # state's window widened by LEAD_STEPS times the spread, one site on a ring of
+        # pairs, at any n.  dense_matrix on a 1024-site line steps 16 blocks of 64 columns,
+        # each a window widened by 2 LEAD_STEPS sites a side: 1.5 n sites a factor, where
+        # a compile of every site per block would be 16 n
+        compiled = []
+        entries = OrthogonalReflection._entries
+        monkeypatch.setattr(OrthogonalReflection, "_entries",
+                            lambda h, lo, hi, *rest: compiled.append((id(h), hi - lo))
+                            or entries(h, lo, hi, *rest))
+        for n in (2 ** 16, 2 ** 20):
+            h = OrthogonalReflection.from_arrays(n, np.arange(n), np.full(n, math.sqrt(0.5)),
+                                                 np.arange(0, n, 2))
+            compiled.clear()
+            out = apply_exp(LocalUnitary(0.6, h), basis_state(n, n // 2)).amplitudes
+            assert np.count_nonzero(out) == 2
+            assert sum(size for _, size in compiled) <= 2 * LEAD_STEPS + 1
+        n = 1024
+        u = line(n)
+        compiled.clear()
+        dense_matrix(u)
+        for f in u.factors:
+            assert sum(size for h, size in compiled if h == id(f.reflection)) <= 2 * n
 
     @settings(max_examples=40, deadline=None)
     @given(walk=scattered_walks(), cuts=st.lists(st.floats(0, 1), max_size=4))
@@ -749,9 +803,9 @@ class TestLazyRows:
             c0 = np.empty(n, dtype=np.complex128)
             coefficients = np.empty(h._partners.shape, dtype=np.complex128)
             for lo, hi in zip(bounds, bounds[1:]):
-                h._entries(lo, hi, f._alpha, f._beta, c0[lo:hi], coefficients[:, lo:hi])
+                h._entries(lo, hi, *f._term[1:], c0[lo:hi], coefficients[:, lo:hi])
             whole = np.empty_like(c0), np.empty_like(coefficients)
-            h._entries(0, n, f._alpha, f._beta, *whole)
+            h._entries(0, n, *f._term[1:], *whole)
             assert c0.tobytes() == whole[0].tobytes()
             assert coefficients.tobytes() == whole[1].tobytes()
 
@@ -796,12 +850,12 @@ class TestLazyRows:
         n = f.dimension
         c0 = np.empty(n, dtype=np.complex128)
         coefficients = np.empty(f.reflection._partners.shape, dtype=np.complex128)
-        f.reflection._entries(0, n, f._alpha, f._beta, c0, coefficients)
+        f.reflection._entries(0, n, *f._term[1:], c0, coefficients)
         support = ActiveSupport(basis_state(n, 0).amplitudes)
         store = (windows[0][0],)
         for support.window in windows:
-            store = support._grown(f, *store)
-            segments, _ = support._cut(f.reflection, *store)
+            store = support._grown(f._term, *store)
+            segments, _ = support._cut(f._term, *store)
             assert sum(len(c) for _, c, _ in segments) == inside(support.window, n).sum()
             for s, c, rows in segments:
                 assert c.tobytes() == c0[s:s + len(c)].tobytes()
@@ -897,5 +951,4 @@ class TestConstructionMemory:
             finally:
                 tracemalloc.stop()
             assert len(factors) == 2 and peak < 7.5 * (16 * n)
-            assert [sorted(vars(f)) for f in factors] == [["_alpha", "_beta", "reflection",
-                                                           "theta"]] * 2
+            assert [sorted(vars(f)) for f in factors] == [["_term", "reflection", "theta"]] * 2

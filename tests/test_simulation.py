@@ -197,7 +197,7 @@ class TestStreamingLoop:
         class Leaky:
             dimension = 4
 
-            def step_array(self, psi, buffers=None):
+            def step_array(self, psi, support=None):
                 return psi * (1 + 1e-9)
 
         with pytest.raises(NotNormalized):
